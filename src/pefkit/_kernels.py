@@ -1,72 +1,51 @@
-"""Hot numeric kernels with optional numba acceleration.
+"""The two numeric inner loops that every layer shares.
 
-The greedy coupling fill and the entropy sums sit inside the Bayesian
-optimization objective and the oracle sweeps, so they get @njit kernels.
-Set ``PEFKIT_DISABLE_NUMBA=1`` (or install without numba) to force the
-pure-numpy fallback; both paths agree to the last few ulps (summation
-order differs) and the benchmark in ``benchmarks/bench_kernels.py``
-compares them.
+``entropy_bits`` is summed by dist, coupling and qopt; ``greedy_fill``
+builds every greedy coupling, including the one inside each call of the
+Q objective. Both take and return plain arrays, not ``Categorical`` or
+``Coupling`` values, so hot callers skip the validation those types do on
+construction, and this module imports nothing from pefkit, so every other
+module can use it without an import cycle.
 """
 
 from __future__ import annotations
 
-import os
+import heapq
 
 import numpy as np
-
-_LOG2E = 1.0 / np.log(2.0)
 
 # Residuals below this are treated as exhausted in the greedy loop.
 RESIDUAL_EPS = 1e-12
 
+# There is one numpy path; perfbench/run.py's environment() reads this for
+# its host diagnostics, and nothing else does.
+USING_NUMBA = False
 
-def _entropy_bits_np(probs: np.ndarray) -> float:
+
+def entropy_bits(probs: np.ndarray) -> float:
     p = probs[probs > 0.0]
     return float(-np.sum(p * np.log2(p)))
 
 
-def _joint_entropy_bits_np(mass: np.ndarray) -> float:
-    flat = mass.ravel()
-    m = flat[flat > 0.0]
-    return float(-np.sum(m * np.log2(m)))
-
-
-def _greedy_fill_np(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def greedy_fill(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Greedy coupling: repeatedly pair the largest residuals.
 
-    Ties resolve to the lowest index, which is the lowest symbol id
-    because supports are kept in ascending-id order.
+    Each side's residuals sit in a heap of ``(-residual, index)``, so a
+    step costs O(log(m + n)). Ties resolve to the lowest index, which is
+    the lowest symbol id because supports are kept in ascending-id order.
     """
-    rp = p.copy()
-    rq = q.copy()
+    hp = [(-r, i) for i, r in enumerate(p.tolist())]
+    hq = [(-r, j) for j, r in enumerate(q.tolist())]
+    heapq.heapify(hp)
+    heapq.heapify(hq)
     mass = np.zeros((p.size, q.size))
     for _ in range(p.size + q.size):
-        i = int(np.argmax(rp))
-        j = int(np.argmax(rq))
-        m = min(rp[i], rq[j])
+        neg_rp, i = hp[0]
+        neg_rq, j = hq[0]
+        m = min(-neg_rp, -neg_rq)
         if m <= RESIDUAL_EPS:
             break
         mass[i, j] += m
-        rp[i] -= m
-        rq[j] -= m
+        heapq.heapreplace(hp, (neg_rp + m, i))
+        heapq.heapreplace(hq, (neg_rq + m, j))
     return mass
-
-
-_USE_NUMBA = os.environ.get("PEFKIT_DISABLE_NUMBA", "0") not in ("1", "true", "yes")
-
-if _USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        _USE_NUMBA = False
-
-if _USE_NUMBA:
-    entropy_bits = njit(cache=True)(_entropy_bits_np)
-    joint_entropy_bits = njit(cache=True)(_joint_entropy_bits_np)
-    greedy_fill = njit(cache=True)(_greedy_fill_np)
-else:
-    entropy_bits = _entropy_bits_np
-    joint_entropy_bits = _joint_entropy_bits_np
-    greedy_fill = _greedy_fill_np
-
-USING_NUMBA = _USE_NUMBA

@@ -85,6 +85,12 @@ def cmd_erase(args) -> int:
     bo_cfg = _bo_config(args)
     if args.dists:
         g = load_grouped_json(args.dists)
+        ev.check_symbols_known(
+            (s.x for s in samples),
+            {x for d in g.dists for x in d.support},
+            "the samples",
+            "--dists",
+        )
         tol = args.tol if args.tol is not None else 1e-9
         f, report = pef.build_pef(g, tol, bo_cfg, args.use_bo)
     else:

@@ -313,9 +313,13 @@ def funnel_bounds(g: GroupedData, n_points: int) -> FunnelCurve:
     return FunnelCurve(u, lower, upper, h_xa, h_x, i_ax)
 
 
-def _sorted_symbols(p: Categorical) -> list[int]:
-    """Symbols by descending probability, ties by ascending id."""
-    return sorted(p.support, key=lambda s: (-p.prob_of(s), s))
+def sorted_symbols(p: Categorical) -> list[int]:
+    """Symbols by descending probability, ties by ascending id.
+
+    The support is in ascending-id order, so a stable sort on the negated
+    probabilities keeps equal-probability symbols in id order.
+    """
+    return [p.support[i] for i in np.argsort(-p.probs, kind="stable")]
 
 
 def check_permutation_equal(
@@ -335,7 +339,7 @@ def check_permutation_equal(
     sq = np.sort(q.probs)[::-1]
     if np.any(np.abs(sp - sq) > tol):
         return None
-    return Permutation(dict(zip(_sorted_symbols(p), _sorted_symbols(q))))
+    return Permutation(dict(zip(sorted_symbols(p), sorted_symbols(q))))
 
 
 def pic_spectrum(g: GroupedData) -> PicSpectrum:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
@@ -20,7 +20,19 @@ _LN2 = float(np.log(2.0))
 
 
 class AlignmentError(ValueError):
-    """Erased and original sample lists do not line up."""
+    """Inputs do not line up: erased vs original rows, or symbol sets."""
+
+
+def check_symbols_known(
+    symbols: Iterable[int], known: Collection[int], what: str, where: str
+) -> None:
+    """Raise AlignmentError if any of ``symbols`` is missing from ``known``."""
+    missing = sorted(set(symbols).difference(known))
+    if missing:
+        raise AlignmentError(
+            f"{len(missing)} symbol(s) of {what} missing from {where}, "
+            f"first {missing[0]}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,7 +104,9 @@ def plugin_mi(j: JointCounts, miller_madow: bool = False) -> float:
 def tv_distance(p: Categorical, q: Categorical) -> float:
     """Half the L1 distance, over the union of supports with zero fill."""
     symbols = sorted(set(p.support) | set(q.support))
-    diff = sum(abs(p.prob_of(s) - q.prob_of(s)) for s in symbols)
+    pp = dict(zip(p.support, p.probs.tolist()))
+    qq = dict(zip(q.support, q.probs.tolist()))
+    diff = sum(abs(pp.get(s, 0.0) - qq.get(s, 0.0)) for s in symbols)
     return 0.5 * diff
 
 
@@ -119,6 +133,12 @@ def evaluate_run(
     for (z, ce), s in zip(erased, original):
         if ce != s.concept:
             raise AlignmentError("concept labels of erased/original rows differ")
+    check_symbols_known(
+        (s for d in true_dists.dists for s in d.support),
+        f.input_symbols(),
+        "the distributions",
+        "the erasure function",
+    )
     report = analyze(f, true_dists)
     points = [
         TradeoffPoint(

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .coupling import Coupling, conditional_rows, greedy_mec
+from .coupling import conditional_rows, greedy_mec
 from .dist import (
     Categorical,
     DataConstraintError,
@@ -26,6 +26,7 @@ from .dist import (
     conditional_entropy_x_given_a,
     entropy,
     entropy_of_probs,
+    sorted_symbols,
 )
 from .qopt import BoConfig, QCandidate, default_out_size, output_support, select_q
 
@@ -72,7 +73,6 @@ class ErasureFunction:
     q: Categorical
     group_maps: dict[int, Permutation] | None = None
     rows: dict[int, Categorical] | None = None
-    group_couplings: dict[int, Coupling] | None = None
 
     def map_symbol(self, x: int) -> int:
         """Deterministic image of a symbol; raises on stochastic functions."""
@@ -82,6 +82,12 @@ class ErasureFunction:
             if x in perm.mapping:
                 return perm.mapping[x]
         raise KeyError(f"unknown symbol {x}")
+
+    def input_symbols(self) -> set[int]:
+        """Every symbol the function has an image or a row for."""
+        if self.variant == "deterministic":
+            return {x for perm in self.group_maps.values() for x in perm.mapping}
+        return set(self.rows)
 
     def row_for(self, x: int) -> Categorical:
         """P(Z|X=x) for either variant (a point mass when deterministic)."""
@@ -162,7 +168,7 @@ def build_deterministic_pef(g: GroupedData, tol: float = 1e-9) -> ErasureFunctio
             raise DataConstraintError(
                 f"group {concept} is not permutation-equal to group {g.concepts[0]}"
             )
-        ordered = sorted(d.support, key=lambda s: (-d.prob_of(s), s))
+        ordered = sorted_symbols(d)
         maps[concept] = Permutation(dict(zip(ordered, support)))
     return ErasureFunction("deterministic", support, q, group_maps=maps)
 
@@ -175,15 +181,11 @@ def build_stochastic_pef(g: GroupedData, q: QCandidate) -> ErasureFunction:
     """
     support = q.dist.support
     rows: dict[int, Categorical] = {}
-    couplings: dict[int, Coupling] = {}
-    for concept, d in g.groups:
+    for d in g.dists:
         c = greedy_mec(d, q.dist)
-        couplings[concept] = c
         for x, row in zip(d.support, conditional_rows(c, d)):
             rows[x] = row
-    return ErasureFunction(
-        "stochastic", support, q.dist, rows=rows, group_couplings=couplings
-    )
+    return ErasureFunction("stochastic", support, q.dist, rows=rows)
 
 
 def analyze(f: ErasureFunction, g: GroupedData) -> ErasureReport:

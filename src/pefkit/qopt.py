@@ -16,7 +16,8 @@ from typing import Union
 
 import numpy as np
 
-from .coupling import coupling_entropy, greedy_mec, mec_oracle
+from ._kernels import entropy_bits, greedy_fill
+from .coupling import mec_oracle
 from .dist import Categorical, DistError, GroupedData, entropy
 
 
@@ -68,14 +69,18 @@ def default_out_size(g: GroupedData) -> int:
 
 
 def objective_j(q: Categorical, g: GroupedData, use_oracle: bool = False) -> float:
-    """J(Q) in bits; uses the greedy coupling as the H_min surrogate."""
+    """J(Q) in bits; uses the greedy coupling as the H_min surrogate.
+
+    This runs once per BO evaluation, so it takes the coupling mass straight
+    from the kernel instead of building a validated ``Coupling``.
+    """
     val = entropy(q)
     for prior, d in zip(g.priors, g.dists):
         if use_oracle:
-            c = mec_oracle(d, q)
+            mass = mec_oracle(d, q).mass
         else:
-            c = greedy_mec(d, q)
-        val -= float(prior) * coupling_entropy(c)
+            mass = greedy_fill(d.probs, q.probs)
+        val -= float(prior) * entropy_bits(mass.ravel())
     return float(val)
 
 

@@ -53,15 +53,6 @@ def criterion(num: int, name: str, capsys):
             print(f"criterion {num} ({name}): PASS")
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # Compile the numba kernels before any timed section.
-    p = Categorical((0, 1), np.array([0.6, 0.4]))
-    q = Categorical((2, 3), np.array([0.5, 0.5]))
-    coupling_entropy(greedy_mec(p, q))
-    entropy(p)
-
-
 def _plugin_points(f, samples, erased):
     za = JointCounts.from_pairs([(z, c) for z, c in erased])
     zx = JointCounts.from_pairs(

@@ -122,6 +122,25 @@ class TestErase:
         code = run(["erase", "--samples", bad, "--out-dir", tmp_path])
         assert code == EXIT_DATA
 
+    def test_sample_symbol_outside_dists_is_align_error(self, tmp_path, capsys):
+        out = gen(tmp_path)
+        with open(out / "samples.csv", "a") as fh:
+            fh.write("9999,0\n")
+        code = run(
+            [
+                "erase",
+                "--samples",
+                out / "samples.csv",
+                "--dists",
+                out / "true_dists.json",
+                "--out-dir",
+                tmp_path / "erased",
+            ]
+        )
+        assert code == EXIT_ALIGN
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "first 9999" in err
+
 
 class TestEvaluate:
     def test_end_to_end(self, tmp_path, capsys):
@@ -194,6 +213,43 @@ class TestEvaluate:
             ]
         )
         assert code == EXIT_ALIGN
+
+    def test_unsampled_symbol_is_align_error(self, tmp_path, capsys):
+        # 20 samples per group cannot cover 50 symbols, so the map estimated
+        # from the samples lacks rows for symbols of the true distributions.
+        out = gen(tmp_path, setting="unequal", support=50, samples=20)
+        erased = tmp_path / "erased"
+        code = run(
+            [
+                "erase",
+                "--samples",
+                out / "samples.csv",
+                "--tol",
+                0,
+                "--out-dir",
+                erased,
+            ]
+        )
+        assert code == EXIT_OK
+        capsys.readouterr()
+        code = run(
+            [
+                "evaluate",
+                "--dists",
+                out / "true_dists.json",
+                "--function",
+                erased / "function.json",
+                "--erased",
+                erased / "erased.csv",
+                "--samples",
+                out / "samples.csv",
+                "--out-dir",
+                tmp_path / "eval",
+            ]
+        )
+        assert code == EXIT_ALIGN
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "missing from the erasure function" in err
 
 
 class TestUtilities:
