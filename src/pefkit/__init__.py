@@ -49,6 +49,7 @@ from .pef import (
     Sample,
     analyze,
     apply,
+    as_samples,
     build_deterministic_pef,
     build_pef,
     build_stochastic_pef,

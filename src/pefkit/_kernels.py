@@ -1,11 +1,12 @@
-"""The two numeric inner loops that every layer shares.
+"""The numeric inner loops that every layer shares.
 
 ``entropy_bits`` is summed by dist, coupling and qopt; ``greedy_fill``
 builds every greedy coupling, including the one inside each call of the
-Q objective. Both take and return plain arrays, not ``Categorical`` or
-``Coupling`` values, so hot callers skip the validation those types do on
-construction, and this module imports nothing from pefkit, so every other
-module can use it without an import cycle.
+Q objective; ``row_searchsorted`` draws every stochastic erasure. All
+take and return plain arrays, not ``Categorical`` or ``Coupling`` values,
+so hot callers skip the validation those types do on construction, and
+this module imports nothing from pefkit, so every other module can use it
+without an import cycle.
 """
 
 from __future__ import annotations
@@ -49,3 +50,22 @@ def greedy_fill(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         heapq.heapreplace(hp, (neg_rp + m, i))
         heapq.heapreplace(hq, (neg_rq + m, j))
     return mass
+
+
+def row_searchsorted(
+    cdfs: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Inverse-CDF index of each ``u[i]`` within its own row ``cdfs[lo[i]:hi[i]+1]``.
+
+    Equal to ``lo + min(searchsorted(row, u, side="right"), len(row) - 1)``
+    for every i: a vectorized bisection confined to each row, so a draw
+    never crosses into a neighbouring row, and ``u`` is compared with the
+    stored CDF values themselves, never with shifted copies of them.
+    """
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        # mid == hi only once lo == hi; such a row has its answer already.
+        right = (cdfs[mid] <= u) & (mid < hi)
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(right, hi, mid)
+    return lo

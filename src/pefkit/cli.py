@@ -86,8 +86,8 @@ def cmd_erase(args) -> int:
     if args.dists:
         g = load_grouped_json(args.dists)
         ev.check_symbols_known(
-            (s.x for s in samples),
-            {x for d in g.dists for x in d.support},
+            samples[:, 0],
+            [x for d in g.dists for x in d.support],
             "the samples",
             "--dists",
         )

@@ -8,13 +8,14 @@ emission for plotting.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .dist import Categorical, FunnelCurve, GroupedData
-from .pef import ErasureFunction, ErasureReport, Sample, analyze
+from .pef import ErasureFunction, ErasureReport, analyze, as_samples
 
 _LN2 = float(np.log(2.0))
 
@@ -24,11 +25,11 @@ class AlignmentError(ValueError):
 
 
 def check_symbols_known(
-    symbols: Iterable[int], known: Collection[int], what: str, where: str
+    symbols: ArrayLike, known: ArrayLike, what: str, where: str
 ) -> None:
     """Raise AlignmentError if any of ``symbols`` is missing from ``known``."""
-    missing = sorted(set(symbols).difference(known))
-    if missing:
+    missing = np.setdiff1d(symbols, known)
+    if missing.size:
         raise AlignmentError(
             f"{len(missing)} symbol(s) of {what} missing from {where}, "
             f"first {missing[0]}"
@@ -37,34 +38,50 @@ def check_symbols_known(
 
 @dataclass(frozen=True, eq=False)
 class JointCounts:
+    """The non-zero cells of a contingency table.
+
+    ``cells`` holds one (row index, col index) pair per cell into the
+    sorted labels ``rows`` and ``cols``, and ``counts`` the count of each
+    cell, so a table built from n pairs stores at most n cells however
+    many labels it has.
+    """
+
     rows: tuple[int, ...]
     cols: tuple[int, ...]
+    cells: np.ndarray
     counts: np.ndarray
-    n: int
+    n: int = field(init=False)
 
     def __post_init__(self):
+        cells = np.asarray(self.cells, dtype=np.int64).reshape(-1, 2)
         counts = np.asarray(self.counts, dtype=np.int64)
-        if counts.shape != (len(self.rows), len(self.cols)):
-            raise ValueError("counts shape must match row/col labels")
+        if counts.shape != (len(cells),):
+            raise ValueError("need one count per cell")
+        r, c = cells[:, 0], cells[:, 1]
+        if np.any((r < 0) | (r >= len(self.rows)) | (c < 0) | (c >= len(self.cols))):
+            raise ValueError("cell indices must fall inside the row/col labels")
+        if len(np.unique(r * len(self.cols) + c)) != len(cells):
+            raise ValueError("cells must be distinct")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
         total = int(counts.sum())
         if total == 0:
             raise ValueError("total count must be positive")
-        counts.setflags(write=False)
+        for a in (cells, counts):
+            a.setflags(write=False)
+        object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "n", total)
 
     @classmethod
-    def from_pairs(cls, pairs: Sequence[tuple[int, int]]) -> "JointCounts":
-        rows = sorted({a for a, _ in pairs})
-        cols = sorted({b for _, b in pairs})
-        ri = {r: i for i, r in enumerate(rows)}
-        ci = {c: i for i, c in enumerate(cols)}
-        counts = np.zeros((len(rows), len(cols)), dtype=np.int64)
-        for a, b in pairs:
-            counts[ri[a], ci[b]] += 1
-        return cls(tuple(rows), tuple(cols), counts, int(counts.sum()))
+    def from_pairs(cls, pairs: ArrayLike) -> "JointCounts":
+        """Count (row label, col label) pairs, given as an (n, 2) array or a list."""
+        pairs = as_samples(pairs)
+        rows, ri = np.unique(pairs[:, 0], return_inverse=True)
+        cols, ci = np.unique(pairs[:, 1], return_inverse=True)
+        codes, counts = np.unique(ri * len(cols) + ci, return_counts=True)
+        cells = np.column_stack(np.divmod(codes, len(cols)))
+        return cls(tuple(rows.tolist()), tuple(cols.tolist()), cells, counts)
 
 
 @dataclass(frozen=True)
@@ -87,17 +104,21 @@ class TradeoffPoint:
 
 
 def plugin_mi(j: JointCounts, miller_madow: bool = False) -> float:
-    """Plug-in mutual information of a contingency table, in bits."""
-    p = j.counts / j.n
-    pr = p.sum(axis=1)
-    pc = p.sum(axis=0)
-    mask = p > 0
-    ratio = p[mask] / np.outer(pr, pc)[mask]
-    val = float(np.sum(p[mask] * np.log2(ratio)))
+    """Plug-in mutual information of a contingency table, in bits.
+
+    Sums over the non-zero cells only; p(r,c) / (p(r) p(c)) is formed from
+    the integer counts as n(r,c) n / (n(r) n(c)).
+    """
+    r, c = j.cells[:, 0], j.cells[:, 1]
+    n_r = np.bincount(r, weights=j.counts, minlength=len(j.rows))
+    n_c = np.bincount(c, weights=j.counts, minlength=len(j.cols))
+    keep = j.counts > 0
+    p = j.counts[keep] / j.n
+    ratio = j.counts[keep] * float(j.n) / (n_r[r[keep]] * n_c[c[keep]])
+    val = float(np.sum(p * np.log2(ratio)))
     if miller_madow:
-        r = int(np.sum(pr > 0))
-        c = int(np.sum(pc > 0))
-        val -= (r - 1) * (c - 1) / (2.0 * j.n * _LN2)
+        n_rows, n_cols = np.count_nonzero(n_r), np.count_nonzero(n_c)
+        val -= (n_rows - 1) * (n_cols - 1) / (2.0 * j.n * _LN2)
     return max(0.0, val)
 
 
@@ -110,32 +131,32 @@ def tv_distance(p: Categorical, q: Categorical) -> float:
     return 0.5 * diff
 
 
-def empirical_dist(values: Sequence[int]) -> Categorical:
-    symbols = sorted(set(values))
-    counts = {s: 0 for s in symbols}
-    for v in values:
-        counts[v] += 1
-    total = len(values)
-    return Categorical(tuple(symbols), np.array([counts[s] / total for s in symbols]))
+def empirical_dist(values: ArrayLike) -> Categorical:
+    symbols, counts = np.unique(np.asarray(values, dtype=np.int64), return_counts=True)
+    return Categorical(tuple(symbols.tolist()), counts / counts.sum())
 
 
 def evaluate_run(
     true_dists: GroupedData,
     f: ErasureFunction,
-    erased: Sequence[tuple[int, int]],
-    original: Sequence[Sample],
+    erased: ArrayLike,
+    original: ArrayLike,
 ) -> tuple[list[TradeoffPoint], list[float], ErasureReport]:
-    """Analytic and plug-in tradeoff points plus per-group TV erasure checks."""
+    """Analytic and plug-in tradeoff points plus per-group TV erasure checks.
+
+    ``erased`` holds (z, concept) rows and ``original`` (x, concept) rows.
+    """
+    erased, original = as_samples(erased), as_samples(original)
     if len(erased) != len(original):
         raise AlignmentError(
             f"{len(erased)} erased vs {len(original)} original samples"
         )
-    for (z, ce), s in zip(erased, original):
-        if ce != s.concept:
-            raise AlignmentError("concept labels of erased/original rows differ")
+    z, concept = erased[:, 0], erased[:, 1]
+    if not np.array_equal(concept, original[:, 1]):
+        raise AlignmentError("concept labels of erased/original rows differ")
     check_symbols_known(
-        (s for d in true_dists.dists for s in d.support),
-        f.input_symbols(),
+        [s for d in true_dists.dists for s in d.support],
+        list(f.input_symbols()),
         "the distributions",
         "the erasure function",
     )
@@ -145,17 +166,15 @@ def evaluate_run(
             report.i_zx_analytic, report.i_za_analytic, "pef", "analytic"
         )
     ]
-    za = JointCounts.from_pairs([(z, c) for (z, c), _ in zip(erased, original)])
-    zx = JointCounts.from_pairs(
-        [(z, s.x) for (z, _), s in zip(erased, original)]
-    )
+    za = JointCounts.from_pairs(erased)
+    zx = JointCounts.from_pairs(np.column_stack([z, original[:, 0]]))
     points.append(TradeoffPoint(plugin_mi(zx), plugin_mi(za), "pef", "plugin"))
 
-    pooled = empirical_dist([z for z, _ in erased])
+    pooled = empirical_dist(z)
     tvs = []
-    for concept in true_dists.concepts:
-        zs = [z for (z, c) in erased if c == concept]
-        tvs.append(tv_distance(empirical_dist(zs), pooled) if zs else 1.0)
+    for c in true_dists.concepts:
+        zs = z[concept == c]
+        tvs.append(tv_distance(empirical_dist(zs), pooled) if zs.size else 1.0)
     return points, tvs, report
 
 

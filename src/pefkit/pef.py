@@ -5,6 +5,11 @@ equality, constructs either the deterministic bijective erasure function or
 the stochastic coupling-based one, and applies it to data. The analytic
 report (privacy and utility in bits) is computed from the constructed maps
 and the group distributions, not from re-sampling.
+
+Samples are one int64 array of shape (n, 2), a row per sample: column 0
+holds the symbol ``x`` (``z`` once erased), column 1 the concept. Every
+function that takes samples also accepts a sequence of ``Sample`` or of
+``(x, concept)`` pairs and converts it with ``as_samples``.
 """
 
 from __future__ import annotations
@@ -12,10 +17,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.typing import ArrayLike
 
+from ._kernels import row_searchsorted
 from .coupling import conditional_rows, greedy_mec
 from .dist import (
     Categorical,
@@ -31,10 +38,21 @@ from .dist import (
 from .qopt import BoConfig, QCandidate, default_out_size, output_support, select_q
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
+    """One sample row; a sequence of these converts to the (n, 2) array form."""
+
     x: int
     concept: int
+
+
+def as_samples(samples: ArrayLike) -> np.ndarray:
+    """Samples as an (n, 2) int64 array of (x, concept) rows; arrays pass through."""
+    rows = np.asarray(samples, dtype=np.int64)
+    if rows.size == 0:
+        return rows.reshape(0, 2)
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise ValueError(f"expected (symbol, concept) rows, got shape {rows.shape}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -137,19 +155,13 @@ class ErasureFunction:
         return cls("stochastic", support, q, rows=rows)
 
 
-def estimate_distribution(samples: Sequence[Sample], concept: int) -> Categorical:
+def estimate_distribution(samples: ArrayLike, concept: int) -> Categorical:
     """Empirical frequencies of the symbols observed for one concept."""
-    counts: dict[int, int] = {}
-    for s in samples:
-        if s.concept == concept:
-            counts[s.x] = counts.get(s.x, 0) + 1
-    if not counts:
+    rows = as_samples(samples)
+    symbols, counts = np.unique(rows[rows[:, 1] == concept, 0], return_counts=True)
+    if not symbols.size:
         raise DataConstraintError(f"no samples for concept {concept}")
-    symbols = sorted(counts)
-    total = sum(counts.values())
-    return Categorical(
-        tuple(symbols), np.array([counts[s] / total for s in symbols])
-    )
+    return Categorical(tuple(symbols.tolist()), counts / counts.sum())
 
 
 def build_deterministic_pef(g: GroupedData, tol: float = 1e-9) -> ErasureFunction:
@@ -222,24 +234,28 @@ def default_tol(n_min: int, delta: float = 0.01) -> float:
     return 2.0 * math.sqrt(math.log(2.0 / delta) / (2.0 * n_min))
 
 
-def grouped_from_samples(samples: Sequence[Sample]) -> GroupedData:
+def grouped_from_samples(samples: ArrayLike) -> GroupedData:
     """Empirical group distributions and priors; enforces A4 and >= 2 concepts."""
-    if not samples:
+    rows = as_samples(samples)
+    if not len(rows):
         raise DataConstraintError("empty sample set")
-    concepts = sorted({s.concept for s in samples})
+    x, concept = rows[:, 0], rows[:, 1]
+    concepts, counts = np.unique(concept, return_counts=True)
     if len(concepts) < 2:
         raise DataConstraintError("need samples from at least two concepts")
-    seen: dict[int, int] = {}
-    for s in samples:
-        prev = seen.setdefault(s.x, s.concept)
-        if prev != s.concept:
-            raise DataConstraintError(
-                f"symbol {s.x} appears under concepts {prev} and {s.concept} "
-                "(disjoint-support assumption violated)"
-            )
-    dists = [estimate_distribution(samples, c) for c in concepts]
-    counts = [sum(1 for s in samples if s.concept == c) for c in concepts]
-    priors = np.array(counts, dtype=np.float64) / len(samples)
+    # Each row against the concept of the first row holding its symbol.
+    _, first, inverse = np.unique(x, return_index=True, return_inverse=True)
+    owner = concept[first][inverse]
+    clash = np.flatnonzero(owner != concept)
+    if clash.size:
+        i = clash[0]
+        raise DataConstraintError(
+            f"symbol {x[i]} appears under concepts {owner[i]} and {concept[i]} "
+            "(disjoint-support assumption violated)"
+        )
+    concepts = concepts.tolist()
+    dists = [estimate_distribution(rows, c) for c in concepts]
+    priors = counts.astype(np.float64) / len(rows)
     return GroupedData(tuple(zip(concepts, dists)), priors)
 
 
@@ -268,7 +284,7 @@ def build_pef(
 
 
 def run_algorithm1(
-    samples: Sequence[Sample],
+    samples: ArrayLike,
     tol: Optional[float] = None,
     bo_cfg: Optional[BoConfig] = None,
     use_bo: bool = False,
@@ -279,78 +295,88 @@ def run_algorithm1(
     group; pass ``tol=0`` to demand exact empirical equality (which sampling
     noise will essentially always break, forcing the stochastic branch).
     """
-    g = grouped_from_samples(samples)
+    rows = as_samples(samples)
+    g = grouped_from_samples(rows)
     if tol is None:
-        n_min = min(
-            sum(1 for s in samples if s.concept == c) for c in g.concepts
-        )
+        n_min = int(np.unique(rows[:, 1], return_counts=True)[1].min())
         tol = default_tol(n_min)
     return build_pef(g, tol, bo_cfg, use_bo)
 
 
-def apply(
-    f: ErasureFunction, samples: Sequence[Sample], seed: int
-) -> list[tuple[int, int]]:
-    """Erase a sample list, preserving order; returns (z, concept) pairs.
+def _positions(ids: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of each symbol of ``x`` in the sorted ``ids``; KeyError if absent."""
+    pos = np.searchsorted(ids, x)
+    unknown = ids[np.minimum(pos, len(ids) - 1)] != x
+    if unknown.any():
+        raise KeyError(f"unknown symbol {x[np.argmax(unknown)]}")
+    return pos
 
-    Stochastic draws use inverse-CDF with a generator keyed by (seed, index),
-    so results are order-independent and reproducible.
+
+def apply(f: ErasureFunction, samples: ArrayLike, seed: int) -> np.ndarray:
+    """Erase samples, preserving order; returns an (n, 2) array of (z, concept).
+
+    A deterministic function looks each symbol up among its sorted input
+    ids. A stochastic one is compiled into CSR form (sorted input ids, row
+    bounds, output ids, per-row CDFs) and draws by inverse CDF: row i uses
+    the i-th double of ``Generator(Philox(key=seed))``, so every draw is a
+    function of (seed, i) alone and a prefix of the samples erases to a
+    prefix of the output. Unknown symbols raise KeyError.
     """
+    rows = as_samples(samples)
+    x = rows[:, 0]
     if f.variant == "deterministic":
-        return [(f.map_symbol(s.x), s.concept) for s in samples]
-    cdfs = {x: np.cumsum(r.probs) for x, r in f.rows.items()}
-    out = []
-    for idx, s in enumerate(samples):
-        if s.x not in f.rows:
-            raise KeyError(f"unknown symbol {s.x}")
-        u = np.random.default_rng([seed, idx]).random()
-        row = f.rows[s.x]
-        k = int(np.searchsorted(cdfs[s.x], u, side="right"))
-        k = min(k, len(row) - 1)
-        out.append((row.support[k], s.concept))
-    return out
+        ids, images = np.array(
+            sorted(kv for perm in f.group_maps.values() for kv in perm.mapping.items()),
+            dtype=np.int64,
+        ).T
+        z = images[_positions(ids, x)]
+    else:
+        ids = np.array(sorted(f.rows), dtype=np.int64)
+        table = [f.rows[s] for s in ids.tolist()]
+        sizes = np.array([len(t) for t in table])
+        ends = np.cumsum(sizes)
+        out_ids = np.array([o for t in table for o in t.support], dtype=np.int64)
+        cdfs = np.concatenate([np.cumsum(t.probs) for t in table])
+        pos = _positions(ids, x)
+        u = np.random.Generator(np.random.Philox(key=seed)).random(len(x))
+        z = out_ids[row_searchsorted(cdfs, ends[pos] - sizes[pos], ends[pos] - 1, u)]
+    return np.column_stack([z, rows[:, 1]])
 
 
-def write_samples_csv(samples: Sequence[Sample], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("x,concept\n")
-        for s in samples:
-            fh.write(f"{s.x},{s.concept}\n")
-
-
-def read_samples_csv(path) -> list[Sample]:
-    samples = []
+def _read_pairs_csv(path, header: str, kind: str) -> np.ndarray:
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "x,concept":
-            raise ValueError(f"unexpected sample CSV header: {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            x, concept = line.strip().split(",")
-            samples.append(Sample(int(x), int(concept)))
-    return samples
+        first = fh.readline().strip()
+        if first != header:
+            raise ValueError(f"unexpected {kind} CSV header: {first!r}")
+        lines = [line for line in fh if not line.isspace()]
+    if not lines:
+        return as_samples([])
+    return as_samples(
+        np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+    )
 
 
-def write_erased_csv(erased: Sequence[tuple[int, int]], path) -> None:
+def _write_pairs_csv(rows: ArrayLike, path, header: str) -> None:
+    rows = as_samples(rows)
     with open(path, "w") as fh:
-        fh.write("z,concept\n")
-        for z, c in erased:
-            fh.write(f"{z},{c}\n")
+        fh.write(header + "\n")
+        fh.write(("%d,%d\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
-def read_erased_csv(path) -> list[tuple[int, int]]:
-    out = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "z,concept":
-            raise ValueError(f"unexpected erased CSV header: {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            z, c = line.strip().split(",")
-            out.append((int(z), int(c)))
-    return out
+def write_samples_csv(samples: ArrayLike, path) -> None:
+    _write_pairs_csv(samples, path, "x,concept")
+
+
+def read_samples_csv(path) -> np.ndarray:
+    return _read_pairs_csv(path, "x,concept", "sample")
+
+
+def write_erased_csv(erased: ArrayLike, path) -> None:
+    _write_pairs_csv(erased, path, "z,concept")
+
+
+def read_erased_csv(path) -> np.ndarray:
+    return _read_pairs_csv(path, "z,concept", "erased")
 
 
 def save_function_json(f: ErasureFunction, path) -> None:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import Categorical, DistError, GroupedData, check_permutation_equal
-from .pef import Sample
 
 SETTINGS = ("equal_uniform", "equal_gaussian", "unequal")
 
@@ -63,11 +62,14 @@ def bell_profile(k: int) -> np.ndarray:
     return w / w.sum()
 
 
-def generate(cfg: SynthConfig) -> tuple[GroupedData, list[Sample]]:
-    """Ground-truth distributions plus seeded samples for each group."""
+def generate(cfg: SynthConfig) -> tuple[GroupedData, np.ndarray]:
+    """Ground-truth distributions plus seeded samples for each group.
+
+    Samples are an (n, 2) int64 array of (x, concept) rows, group by group.
+    """
     k = cfg.support_per_group
     groups = []
-    samples: list[Sample] = []
+    samples = []
     for gi in range(cfg.n_groups):
         support = tuple(range(gi * k, (gi + 1) * k))
         rng = np.random.default_rng([cfg.seed, gi])
@@ -80,7 +82,7 @@ def generate(cfg: SynthConfig) -> tuple[GroupedData, list[Sample]]:
         dist = Categorical(support, probs)
         groups.append((gi, dist))
         draws = rng.choice(dist.support, size=cfg.n_samples_per_group, p=dist.probs)
-        samples.extend(Sample(int(x), gi) for x in draws)
+        samples.append(np.column_stack([draws, np.full(draws.size, gi)]))
     priors = np.full(cfg.n_groups, 1.0 / cfg.n_groups)
     g = GroupedData(tuple(groups), priors)
     if cfg.setting == "unequal":
@@ -92,4 +94,4 @@ def generate(cfg: SynthConfig) -> tuple[GroupedData, list[Sample]]:
                 "unequal setting produced permutation-equal distributions; "
                 "re-seed or adjust dirichlet_alpha"
             )
-    return g, samples
+    return g, np.concatenate(samples).astype(np.int64, copy=False)

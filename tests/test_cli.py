@@ -142,6 +142,41 @@ class TestErase:
         assert err.count("\n") == 1 and "first 9999" in err
 
 
+class TestMalformedSamples:
+    VALID = "x,concept\n0,0\n1,0\n0,0\n2,1\n3,1\n"
+
+    def erase(self, tmp_path, text, *extra):
+        path = tmp_path / "s.csv"
+        path.write_text(text)
+        return run(
+            ["erase", "--samples", path, "--out-dir", tmp_path / "erased", *extra]
+        )
+
+    def test_header_only_is_data_error(self, tmp_path):
+        assert self.erase(tmp_path, "x,concept\n") == EXIT_DATA
+
+    def test_blank_line_is_skipped(self, tmp_path):
+        head, tail = self.VALID.split("1,0\n")
+        assert self.erase(tmp_path, head + "1,0\n\n" + tail) == EXIT_OK
+        rows = (tmp_path / "erased" / "erased.csv").read_text().splitlines()
+        assert len(rows) == 1 + 5
+
+    @pytest.mark.parametrize(
+        "row", ["1.5,0", "1,0,0", "-1,0"], ids=["float", "three_fields", "negative"]
+    )
+    def test_bad_row_is_config_error(self, tmp_path, row):
+        assert self.erase(tmp_path, self.VALID + row + "\n") == EXIT_CONFIG
+
+    def test_wrong_header_is_config_error(self, tmp_path):
+        text = self.VALID.replace("x,concept", "z,concept")
+        assert self.erase(tmp_path, text) == EXIT_CONFIG
+
+    def test_negative_seed_is_config_error(self, tmp_path):
+        # --tol 0 forces the stochastic branch, the one that draws uniforms.
+        assert self.erase(tmp_path, self.VALID, "--tol", 0) == EXIT_OK
+        assert self.erase(tmp_path, self.VALID, "--tol", 0, "--seed", -1) == EXIT_CONFIG
+
+
 class TestEvaluate:
     def test_end_to_end(self, tmp_path, capsys):
         out = gen(tmp_path)

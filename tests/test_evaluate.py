@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pefkit import (
     AlignmentError,
@@ -46,25 +48,43 @@ class TestJointCounts:
     def test_from_pairs(self):
         j = JointCounts.from_pairs([(0, 5), (0, 5), (1, 6)])
         assert j.rows == (0, 1) and j.cols == (5, 6)
-        np.testing.assert_array_equal(j.counts, [[2, 0], [0, 1]])
+        # only the non-zero cells of [[2, 0], [0, 1]] are stored
+        np.testing.assert_array_equal(j.cells, [[0, 0], [1, 1]])
+        np.testing.assert_array_equal(j.counts, [2, 1])
         assert j.n == 3
+
+    def test_from_pairs_accepts_array(self):
+        pairs = [(7, 5), (0, 5), (7, 5), (2**40, -1)]
+        a = JointCounts.from_pairs(np.array(pairs))
+        b = JointCounts.from_pairs(pairs)
+        assert a.rows == b.rows == (0, 7, 2**40) and a.cols == b.cols == (-1, 5)
+        np.testing.assert_array_equal(a.cells, b.cells)
+        np.testing.assert_array_equal(a.counts, [1, 2, 1])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            JointCounts((0,), (1,), np.array([[0]]), 0)
+            JointCounts((0,), (1,), [[0, 0]], [0])
+        with pytest.raises(ValueError):
+            JointCounts.from_pairs([])
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            JointCounts((0,), (1,), np.array([[-1]]), 1)
+            JointCounts((0,), (1,), [[0, 0]], [-1])
+
+    def test_rejects_bad_cells(self):
+        with pytest.raises(ValueError, match="inside"):
+            JointCounts((0,), (1,), [[0, 1]], [1])
+        with pytest.raises(ValueError, match="distinct"):
+            JointCounts((0,), (1,), [[0, 0], [0, 0]], [1, 1])
 
 
 class TestPluginMi:
     def test_independent_table_zero(self):
-        j = JointCounts((0, 1), (0, 1), np.array([[25, 25], [25, 25]]), 100)
+        j = JointCounts((0, 1), (0, 1), [[0, 0], [0, 1], [1, 0], [1, 1]], [25] * 4)
         assert plugin_mi(j) == 0.0
 
     def test_perfectly_dependent_one_bit(self):
-        j = JointCounts((0, 1), (0, 1), np.array([[50, 0], [0, 50]]), 100)
+        j = JointCounts((0, 1), (0, 1), [[0, 0], [1, 1]], [50, 50])
         assert plugin_mi(j) == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_computed_table(self):
@@ -94,6 +114,31 @@ class TestPluginMi:
             ]
             assert plugin_mi(JointCounts.from_pairs(pairs)) >= 0.0
             assert plugin_mi(JointCounts.from_pairs(pairs), miller_madow=True) >= 0.0
+
+
+def plugin_mi_dense(pairs) -> float:
+    """The dense-table plug-in estimate, kept as the oracle for the sparse one."""
+    pairs = np.asarray(pairs)
+    _, ri = np.unique(pairs[:, 0], return_inverse=True)
+    _, ci = np.unique(pairs[:, 1], return_inverse=True)
+    counts = np.zeros((ri.max() + 1, ci.max() + 1))
+    np.add.at(counts, (ri, ci), 1)
+    p = counts / len(pairs)
+    mask = p > 0
+    ratio = p[mask] / np.outer(p.sum(axis=1), p.sum(axis=0))[mask]
+    return max(0.0, float(np.sum(p[mask] * np.log2(ratio))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 2**40), st.integers(-5, 5)), min_size=1, max_size=200
+    )
+)
+def test_sparse_plugin_mi_matches_dense(pairs):
+    assert plugin_mi(JointCounts.from_pairs(pairs)) == pytest.approx(
+        plugin_mi_dense(pairs), abs=1e-12
+    )
 
 
 class TestTv:

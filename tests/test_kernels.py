@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pefkit._kernels import RESIDUAL_EPS, entropy_bits, greedy_fill
+from pefkit._kernels import RESIDUAL_EPS, entropy_bits, greedy_fill, row_searchsorted
 
 
 def greedy_fill_reference(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -80,3 +80,25 @@ def test_greedy_fill_property(a, b):
     np.testing.assert_allclose(mass.sum(axis=1), p, rtol=0, atol=1e-12)
     np.testing.assert_allclose(mass.sum(axis=0), q, rtol=0, atol=1e-12)
     assert np.count_nonzero(mass) <= p.size + q.size - 1
+
+
+def test_row_searchsorted_exact_at_cdf_values():
+    # Rows whose CDFs end above 1, below 1 and exactly at 1, and a point mass.
+    rows = [
+        np.cumsum([0.1] * 10),  # ends at 0.9999999999999999
+        np.array([0.3, 0.7000000000000001, 1.0000000000000002]),
+        np.array([0.5, 1.0]),
+        np.array([1.0]),
+    ]
+    cdfs = np.concatenate(rows)
+    ends = np.cumsum([len(r) for r in rows])
+    for i, row in enumerate(rows):
+        # Every stored CDF value, its float neighbours, and both ends of [0, 1).
+        u = np.concatenate(
+            [row, np.nextafter(row, 0.0), np.nextafter(row, 2.0), [0.0, np.nextafter(1.0, 0.0)]]
+        )
+        u = u[(u >= 0.0) & (u < 1.0)]
+        lo = np.full(u.size, ends[i] - len(row))
+        got = row_searchsorted(cdfs, lo, lo + len(row) - 1, u)
+        want = lo + np.minimum(np.searchsorted(row, u, side="right"), len(row) - 1)
+        np.testing.assert_array_equal(got, want)

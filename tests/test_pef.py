@@ -1,8 +1,11 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pefkit import (
     BoConfig,
@@ -180,7 +183,9 @@ class TestApply:
         g = grouped([0.5, 0.3, 0.2], [0.2, 0.5, 0.3])
         f = build_deterministic_pef(g)
         samples = [Sample(0, 0), Sample(4, 1), Sample(2, 0)]
-        assert apply(f, samples, seed=0) == [(6, 0), (6, 1), (8, 0)]
+        erased = apply(f, samples, seed=0)
+        assert erased.dtype == np.int64
+        assert erased.tolist() == [[6, 0], [6, 1], [8, 0]]
 
     def test_stochastic_apply_reproducible(self):
         g = grouped([0.5, 0.5], [0.6, 0.4])
@@ -188,8 +193,8 @@ class TestApply:
         samples = [Sample(int(x), int(x > 1)) for x in [0, 1, 2, 3] * 25]
         a = apply(f, samples, seed=42)
         b = apply(f, samples, seed=42)
-        assert a == b
-        assert a != apply(f, samples, seed=43)
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, apply(f, samples, seed=43))
 
     def test_stochastic_apply_order_independent(self):
         g = grouped([0.5, 0.5], [0.6, 0.4])
@@ -197,7 +202,7 @@ class TestApply:
         samples = [Sample(int(x), int(x > 1)) for x in [0, 1, 2, 3] * 10]
         full = apply(f, samples, seed=7)
         # draw for index k depends only on (seed, k), not on earlier samples
-        assert apply(f, samples[:5], seed=7) == full[:5]
+        np.testing.assert_array_equal(apply(f, samples[:5], seed=7), full[:5])
 
     def test_stochastic_apply_frequencies(self):
         g = grouped([0.5, 0.5], [0.6, 0.4])
@@ -206,7 +211,7 @@ class TestApply:
         erased = apply(f, [Sample(2, 1)] * n, seed=1)
         row = f.rows[2]
         for z, p in zip(row.support, row.probs):
-            freq = sum(1 for zz, _ in erased if zz == z) / n
+            freq = np.count_nonzero(erased[:, 0] == z) / n
             assert freq == pytest.approx(float(p), abs=0.02)
 
     def test_unknown_symbol_raises(self):
@@ -214,6 +219,75 @@ class TestApply:
         f, _ = build_pef(g, tol=1e-9)
         with pytest.raises(KeyError):
             apply(f, [Sample(99, 0)], seed=0)
+
+
+def _sparse_ids_grouped(p1, p2):
+    """Two groups on the symbols 10, 20, 30 and 40, 50, 60."""
+    return GroupedData(
+        (
+            (0, Categorical((10, 20, 30), np.asarray(p1, dtype=np.float64))),
+            (1, Categorical((40, 50, 60), np.asarray(p2, dtype=np.float64))),
+        ),
+        np.array([0.5, 0.5]),
+    )
+
+
+class TestApplyLookup:
+    VARIANTS = {
+        "deterministic": ([0.5, 0.3, 0.2], [0.3, 0.2, 0.5]),
+        "stochastic": ([0.5, 0.3, 0.2], [0.6, 0.3, 0.1]),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("symbol", [5, 15, 45, 70], ids=["below", "between", "gap", "above"])
+    def test_unknown_symbol_raises(self, variant, symbol):
+        f, _ = build_pef(_sparse_ids_grouped(*self.VARIANTS[variant]), tol=1e-9)
+        assert f.variant == variant
+        samples = [(10, 0), (symbol, 0), (60, 1)]
+        with pytest.raises(KeyError, match=f"unknown symbol {symbol}"):
+            apply(f, samples, seed=0)
+
+    def test_deterministic_apply_matches_map_symbol(self, rng):
+        f, _ = build_pef(_sparse_ids_grouped(*self.VARIANTS["deterministic"]), tol=1e-9)
+        x = rng.choice([10, 20, 30, 40, 50, 60], size=300)
+        samples = np.column_stack([x, x >= 40])
+        erased = apply(f, samples, seed=0)
+        assert erased[:, 0].tolist() == [f.map_symbol(s) for s in x.tolist()]
+        np.testing.assert_array_equal(erased[:, 1], samples[:, 1])
+
+
+@st.composite
+def _stochastic_functions(draw):
+    """A stochastic function on random sparse ids, and samples over its ids."""
+    out = tuple(range(10**6, 10**6 + 8))
+    ids = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=6, unique=True))
+    rows = {}
+    for x in ids:
+        support = draw(st.lists(st.sampled_from(out), min_size=1, max_size=8, unique=True))
+        w = np.array(
+            draw(st.lists(st.floats(1e-3, 1.0), min_size=len(support), max_size=len(support)))
+        )
+        rows[x] = Categorical(tuple(support), w / w.sum())
+    f = ErasureFunction("stochastic", out, Categorical.uniform(out), rows=rows)
+    xs = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=300))
+    return f, np.column_stack([xs, np.arange(len(xs)) % 3])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stochastic_functions(), st.integers(0, 2**64 - 1), st.data())
+def test_stochastic_apply_is_exact_inverse_cdf(fs, seed, data):
+    f, samples = fs
+    erased = apply(f, samples, seed)
+    u = np.random.Generator(np.random.Philox(key=seed)).random(len(samples))
+    for (x, _), z, ui in zip(samples.tolist(), erased[:, 0].tolist(), u):
+        row = f.rows[x]
+        k = int(np.searchsorted(np.cumsum(row.probs), ui, side="right"))
+        assert z == row.support[min(k, len(row) - 1)]
+    np.testing.assert_array_equal(erased[:, 1], samples[:, 1])
+    m = data.draw(st.integers(0, len(samples)))
+    np.testing.assert_array_equal(apply(f, samples[:m], seed), erased[:m])
+    reloaded = ErasureFunction.from_json(json.loads(json.dumps(f.to_json())))
+    np.testing.assert_array_equal(apply(reloaded, samples, seed), erased)
 
 
 class TestEndToEnd:
@@ -251,7 +325,7 @@ class TestSerialization:
         assert f2.variant == f.variant
         assert f2.output_support == f.output_support
         samples = [Sample(int(x), int(x > 1)) for x in [0, 1, 2, 3]]
-        assert apply(f2, samples, seed=5) == apply(f, samples, seed=5)
+        np.testing.assert_array_equal(apply(f2, samples, seed=5), apply(f, samples, seed=5))
 
     def test_deterministic_json_round_trip(self, tmp_path):
         g = grouped([0.5, 0.3, 0.2], [0.2, 0.5, 0.3])
@@ -264,12 +338,16 @@ class TestSerialization:
     def test_sample_csv_round_trip(self, tmp_path):
         samples = [Sample(0, 0), Sample(5, 1), Sample(1, 0)]
         write_samples_csv(samples, tmp_path / "s.csv")
-        assert read_samples_csv(tmp_path / "s.csv") == samples
+        assert (tmp_path / "s.csv").read_text() == "x,concept\n0,0\n5,1\n1,0\n"
+        back = read_samples_csv(tmp_path / "s.csv")
+        assert back.dtype == np.int64
+        assert back.tolist() == [list(s) for s in samples]
 
     def test_erased_csv_round_trip(self, tmp_path):
         erased = [(10, 0), (11, 1)]
         write_erased_csv(erased, tmp_path / "z.csv")
-        assert read_erased_csv(tmp_path / "z.csv") == erased
+        assert (tmp_path / "z.csv").read_text() == "z,concept\n10,0\n11,1\n"
+        assert read_erased_csv(tmp_path / "z.csv").tolist() == [list(e) for e in erased]
 
     def test_report_json_round_trip(self):
         r = ErasureReport("equal", 0.0, 2.0, 2.0, 0.0)
