@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import entropy_bits, greedy_fill
-from .dist import Categorical, DistError, GroupedData
+from .dist import TRIM_EPS, Categorical, DistError, GroupedData
 
 MARGINAL_TOL = 1e-8
 _LN2 = float(np.log(2.0))
@@ -104,19 +104,25 @@ def coupling_entropy(c: Coupling) -> float:
     return entropy_bits(c.mass.ravel())
 
 
-def conditional_rows(c: Coupling, p: Categorical) -> list[Categorical]:
-    """Normalize each row by its marginal, giving P(Z|X=x_k) per row symbol."""
+def conditional_rows(c: Coupling, p: Categorical) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P(Z|X=x_k) per row symbol, as the non-zero cells ``(bounds, cols, probs)``.
+
+    Row k holds ``cols[bounds[k]:bounds[k + 1]]``, ascending indices into
+    ``c.col_support``; as in Categorical, cells of ``TRIM_EPS`` or less
+    after normalizing by the row's mass are dropped.
+    """
     if c.row_support != p.support:
         raise CouplingError("coupling row support does not match p")
-    if np.any(np.abs(c.row_marginal - p.probs) > MARGINAL_TOL):
+    totals = c.row_marginal
+    if np.any(np.abs(totals - p.probs) > MARGINAL_TOL):
         raise CouplingError("coupling row marginals do not match p")
-    rows = []
-    for row in c.mass:
-        total = row.sum()
-        if total <= 0:
-            raise CouplingError("zero-mass row in coupling")
-        rows.append(Categorical(c.col_support, row / total))
-    return rows
+    if np.any(totals <= 0):
+        raise CouplingError("zero-mass row in coupling")
+    rows, cols = np.nonzero(c.mass)
+    probs = c.mass[rows, cols] / totals[rows]
+    keep = probs > TRIM_EPS
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=len(totals)))])
+    return bounds, cols[keep], probs[keep]
 
 
 # ---------------------------------------------------------------------------

@@ -97,12 +97,6 @@ class Categorical:
     def __hash__(self) -> int:
         return hash((self.support, self.probs.tobytes()))
 
-    def prob_of(self, symbol: int) -> float:
-        try:
-            return float(self.probs[self.support.index(symbol)])
-        except ValueError:
-            return 0.0
-
     def to_json(self) -> dict:
         return {"support": list(self.support), "probs": [float(p) for p in self.probs]}
 

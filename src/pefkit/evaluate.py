@@ -156,7 +156,7 @@ def evaluate_run(
         raise AlignmentError("concept labels of erased/original rows differ")
     check_symbols_known(
         [s for d in true_dists.dists for s in d.support],
-        list(f.input_symbols()),
+        f.input_symbols(),
         "the distributions",
         "the erasure function",
     )

@@ -16,17 +16,21 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from ._kernels import row_searchsorted
+from ._kernels import entropy_bits, row_searchsorted
 from .coupling import conditional_rows, greedy_mec
 from .dist import (
+    NORM_TOL,
+    RENORM_TOL,
     Categorical,
     DataConstraintError,
+    DistError,
     GroupedData,
     Permutation,
     check_permutation_equal,
@@ -77,54 +81,70 @@ class ErasureReport:
         return cls(**obj)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErasureFunction:
-    """Either a per-group bijection onto a shared output support, or a
-    per-symbol conditional distribution P(Z|X=x) over that support.
+    """P(Z|X=x) per input symbol over a shared output support.
 
-    The function never reads the concept at apply time: the disjoint input
-    supports make the union of per-group maps a function of the symbol alone.
+    Compiled at construction into one validated table of sparse rows: the
+    sorted input ``ids``, ``bounds`` (row r is cells ``bounds[r]:bounds[r + 1]``),
+    each cell's output symbol ``out`` (ascending within a row) and ``probs``.
+    A deterministic function is given as per-group bijections, one cell of
+    probability 1.0 per row; a stochastic one as the table, rows and cells
+    in any order. A malformed table raises DistError. The disjoint input
+    supports make the function one of the symbol alone, not of the concept.
     """
 
     variant: str  # "deterministic" | "stochastic"
     output_support: tuple[int, ...]
     q: Categorical
     group_maps: dict[int, Permutation] | None = None
-    rows: dict[int, Categorical] | None = None
+    ids: np.ndarray | None = None
+    bounds: np.ndarray | None = None
+    out: np.ndarray | None = None
+    probs: np.ndarray | None = None
+    cdfs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.variant == "deterministic" and self.group_maps is not None:
+            pairs = [kv for perm in self.group_maps.values() for kv in perm.mapping.items()]
+            x, z = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+            table = (x, np.arange(len(x) + 1), z, np.ones(len(x)))
+        elif self.variant == "stochastic" and self.ids is not None:
+            table = (self.ids, self.bounds, self.out, self.probs)
+        else:
+            raise DistError(
+                "need variant 'deterministic' with group_maps or 'stochastic' with rows, "
+                f"got {self.variant!r}"
+            )
+        object.__setattr__(self, "output_support", tuple(int(s) for s in self.output_support))
+        compiled = _compile_rows(np.array(self.output_support, dtype=np.int64), *table)
+        for name, a in zip(("ids", "bounds", "out", "probs", "cdfs"), compiled):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     def map_symbol(self, x: int) -> int:
         """Deterministic image of a symbol; raises on stochastic functions."""
         if self.variant != "deterministic":
             raise ValueError("map_symbol is only defined for deterministic functions")
-        for perm in self.group_maps.values():
-            if x in perm.mapping:
-                return perm.mapping[x]
-        raise KeyError(f"unknown symbol {x}")
+        return int(self.out[self.bounds[_positions(self.ids, [x])[0]]])
 
-    def input_symbols(self) -> set[int]:
-        """Every symbol the function has an image or a row for."""
-        if self.variant == "deterministic":
-            return {x for perm in self.group_maps.values() for x in perm.mapping}
-        return set(self.rows)
+    def input_symbols(self) -> np.ndarray:
+        """Every symbol the function has a row for, ascending."""
+        return self.ids
 
     def row_for(self, x: int) -> Categorical:
         """P(Z|X=x) for either variant (a point mass when deterministic)."""
-        if self.variant == "deterministic":
-            z = self.map_symbol(x)
-            return Categorical((z,), np.array([1.0]))
-        if x not in self.rows:
-            raise KeyError(f"unknown symbol {x}")
-        return self.rows[x]
+        r = _positions(self.ids, [x])[0]
+        cells = slice(self.bounds[r], self.bounds[r + 1])
+        return Categorical(tuple(self.out[cells].tolist()), self.probs[cells])
 
     def induced_output(self, d: Categorical) -> np.ndarray:
         """Pushforward of a group distribution, as probs over output_support."""
-        out = np.zeros(len(self.output_support))
-        idx = {z: k for k, z in enumerate(self.output_support)}
-        for s, p in zip(d.support, d.probs):
-            row = self.row_for(s)
-            for z, rp in zip(row.support, row.probs):
-                out[idx[z]] += float(p) * float(rp)
-        return out
+        weight = np.zeros(len(self.ids))
+        weight[_positions(self.ids, d.support)] = d.probs
+        cells = np.repeat(weight, np.diff(self.bounds)) * self.probs
+        cols = np.searchsorted(self.output_support, self.out)
+        return np.bincount(cols, cells, minlength=len(self.output_support))
 
     def to_json(self) -> dict:
         obj = {
@@ -138,21 +158,86 @@ class ErasureFunction:
                 for c, perm in self.group_maps.items()
             }
         else:
-            obj["rows"] = {str(x): r.to_json() for x, r in self.rows.items()}
+            b = self.bounds.tolist()
+            obj["rows"] = {
+                str(x): {"support": self.out[b[r]:b[r + 1]].tolist(),
+                         "probs": self.probs[b[r]:b[r + 1]].tolist()}
+                for r, x in enumerate(self.ids.tolist())
+            }
         return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "ErasureFunction":
-        q = Categorical.from_json(obj["q"])
-        support = tuple(obj["output_support"])
-        if obj["variant"] == "deterministic":
-            maps = {
-                int(c): Permutation({int(k): int(v) for k, v in m.items()})
-                for c, m in obj["group_maps"].items()
-            }
-            return cls("deterministic", support, q, group_maps=maps)
-        rows = {int(x): Categorical.from_json(r) for x, r in obj["rows"].items()}
-        return cls("stochastic", support, q, rows=rows)
+        """Parse ``to_json`` output; a malformed object raises DistError."""
+        try:
+            head = (obj["variant"], tuple(obj["output_support"]), Categorical.from_json(obj["q"]))
+            if head[0] == "deterministic":
+                maps = {
+                    int(c): Permutation({int(k): int(v) for k, v in m.items()})
+                    for c, m in obj["group_maps"].items()
+                }
+                return cls(*head, group_maps=maps)
+            rows = obj["rows"]
+            sizes = [len(r["support"]) for r in rows.values()]
+            if sizes != [len(r["probs"]) for r in rows.values()]:
+                raise DistError("every row needs one probability per output symbol")
+            ids = np.array([int(x) for x in rows], dtype=np.int64)
+            out = np.array([z for r in rows.values() for z in r["support"]], dtype=np.int64)
+            probs = [p for r in rows.values() for p in r["probs"]]
+        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+            raise DistError(f"malformed function JSON: {exc!r}") from None
+        return cls(*head, ids=ids, bounds=np.cumsum([0, *sizes]), out=out, probs=probs)
+
+
+def _compile_rows(support, ids, bounds, out, probs):
+    """Validate rows of P(Z|X); return them sorted, as (ids, bounds, out, probs, cdfs).
+
+    As in Categorical, a row whose mass is off by more than NORM_TOL is
+    renormalized with a warning and one off by more than RENORM_TOL raises.
+    """
+    ids, bounds, out = (np.asarray(a, dtype=np.int64) for a in (ids, bounds, out))
+    probs = np.asarray(probs, dtype=np.float64)
+    sizes = np.diff(bounds)
+    if not ids.size or np.any(sizes < 1) or not len(out) == len(probs) == bounds[-1]:
+        raise DistError("need at least one row, each with at least one cell")
+    if not support.size or support[0] < 0 or np.any(np.diff(support) <= 0):
+        raise DistError("output_support must be non-empty, ascending and non-negative")
+    order = np.argsort(ids, kind="stable")
+    row = np.repeat(np.argsort(order), sizes)  # each cell's row once sorted
+    cells = np.lexsort((out, row))
+    ids, row, out, probs = ids[order], row[cells], out[cells], probs[cells]
+    bounds = np.concatenate([[0], np.cumsum(sizes[order])])
+    twice = ids[1:] == ids[:-1]
+    if twice.any():
+        raise DistError(f"input symbol {ids[np.argmax(twice)]} has more than one row")
+    outside = ~np.isin(out, support)
+    if outside.any():
+        i = np.argmax(outside)
+        raise DistError(f"row of symbol {ids[row[i]]} has output {out[i]} outside output_support")
+    twice = (row[1:] == row[:-1]) & (out[1:] == out[:-1])
+    if twice.any():
+        i = np.argmax(twice)
+        raise DistError(f"row of symbol {ids[row[i]]} has output {out[i]} twice")
+    if not np.all(probs >= 0.0):
+        raise DistError("probabilities must be non-negative")
+    mass = np.add.reduceat(probs, bounds[:-1])
+    off = ~(np.abs(mass - 1.0) <= RENORM_TOL)
+    if off.any():
+        r = np.argmax(off)
+        raise DistError(
+            f"row of symbol {ids[r]} sums to {mass[r]}, outside tolerance {RENORM_TOL}"
+        )
+    renorm = np.abs(mass - 1.0) > NORM_TOL
+    if renorm.any():
+        warnings.warn(f"renormalizing {np.count_nonzero(renorm)} row(s)", stacklevel=4)
+        probs = np.where(renorm[row], probs / mass[row], probs)
+    # Sum each row's CDF left to right, as np.cumsum of the row alone does:
+    # one cumsum over all cells minus row offsets would round differently.
+    cdfs, sizes = probs.copy(), np.diff(bounds)
+    for k in range(1, sizes.max()):
+        at = bounds[:-1][sizes > k] + k
+        cdfs[at] += cdfs[at - 1]
+    return ids, bounds, out, probs, cdfs
 
 
 def estimate_distribution(samples: ArrayLike, concept: int) -> Categorical:
@@ -191,13 +276,21 @@ def build_stochastic_pef(g: GroupedData, q: QCandidate) -> ErasureFunction:
     The conditional rows of each coupling give P(Z|X=x); the column-marginal
     identity makes every group's induced output distribution equal Q.
     """
-    support = q.dist.support
-    rows: dict[int, Categorical] = {}
+    parts = []
     for d in g.dists:
-        c = greedy_mec(d, q.dist)
-        for x, row in zip(d.support, conditional_rows(c, d)):
-            rows[x] = row
-    return ErasureFunction("stochastic", support, q.dist, rows=rows)
+        bounds, cols, probs = conditional_rows(greedy_mec(d, q.dist), d)
+        parts.append((d.support, np.diff(bounds), cols, probs))
+    ids, sizes, cols, probs = (np.concatenate(a) for a in zip(*parts))
+    support = q.dist.support
+    return ErasureFunction(
+        "stochastic",
+        support,
+        q.dist,
+        ids=ids,
+        bounds=np.concatenate([[0], np.cumsum(sizes)]),
+        out=np.array(support, dtype=np.int64)[cols],
+        probs=probs,
+    )
 
 
 def analyze(f: ErasureFunction, g: GroupedData) -> ErasureReport:
@@ -214,13 +307,13 @@ def analyze(f: ErasureFunction, g: GroupedData) -> ErasureReport:
         branch = "equal"
     else:
         i_zx = 0.0
-        for prior, (concept, d) in zip(g.priors, g.groups):
+        for prior, d in zip(g.priors, g.dists):
             # Joint coupling entropy recovered from the stored conditional
             # rows: Gamma_i(x, z) = P_i(x) P(Z=z|X=x).
+            pos = _positions(f.ids, d.support)
             h_joint = 0.0
-            for x, p in zip(d.support, d.probs):
-                row = f.rows[x]
-                h_joint += float(p) * entropy(row) + float(p) * (
+            for p, a, b in zip(d.probs, f.bounds[pos].tolist(), f.bounds[pos + 1].tolist()):
+                h_joint += float(p) * entropy_bits(f.probs[a:b]) + float(p) * (
                     -math.log2(float(p)) if p > 0 else 0.0
                 )
             i_zx += float(prior) * (entropy(f.q) + entropy(d) - h_joint)
@@ -315,31 +408,20 @@ def _positions(ids: np.ndarray, x: np.ndarray) -> np.ndarray:
 def apply(f: ErasureFunction, samples: ArrayLike, seed: int) -> np.ndarray:
     """Erase samples, preserving order; returns an (n, 2) array of (z, concept).
 
-    A deterministic function looks each symbol up among its sorted input
-    ids. A stochastic one is compiled into CSR form (sorted input ids, row
-    bounds, output ids, per-row CDFs) and draws by inverse CDF: row i uses
-    the i-th double of ``Generator(Philox(key=seed))``, so every draw is a
-    function of (seed, i) alone and a prefix of the samples erases to a
-    prefix of the output. Unknown symbols raise KeyError.
+    Each symbol's row is found among the sorted input ids and drawn from by
+    inverse CDF: row i uses the i-th double of ``Generator(Philox(key=seed))``,
+    so every draw is a function of (seed, i) alone and a prefix of the
+    samples erases to a prefix of the output. A function whose rows are all
+    single cells (every deterministic one) draws nothing and ignores
+    ``seed``. Unknown symbols raise KeyError.
     """
     rows = as_samples(samples)
-    x = rows[:, 0]
-    if f.variant == "deterministic":
-        ids, images = np.array(
-            sorted(kv for perm in f.group_maps.values() for kv in perm.mapping.items()),
-            dtype=np.int64,
-        ).T
-        z = images[_positions(ids, x)]
+    pos = _positions(f.ids, rows[:, 0])
+    if len(f.out) > len(f.ids):
+        u = np.random.Generator(np.random.Philox(key=seed)).random(len(rows))
     else:
-        ids = np.array(sorted(f.rows), dtype=np.int64)
-        table = [f.rows[s] for s in ids.tolist()]
-        sizes = np.array([len(t) for t in table])
-        ends = np.cumsum(sizes)
-        out_ids = np.array([o for t in table for o in t.support], dtype=np.int64)
-        cdfs = np.concatenate([np.cumsum(t.probs) for t in table])
-        pos = _positions(ids, x)
-        u = np.random.Generator(np.random.Philox(key=seed)).random(len(x))
-        z = out_ids[row_searchsorted(cdfs, ends[pos] - sizes[pos], ends[pos] - 1, u)]
+        u = np.zeros(len(rows))
+    z = f.out[row_searchsorted(f.cdfs, f.bounds[pos], f.bounds[pos + 1] - 1, u)]
     return np.column_stack([z, rows[:, 1]])
 
 

@@ -177,6 +177,89 @@ class TestMalformedSamples:
         assert self.erase(tmp_path, self.VALID, "--tol", 0, "--seed", -1) == EXIT_CONFIG
 
 
+def _first_row(obj):
+    return obj["rows"][min(obj["rows"], key=int)]
+
+
+def _set_first_row(support, probs):
+    def mutate(obj):
+        _first_row(obj).update(support=support(obj), probs=probs)
+    return mutate
+
+
+def _last_output_outside(obj):
+    _first_row(obj)["support"][-1] = 10**6
+
+
+def _map_one_symbol_twice(obj):
+    obj["group_maps"]["2"] = dict([next(iter(obj["group_maps"]["0"].items()))])
+
+
+def _scale_first_row(obj):
+    row = _first_row(obj)
+    row["probs"] = [p * 1.1 for p in row["probs"]]
+
+
+class TestMalformedFunction:
+    # The setting of the generated data (unequal: stochastic, equal_uniform:
+    # deterministic), the edit that breaks its function.json, and the error.
+    CASES = {
+        "output_outside_support": ("unequal", _last_output_outside, "outside output_support"),
+        "missing_rows": ("unequal", lambda obj: obj.pop("rows"), "KeyError('rows')"),
+        "empty_output_support": (
+            "unequal", lambda obj: obj.update(output_support=[]), "output_support must be"
+        ),
+        "bogus_variant": ("unequal", lambda obj: obj.update(variant="bogus"), "'bogus'"),
+        "input_symbol_twice": (
+            "equal_uniform", _map_one_symbol_twice, "has more than one row"
+        ),
+        "repeated_output": (
+            "unequal",
+            _set_first_row(lambda obj: obj["output_support"][:1] * 2, [0.5, 0.5]),
+            "twice",
+        ),
+        "negative_output": (
+            "unequal", _set_first_row(lambda obj: [-1], [1.0]), "output -1 outside"
+        ),
+        "negative_probability": (
+            "unequal",
+            _set_first_row(lambda obj: obj["output_support"][:2], [1.5, -0.5]),
+            "non-negative",
+        ),
+        "row_mass_off": ("unequal", _scale_first_row, "sums to 1.1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_is_config_error(self, tmp_path, capsys, case):
+        setting, mutate, message = self.CASES[case]
+        out = gen(tmp_path, setting=setting)
+        erased = tmp_path / "erased"
+        argv = ["--samples", out / "samples.csv", "--dists", out / "true_dists.json"]
+        assert run(["erase", *argv, "--out-dir", erased]) == EXIT_OK
+        obj = json.loads((erased / "function.json").read_text())
+        mutate(obj)
+        (erased / "function.json").write_text(json.dumps(obj))
+        capsys.readouterr()
+        code = run(
+            [
+                "evaluate",
+                "--dists",
+                out / "true_dists.json",
+                "--function",
+                erased / "function.json",
+                "--erased",
+                erased / "erased.csv",
+                "--samples",
+                out / "samples.csv",
+                "--out-dir",
+                tmp_path / "eval",
+            ]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
+
 class TestEvaluate:
     def test_end_to_end(self, tmp_path, capsys):
         out = gen(tmp_path)

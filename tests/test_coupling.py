@@ -109,36 +109,72 @@ class TestOracle:
             mec_oracle(p, q, max_cells=20)
 
 
+def conditional_rows_reference(c: Coupling, p: Categorical) -> list[Categorical]:
+    """One validated Categorical per row over the whole column support,
+    the construction the sparse rows replace, kept as the oracle."""
+    return [Categorical(c.col_support, row / row.sum()) for row in c.mass]
+
+
+def assert_rows_match_reference(c: Coupling, p: Categorical) -> None:
+    bounds, cols, probs = conditional_rows(c, p)
+    reference = conditional_rows_reference(c, p)
+    assert len(bounds) == len(reference) + 1
+    support = np.array(c.col_support)
+    for row, a, b in zip(reference, bounds[:-1], bounds[1:]):
+        assert row.support == tuple(support[cols[a:b]].tolist())
+        assert row.probs.tobytes() == probs[a:b].tobytes()
+
+
 class TestConditionalRows:
     def test_normalization_example(self):
         c = greedy_mec(cat([0, 1], [0.6, 0.4]), cat([2, 3], [0.5, 0.5]))
-        rows = conditional_rows(c, cat([0, 1], [0.6, 0.4]))
-        np.testing.assert_allclose(rows[0].probs, [5 / 6, 1 / 6], atol=1e-12)
-        np.testing.assert_allclose(rows[1].probs, [1.0], atol=1e-12)  # zero trimmed
+        bounds, cols, probs = conditional_rows(c, cat([0, 1], [0.6, 0.4]))
+        assert bounds.tolist() == [0, 2, 3]
+        assert cols.tolist() == [0, 1, 1]  # the zero cell (1, 0) is trimmed
+        np.testing.assert_allclose(probs[:2], [5 / 6, 1 / 6], atol=1e-12)
+        np.testing.assert_allclose(probs[2:], [1.0], atol=1e-12)
 
     def test_diagonal_gives_point_masses(self):
         p = cat([0, 1, 2], [0.5, 0.3, 0.2])
-        rows = conditional_rows(greedy_mec(p, p), p)
-        for k, row in enumerate(rows):
-            assert len(row) == 1
-            assert row.support == (p.support[k],)
+        bounds, cols, probs = conditional_rows(greedy_mec(p, p), p)
+        assert bounds.tolist() == [0, 1, 2, 3]
+        assert cols.tolist() == [0, 1, 2]
+        np.testing.assert_array_equal(probs, [1.0, 1.0, 1.0])
 
     def test_round_trip_remix(self, rng):
         for _ in range(20):
             p, q = random_pair(rng)
             c = greedy_mec(p, q)
-            rows = conditional_rows(c, p)
+            bounds, cols, probs = conditional_rows(c, p)
             rebuilt = np.zeros_like(c.mass)
-            col_index = {s: j for j, s in enumerate(c.col_support)}
-            for k, row in enumerate(rows):
-                for s, v in zip(row.support, row.probs):
-                    rebuilt[k, col_index[s]] = float(p.probs[k]) * float(v)
+            rows = np.repeat(np.arange(len(p)), np.diff(bounds))
+            rebuilt[rows, cols] = p.probs[rows] * probs
             np.testing.assert_allclose(rebuilt, c.mass, atol=1e-9)
+
+    def test_trims_cells_like_categorical(self):
+        # 1e-13 / 0.5 is below TRIM_EPS, 1e-12 / 0.5 is above it.
+        p = cat([0, 1], [0.5, 0.5])
+        mass = np.array([[0.5 - 1e-13, 1e-13, 0.0], [0.0, 1e-12, 0.5 - 1e-12]])
+        c = Coupling((0, 1), (2, 3, 4), mass)
+        bounds, cols, _ = conditional_rows(c, p)
+        assert bounds.tolist() == [0, 1, 3] and cols.tolist() == [0, 1, 2]
+        assert_rows_match_reference(c, p)
 
     def test_rejects_mismatched_marginals(self):
         c = Coupling((0, 1), (2, 3), np.array([[0.5, 0.0], [0.0, 0.5]]))
         with pytest.raises(CouplingError):
             conditional_rows(c, cat([0, 1], [0.6, 0.4]))
+
+    @pytest.mark.parametrize("k", [None, 1000])
+    def test_matches_reference_bit_for_bit(self, rng, k):
+        for _ in range(200 if k is None else 2):
+            if k is None:
+                p, q = random_pair(rng, max_k=8)
+            else:
+                p = Categorical(tuple(range(k)), rng.dirichlet(np.ones(k)))
+                q = Categorical(tuple(range(k, 2 * k)), rng.dirichlet(np.ones(k)))
+            assert_rows_match_reference(greedy_mec(p, q), p)
+            assert_rows_match_reference(greedy_mec(q, p), q)
 
 
 class TestPgd:

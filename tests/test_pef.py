@@ -164,9 +164,9 @@ class TestStochasticBranch:
         g = grouped([0.5, 0.5], [0.6, 0.4])
         q = select_q(g, 2, BoConfig(seed=0), use_bo=False)
         f = build_stochastic_pef(g, q)
-        assert set(f.rows) == {0, 1, 2, 3}
-        for row in f.rows.values():
-            assert set(row.support) <= set(f.output_support)
+        assert f.input_symbols().tolist() == [0, 1, 2, 3]
+        for x in f.input_symbols().tolist():
+            assert set(f.row_for(x).support) <= set(f.output_support)
 
     def test_utility_identity_randomized(self, rng):
         for _ in range(10):
@@ -178,6 +178,29 @@ class TestStochasticBranch:
             assert report.j_value <= 1e-12
 
 
+def induced_output_reference(f, d):
+    """The per-symbol, per-cell loop the bincount replaced, kept as the oracle."""
+    out = np.zeros(len(f.output_support))
+    idx = {z: k for k, z in enumerate(f.output_support)}
+    for s, p in zip(d.support, d.probs):
+        row = f.row_for(s)
+        for z, rp in zip(row.support, row.probs):
+            out[idx[z]] += float(p) * float(rp)
+    return out
+
+
+def test_induced_output_matches_reference(rng):
+    variants = set()
+    for _ in range(15):
+        probs = rng.dirichlet(np.ones(int(rng.integers(2, 6))))
+        for g in (random_grouped(rng), grouped(probs, probs[::-1])):
+            f, _ = build_pef(g, tol=1e-9)
+            variants.add(f.variant)
+            for d in g.dists:
+                assert f.induced_output(d).tobytes() == induced_output_reference(f, d).tobytes()
+    assert variants == {"deterministic", "stochastic"}
+
+
 class TestApply:
     def test_deterministic_apply(self):
         g = grouped([0.5, 0.3, 0.2], [0.2, 0.5, 0.3])
@@ -186,6 +209,8 @@ class TestApply:
         erased = apply(f, samples, seed=0)
         assert erased.dtype == np.int64
         assert erased.tolist() == [[6, 0], [6, 1], [8, 0]]
+        # Point-mass rows draw nothing, so any seed, even an invalid one, works.
+        np.testing.assert_array_equal(apply(f, samples, seed=-1), erased)
 
     def test_stochastic_apply_reproducible(self):
         g = grouped([0.5, 0.5], [0.6, 0.4])
@@ -209,7 +234,7 @@ class TestApply:
         f, _ = build_pef(g, tol=1e-9)
         n = 20000
         erased = apply(f, [Sample(2, 1)] * n, seed=1)
-        row = f.rows[2]
+        row = f.row_for(2)
         for z, p in zip(row.support, row.probs):
             freq = np.count_nonzero(erased[:, 0] == z) / n
             assert freq == pytest.approx(float(p), abs=0.02)
@@ -261,14 +286,19 @@ def _stochastic_functions(draw):
     """A stochastic function on random sparse ids, and samples over its ids."""
     out = tuple(range(10**6, 10**6 + 8))
     ids = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=6, unique=True))
-    rows = {}
-    for x in ids:
+    sizes, outs, probs = [], [], []
+    for _ in ids:
         support = draw(st.lists(st.sampled_from(out), min_size=1, max_size=8, unique=True))
         w = np.array(
             draw(st.lists(st.floats(1e-3, 1.0), min_size=len(support), max_size=len(support)))
         )
-        rows[x] = Categorical(tuple(support), w / w.sum())
-    f = ErasureFunction("stochastic", out, Categorical.uniform(out), rows=rows)
+        sizes.append(len(support))
+        outs += support
+        probs += (w / w.sum()).tolist()
+    f = ErasureFunction(
+        "stochastic", out, Categorical.uniform(out),
+        ids=ids, bounds=np.cumsum([0, *sizes]), out=outs, probs=probs,
+    )
     xs = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=300))
     return f, np.column_stack([xs, np.arange(len(xs)) % 3])
 
@@ -280,14 +310,18 @@ def test_stochastic_apply_is_exact_inverse_cdf(fs, seed, data):
     erased = apply(f, samples, seed)
     u = np.random.Generator(np.random.Philox(key=seed)).random(len(samples))
     for (x, _), z, ui in zip(samples.tolist(), erased[:, 0].tolist(), u):
-        row = f.rows[x]
+        row = f.row_for(x)
         k = int(np.searchsorted(np.cumsum(row.probs), ui, side="right"))
         assert z == row.support[min(k, len(row) - 1)]
     np.testing.assert_array_equal(erased[:, 1], samples[:, 1])
+    for a, b in zip(f.bounds[:-1], f.bounds[1:]):
+        assert f.cdfs[a:b].tobytes() == np.cumsum(f.probs[a:b]).tobytes()
     m = data.draw(st.integers(0, len(samples)))
     np.testing.assert_array_equal(apply(f, samples[:m], seed), erased[:m])
-    reloaded = ErasureFunction.from_json(json.loads(json.dumps(f.to_json())))
+    text = json.dumps(f.to_json(), sort_keys=True)
+    reloaded = ErasureFunction.from_json(json.loads(text))
     np.testing.assert_array_equal(apply(reloaded, samples, seed), erased)
+    assert json.dumps(reloaded.to_json(), sort_keys=True) == text
 
 
 class TestEndToEnd:
@@ -334,6 +368,8 @@ class TestSerialization:
         f2 = load_function_json(tmp_path / "f.json")
         for x in range(6):
             assert f2.map_symbol(x) == f.map_symbol(x)
+        save_function_json(f2, tmp_path / "f2.json")
+        assert (tmp_path / "f2.json").read_bytes() == (tmp_path / "f.json").read_bytes()
 
     def test_sample_csv_round_trip(self, tmp_path):
         samples = [Sample(0, 0), Sample(5, 1), Sample(1, 0)]
