@@ -60,9 +60,6 @@ class Coupling:
     def col_marginal(self) -> np.ndarray:
         return self.mass.sum(axis=0)
 
-    def transpose(self) -> "Coupling":
-        return Coupling(self.col_support, self.row_support, self.mass.T)
-
     def to_json(self) -> dict:
         return {
             "row_support": list(self.row_support),

@@ -118,6 +118,9 @@ class ErasureFunction:
             )
         object.__setattr__(self, "output_support", tuple(int(s) for s in self.output_support))
         compiled = _compile_rows(np.array(self.output_support, dtype=np.int64), *table)
+        outside = np.setdiff1d(self.q.support, self.output_support)
+        if outside.size:
+            raise DistError(f"q has symbol {outside[0]} outside output_support")
         for name, a in zip(("ids", "bounds", "out", "probs", "cdfs"), compiled):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
@@ -306,20 +309,61 @@ def analyze(f: ErasureFunction, g: GroupedData) -> ErasureReport:
         j_value = 0.0
         branch = "equal"
     else:
+        _check_pushforward(f, g, outputs)
+        h_rows = _row_entropies(f.probs, f.bounds)
+        h_q = entropy(f.q)
         i_zx = 0.0
         for prior, d in zip(g.priors, g.dists):
             # Joint coupling entropy recovered from the stored conditional
-            # rows: Gamma_i(x, z) = P_i(x) P(Z=z|X=x).
-            pos = _positions(f.ids, d.support)
-            h_joint = 0.0
-            for p, a, b in zip(d.probs, f.bounds[pos].tolist(), f.bounds[pos + 1].tolist()):
-                h_joint += float(p) * entropy_bits(f.probs[a:b]) + float(p) * (
-                    -math.log2(float(p)) if p > 0 else 0.0
-                )
-            i_zx += float(prior) * (entropy(f.q) + entropy(d) - h_joint)
+            # rows: Gamma_i(x, z) = P_i(x) P(Z=z|X=x), summed over x in order.
+            p = d.probs
+            surprisal = np.array([-math.log2(v) for v in p.tolist()])  # Categorical probs are > 0
+            per_x = p * h_rows[_positions(f.ids, d.support)] + p * surprisal
+            h_joint = float(np.cumsum(per_x)[-1])
+            i_zx += float(prior) * (h_q + entropy(d) - h_joint)
         j_value = i_zx - h_xa
         branch = "unequal"
     return ErasureReport(branch, float(i_za), float(i_zx), float(h_xa), float(j_value))
+
+
+def _check_pushforward(f: ErasureFunction, g: GroupedData, outputs: list[np.ndarray]) -> None:
+    """Raise DistError unless every group's pushforward is f.q within RENORM_TOL.
+
+    H(Z) in the report is taken from f.q, which is only right if each group
+    of ``g`` is pushed onto it.
+    """
+    q = np.zeros(len(f.output_support))
+    q[np.searchsorted(f.output_support, f.q.support)] = f.q.probs
+    err = np.abs(np.array(outputs) - q).max(axis=1)
+    i = int(np.argmax(err))
+    if err[i] > RENORM_TOL:
+        raise DistError(
+            f"q differs from the pushforward of group {g.concepts[i]} by {err[i]:.3g}, "
+            f"outside tolerance {RENORM_TOL}"
+        )
+
+
+def _row_entropies(probs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Entropy in bits of each row ``probs[bounds[r]:bounds[r + 1]]``.
+
+    Equal bit for bit to ``entropy_bits`` of the row alone. np.sum adds
+    fewer than 8 terms left to right and 8 or more pairwise, so rows with
+    fewer than 8 non-zero cells are summed here a column at a time, left to
+    right, and only longer ones go through ``entropy_bits``.
+    """
+    nz = probs > 0.0
+    terms = np.zeros_like(probs)
+    terms[nz] = probs[nz] * np.log2(probs[nz])
+    start, sizes = bounds[:-1], np.diff(bounds)
+    long_rows = np.add.reduceat(nz.astype(np.int64), start) >= 8
+    acc = terms[start]
+    for k in range(1, sizes[~long_rows].max(initial=1)):
+        r = np.flatnonzero((sizes > k) & ~long_rows)
+        acc[r] += terms[start[r] + k]
+    h = -acc
+    for r in np.flatnonzero(long_rows).tolist():
+        h[r] = entropy_bits(probs[bounds[r]:bounds[r + 1]])
+    return h
 
 
 def default_tol(n_min: int, delta: float = 0.01) -> float:

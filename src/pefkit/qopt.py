@@ -43,6 +43,8 @@ class BoConfig:
             raise DistError("budget must be >= 1")
         if self.kappa <= 0:
             raise DistError("kappa must be > 0")
+        if self.n_acq_candidates < 1:
+            raise DistError("n_acq_candidates must be >= 1")
 
     def to_json(self) -> dict:
         return {
@@ -118,23 +120,43 @@ def _embed_theta(dist: Categorical, support: tuple[int, ...]) -> np.ndarray:
     return np.log(probs)
 
 
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of a and b, as ||a||^2 + ||b||^2 - 2 a b^T.
+
+    One matrix product instead of an (len(a), len(b), dim) difference array;
+    rounding can leave a tiny negative where two rows coincide, so the result
+    is clipped at 0.
+    """
+    d2 = np.einsum("ij,ij->i", a, a)[:, None] + np.einsum("ij,ij->i", b, b)[None, :]
+    d2 -= 2.0 * (a @ b.T)
+    return np.maximum(d2, 0.0, out=d2)
+
+
 def _gp_posterior(
     x_obs: np.ndarray,
     y_obs: np.ndarray,
     x_new: np.ndarray,
     lengthscale: float,
+    d2_obs: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Squared-exponential GP posterior mean and stddev at x_new."""
+    """Squared-exponential GP posterior mean and stddev at x_new.
+
+    The kernel sig2 * exp(-d2 / (2 lengthscale^2)) takes its squared
+    distances d2 from the Gram expansion in ``_sq_dists``, so the
+    candidate-to-observation block costs one matrix product and no
+    (len(x_new), len(x_obs), dim) temporary. ``d2_obs`` holds the
+    observations' own squared distances, which the caller has already
+    computed for the median-heuristic lengthscale.
+    """
     y_mean = y_obs.mean()
     y_c = y_obs - y_mean
     sig2 = max(float(y_c.var()), 1e-12)
 
-    def kern(a, b):
-        d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+    def kern(d2):
         return sig2 * np.exp(-0.5 * d2 / lengthscale**2)
 
-    k_xx = kern(x_obs, x_obs) + 1e-8 * sig2 * np.eye(len(x_obs))
-    k_sx = kern(x_new, x_obs)
+    k_xx = kern(d2_obs) + 1e-8 * sig2 * np.eye(len(x_obs))
+    k_sx = kern(_sq_dists(x_new, x_obs))
     chol = np.linalg.cholesky(k_xx)
     alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, y_c))
     mean = y_mean + k_sx @ alpha
@@ -172,8 +194,8 @@ def bayes_opt_q(
             break
         record(_embed_theta(cand.dist, support), cand.dist, cand.j_value)
     n_dirichlet = min(max(2, out_size), max(0, cfg.budget - len(values)))
-    for _ in range(n_dirichlet):
-        probs = rng.dirichlet(np.ones(out_size))
+    # One batched draw equals as many single draws, in order, bit for bit.
+    for probs in rng.dirichlet(np.ones(out_size), size=n_dirichlet):
         theta = np.log(np.maximum(probs, 1e-12))
         dist = _softmax_dist(theta, support)
         record(theta, dist, objective_j(dist, g, use_oracle))
@@ -182,12 +204,13 @@ def bayes_opt_q(
     while len(values) < cfg.budget:
         x_obs = np.array(thetas)
         y_obs = np.array(values)
+        d2_obs = _sq_dists(x_obs, x_obs)
+        # The expansion can leave rounding residue where a point meets itself;
+        # the median heuristic must skip those zero distances.
+        np.fill_diagonal(d2_obs, 0.0)
         if cfg.kernel_lengthscale == "median-heuristic":
-            d = np.sqrt(
-                np.sum((x_obs[:, None, :] - x_obs[None, :, :]) ** 2, axis=-1)
-            )
-            pos = d[d > 0]
-            ls = float(np.median(pos)) if pos.size else 0.0
+            pos = d2_obs[d2_obs > 0]
+            ls = float(np.median(np.sqrt(pos))) if pos.size else 0.0
         else:
             ls = float(cfg.kernel_lengthscale)
         if ls <= 0:
@@ -198,17 +221,12 @@ def bayes_opt_q(
             theta = np.log(np.maximum(probs, 1e-12))
         else:
             half = cfg.n_acq_candidates // 2
-            props = [
-                np.log(np.maximum(rng.dirichlet(np.ones(out_size)), 1e-12))
-                for _ in range(half)
-            ]
             anchor = thetas[int(np.argmax(values))]
-            props += [
-                anchor + 0.25 * rng.standard_normal(out_size)
-                for _ in range(cfg.n_acq_candidates - half)
-            ]
-            x_new = np.array(props)
-            mean, std = _gp_posterior(x_obs, y_obs, x_new, ls)
+            x_new = np.concatenate([
+                np.log(np.maximum(rng.dirichlet(np.ones(out_size), size=half), 1e-12)),
+                anchor + 0.25 * rng.standard_normal((cfg.n_acq_candidates - half, out_size)),
+            ])
+            mean, std = _gp_posterior(x_obs, y_obs, x_new, ls, d2_obs)
             theta = x_new[int(np.argmax(mean + cfg.kappa * std))]
         dist = _softmax_dist(theta, support)
         record(theta, dist, objective_j(dist, g, use_oracle))

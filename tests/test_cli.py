@@ -141,6 +141,19 @@ class TestErase:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "first 9999" in err
 
+    @pytest.mark.parametrize(
+        "flag,message",
+        [("--bo-acq-candidates", "n_acq_candidates must be >= 1"), ("--bo-budget", "budget")],
+    )
+    def test_zero_bo_setting_is_config_error(self, tmp_path, capsys, flag, message):
+        out = gen(tmp_path, setting="unequal")
+        argv = ["--samples", out / "samples.csv", "--dists", out / "true_dists.json"]
+        capsys.readouterr()
+        code = run(["erase", *argv, "--use-bo", flag, 0, "--out-dir", tmp_path / "erased"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
 
 class TestMalformedSamples:
     VALID = "x,concept\n0,0\n1,0\n0,0\n2,1\n3,1\n"
@@ -195,6 +208,13 @@ def _map_one_symbol_twice(obj):
     obj["group_maps"]["2"] = dict([next(iter(obj["group_maps"]["0"].items()))])
 
 
+def _uniform_q(support):
+    def mutate(obj):
+        symbols = support(obj)
+        obj["q"] = {"support": symbols, "probs": [1.0 / len(symbols)] * len(symbols)}
+    return mutate
+
+
 def _scale_first_row(obj):
     row = _first_row(obj)
     row["probs"] = [p * 1.1 for p in row["probs"]]
@@ -227,6 +247,17 @@ class TestMalformedFunction:
             "non-negative",
         ),
         "row_mass_off": ("unequal", _scale_first_row, "sums to 1.1"),
+        # A q over fresh symbols once made evaluate report a positive J.
+        "q_outside_output_support": (
+            "unequal",
+            _uniform_q(lambda obj: [max(obj["output_support"]) + 1 + i for i in range(4)]),
+            "q has symbol",
+        ),
+        "q_not_the_pushforward": (
+            "unequal",
+            _uniform_q(lambda obj: obj["output_support"]),
+            "differs from the pushforward of group",
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -33,6 +33,9 @@ from pefkit import (
     write_erased_csv,
     write_samples_csv,
 )
+from pefkit._kernels import entropy_bits
+from pefkit.dist import DistError
+from pefkit.pef import _row_entropies
 from conftest import random_grouped
 
 
@@ -176,6 +179,40 @@ class TestStochasticBranch:
                 report.h_x_given_a + report.j_value, abs=1e-9
             )
             assert report.j_value <= 1e-12
+
+
+def test_row_entropies_equal_entropy_bits_per_row(rng):
+    # Rows of 1 to 12 cells, some holding zeros, straddle the 8 terms at
+    # which np.sum stops adding left to right.
+    sizes = rng.integers(1, 13, size=400)
+    probs = rng.dirichlet(np.ones(sizes.sum())) * rng.random(sizes.sum()) ** 4
+    probs[rng.random(sizes.sum()) < 0.15] = 0.0
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    h = _row_entropies(probs, bounds)
+    for r in range(len(sizes)):
+        assert h[r].tobytes() == np.float64(entropy_bits(probs[bounds[r]:bounds[r + 1]])).tobytes()
+
+
+def test_analyze_rejects_q_off_the_pushforward():
+    g = grouped([0.5, 0.5], [0.6, 0.4])
+    f, _ = build_pef(g, tol=1e-9)
+    wrong = Categorical(f.q.support, [0.9, 0.1])
+    edited = ErasureFunction(
+        "stochastic", f.output_support, wrong, ids=f.ids, bounds=f.bounds, out=f.out, probs=f.probs
+    )
+    with pytest.raises(DistError, match="differs from the pushforward of group"):
+        analyze(edited, g)
+
+
+def test_q_outside_output_support_is_rejected():
+    g = grouped([0.5, 0.5], [0.6, 0.4])
+    f, _ = build_pef(g, tol=1e-9)
+    outside = Categorical.uniform((100, 101))
+    with pytest.raises(DistError, match="q has symbol 100 outside output_support"):
+        ErasureFunction(
+            "stochastic", f.output_support, outside, ids=f.ids, bounds=f.bounds, out=f.out,
+            probs=f.probs,
+        )
 
 
 def induced_output_reference(f, d):

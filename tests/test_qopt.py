@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -15,6 +16,8 @@ from pefkit import (
     scan_stationary,
     select_q,
 )
+from pefkit import synth
+from pefkit.qopt import _sq_dists
 from conftest import random_grouped
 
 
@@ -109,6 +112,21 @@ class TestBayesOpt:
         assert a.j_value == b.j_value
         np.testing.assert_array_equal(a.dist.probs, b.dist.probs)
 
+    def test_single_acquisition_candidate(self, rng):
+        g = random_grouped(rng, n_groups=2, support_per_group=3)
+        bo = bayes_opt_q(g, 3, BoConfig(budget=12, n_acq_candidates=1, seed=0))
+        assert bo.j_value >= max(c.j_value for c in scan_stationary(g, 3)) - 1e-9
+
+    def test_golden_two_by_fifty(self):
+        # Pinned from the per-row proposal loops and the broadcast kernel
+        # that the batched draws and the Gram expansion replaced.
+        g, _ = synth.generate(synth.SynthConfig(2, 50, 10, "unequal", seed=1))
+        bo = bayes_opt_q(g, 50, BoConfig(budget=100, n_acq_candidates=1024, seed=0))
+        assert bo.j_value == -0.14097648063610357
+        assert hashlib.sha256(bo.dist.probs.tobytes()).hexdigest() == (
+            "f0e610fa0dd058cbf4414a633112bb6ab5fa9334fa41ae03ddc267058572de14"
+        )
+
     def test_budget_one_falls_back_to_stationary(self, rng):
         g = random_grouped(rng, n_groups=2, support_per_group=2)
         bo = bayes_opt_q(g, 2, BoConfig(budget=1, seed=0))
@@ -136,6 +154,8 @@ def test_bo_config_validation():
         BoConfig(budget=0)
     with pytest.raises(ValueError):
         BoConfig(kappa=-1.0)
+    with pytest.raises(ValueError, match="n_acq_candidates"):
+        BoConfig(n_acq_candidates=0)
 
 
 def test_equal_uniform_select_reaches_log_k():
@@ -143,3 +163,28 @@ def test_equal_uniform_select_reaches_log_k():
     sel = select_q(g, 4, BoConfig(seed=0), use_bo=False)
     assert sel.j_value == pytest.approx(0.0, abs=1e-12)
     assert math.isclose(float(sel.dist.probs[0]), 0.25)
+
+
+def test_sq_dists_matches_broadcast(rng):
+    for n, m, k in [(1, 1, 1), (7, 3, 5), (40, 100, 50)]:
+        a = np.log(rng.dirichlet(np.ones(k), size=n))
+        b = np.concatenate([a[: min(n, m)], rng.normal(size=(max(0, m - n), k))])
+        ref = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
+        d2 = _sq_dists(a, b)
+        assert d2.shape == (n, m)
+        assert np.all(d2 >= 0.0)
+        np.testing.assert_allclose(d2, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+
+
+def test_batched_proposals_equal_per_row_draws():
+    # bayes_opt_q draws each round's proposals in two batched calls; they
+    # must consume the stream exactly as one call per proposal did.
+    for k, n in [(2, 1), (5, 7), (50, 512)]:
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        batched = a.dirichlet(np.ones(k), size=n)
+        rows = np.array([b.dirichlet(np.ones(k)) for _ in range(n)])
+        assert batched.tobytes() == rows.tobytes()
+        batched = a.standard_normal((n, k))
+        rows = np.array([b.standard_normal(k) for _ in range(n)])
+        assert batched.tobytes() == rows.tobytes()
+        assert a.random() == b.random()
