@@ -14,6 +14,7 @@ function that takes samples also accepts a sequence of ``Sample`` or of
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -469,24 +470,37 @@ def apply(f: ErasureFunction, samples: ArrayLike, seed: int) -> np.ndarray:
     return np.column_stack([z, rows[:, 1]])
 
 
+#: Rows formatted per write; bounds the Python ints alive at once.
+CSV_WRITE_CHUNK = 1 << 14
+
+
 def _read_pairs_csv(path, header: str, kind: str) -> np.ndarray:
+    """Rows of a two-column int CSV; blank and whitespace-only lines are skipped.
+
+    Lines stream into ``np.loadtxt`` one at a time, so no list of line
+    strings is held and the memory used is the result array's.
+    """
     with open(path) as fh:
         first = fh.readline().strip()
         if first != header:
             raise ValueError(f"unexpected {kind} CSV header: {first!r}")
-        lines = [line for line in fh if not line.isspace()]
-    if not lines:
-        return as_samples([])
-    return as_samples(
-        np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2, comments=None)
-    )
+        lines = (line for line in fh if not line.isspace())
+        line = next(lines, None)
+        if line is None:
+            return as_samples([])
+        return as_samples(np.loadtxt(
+            itertools.chain([line], lines), delimiter=",", dtype=np.int64, ndmin=2,
+            comments=None,
+        ))
 
 
 def _write_pairs_csv(rows: ArrayLike, path, header: str) -> None:
     rows = as_samples(rows)
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        fh.write(("%d,%d\n" * len(rows)) % tuple(rows.ravel().tolist()))
+        for start in range(0, len(rows), CSV_WRITE_CHUNK):
+            chunk = rows[start:start + CSV_WRITE_CHUNK]
+            fh.write(("%d,%d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def write_samples_csv(samples: ArrayLike, path) -> None:

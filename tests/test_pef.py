@@ -35,7 +35,7 @@ from pefkit import (
 )
 from pefkit._kernels import entropy_bits
 from pefkit.dist import DistError
-from pefkit.pef import _row_entropies
+from pefkit.pef import CSV_WRITE_CHUNK, _row_entropies
 from conftest import random_grouped
 
 
@@ -421,6 +421,17 @@ class TestSerialization:
         write_erased_csv(erased, tmp_path / "z.csv")
         assert (tmp_path / "z.csv").read_text() == "z,concept\n10,0\n11,1\n"
         assert read_erased_csv(tmp_path / "z.csv").tolist() == [list(e) for e in erased]
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 3])
+    def test_csv_round_trip_across_write_chunks(self, tmp_path, extra):
+        n = 2 * CSV_WRITE_CHUNK + extra
+        rows = np.random.default_rng(n).integers(-5, 10**6, size=(n, 2))
+        write_samples_csv(rows, tmp_path / "s.csv")
+        expected = "x,concept\n" + "".join(f"{x},{c}\n" for x, c in rows.tolist())
+        assert (tmp_path / "s.csv").read_text() == expected
+        with open(tmp_path / "s.csv", "a") as fh:
+            fh.write("\n \t\n")
+        assert np.array_equal(read_samples_csv(tmp_path / "s.csv"), rows)
 
     def test_report_json_round_trip(self):
         r = ErasureReport("equal", 0.0, 2.0, 2.0, 0.0)
