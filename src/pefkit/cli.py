@@ -83,6 +83,7 @@ def _bo_config(args) -> BoConfig:
 def cmd_erase(args) -> int:
     samples = pef.read_samples_csv(args.samples)
     bo_cfg = _bo_config(args)
+    bo = bo_cfg if args.use_bo else None
     if args.dists:
         g = load_grouped_json(args.dists)
         ev.check_symbols_known(
@@ -92,9 +93,9 @@ def cmd_erase(args) -> int:
             "--dists",
         )
         tol = args.tol if args.tol is not None else 1e-9
-        f, report = pef.build_pef(g, tol, bo_cfg, args.use_bo)
+        f, report = pef.build_pef(g, tol, bo)
     else:
-        f, report = pef.run_algorithm1(samples, args.tol, bo_cfg, args.use_bo)
+        f, report = pef.run_algorithm1(samples, args.tol, bo)
     erased = pef.apply(f, samples, args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     pef.write_erased_csv(erased, os.path.join(args.out_dir, "erased.csv"))

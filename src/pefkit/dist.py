@@ -274,18 +274,24 @@ def conditional_entropy_x_given_a(g: GroupedData) -> float:
     return float(sum(pr * entropy(d) for pr, d in zip(g.priors, g.dists)))
 
 
-def mutual_information_ax(g: GroupedData) -> float:
-    """I(A;X) in bits; equals H(A) exactly under disjoint supports."""
-    h_a = entropy_bits(g.priors)
-    if g.supports_disjoint:
-        return h_a
-    # H(A|X) from the joint over shared symbols.
+def _joint_xa(g: GroupedData) -> np.ndarray:
+    """P(X=x, A=a) with a row per symbol, ascending, and a column per group."""
     symbols = sorted({s for d in g.dists for s in d.support})
     idx = {s: k for k, s in enumerate(symbols)}
     joint = np.zeros((len(symbols), len(g.groups)))
     for a, (pr, d) in enumerate(zip(g.priors, g.dists)):
         for s, p in zip(d.support, d.probs):
             joint[idx[s], a] = pr * p
+    return joint
+
+
+def mutual_information_ax(g: GroupedData) -> float:
+    """I(A;X) in bits; equals H(A) exactly under disjoint supports."""
+    h_a = entropy_bits(g.priors)
+    if g.supports_disjoint:
+        return h_a
+    # H(A|X) from the joint over shared symbols.
+    joint = _joint_xa(g)
     p_x = joint.sum(axis=1)
     h_a_given_x = 0.0
     for row, px in zip(joint, p_x):
@@ -325,8 +331,8 @@ def check_permutation_equal(
     The returned map sends the k-th largest-probability symbol of ``p``
     (ties by ascending id) to the k-th of ``q``.
     """
-    if tol < 0:
-        raise DistError("tol must be >= 0")
+    if not 0 <= tol < np.inf:
+        raise DistError("tol must be finite and >= 0")
     if len(p) != len(q):
         return None
     sp = np.sort(p.probs)[::-1]
@@ -343,12 +349,7 @@ def pic_spectrum(g: GroupedData) -> PicSpectrum:
     shared = not g.supports_disjoint
     if shared:
         warnings.warn("pic_spectrum called on shared-support data (diagnostics only)")
-    symbols = sorted({s for d in g.dists for s in d.support})
-    idx = {s: k for k, s in enumerate(symbols)}
-    joint = np.zeros((len(symbols), len(g.groups)))
-    for a, (pr, d) in enumerate(zip(g.priors, g.dists)):
-        for s, p in zip(d.support, d.probs):
-            joint[idx[s], a] += pr * p
+    joint = _joint_xa(g)
     p_x = joint.sum(axis=1)
     p_a = joint.sum(axis=0)
     if np.any(p_x <= 0) or np.any(p_a <= 0):
@@ -357,7 +358,7 @@ def pic_spectrum(g: GroupedData) -> PicSpectrum:
     sv = np.linalg.svd(qmat, compute_uv=False)
     sv = np.sort(sv)[::-1]
     pics = np.clip(sv[1:] ** 2, 0.0, 1.0)
-    d = min(len(symbols), len(g.groups)) - 1
+    d = min(joint.shape) - 1
     lambda_d = float(pics[d - 1]) if d >= 1 else 0.0
     return PicSpectrum(sv, pics, lambda_d, shared_support=shared)
 

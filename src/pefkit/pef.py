@@ -398,12 +398,13 @@ def grouped_from_samples(samples: ArrayLike) -> GroupedData:
 
 
 def build_pef(
-    g: GroupedData,
-    tol: float,
-    bo_cfg: Optional[BoConfig] = None,
-    use_bo: bool = False,
+    g: GroupedData, tol: float, bo: Optional[BoConfig] = None
 ) -> tuple[ErasureFunction, ErasureReport]:
-    """Branch on permutation equality and construct the erasure function."""
+    """Branch on permutation equality and construct the erasure function.
+
+    On the unequal branch Q is the best stationary candidate, or with ``bo``
+    the GP-UCB search seeded by the stationary scan (``select_q``).
+    """
     if not g.supports_disjoint:
         raise DataConstraintError("group supports must be pairwise disjoint")
     if len(g.groups) < 2:
@@ -415,17 +416,14 @@ def build_pef(
     if equal:
         f = build_deterministic_pef(g, tol)
     else:
-        cfg = bo_cfg or BoConfig()
-        q_hat = select_q(g, default_out_size(g), cfg, use_bo)
-        f = build_stochastic_pef(g, q_hat)
+        f = build_stochastic_pef(g, select_q(g, default_out_size(g), bo))
     return f, analyze(f, g)
 
 
 def run_algorithm1(
     samples: ArrayLike,
     tol: Optional[float] = None,
-    bo_cfg: Optional[BoConfig] = None,
-    use_bo: bool = False,
+    bo: Optional[BoConfig] = None,
 ) -> tuple[ErasureFunction, ErasureReport]:
     """End-to-end pipeline from raw samples: estimate, branch, construct.
 
@@ -438,7 +436,7 @@ def run_algorithm1(
     if tol is None:
         n_min = int(np.unique(rows[:, 1], return_counts=True)[1].min())
         tol = default_tol(n_min)
-    return build_pef(g, tol, bo_cfg, use_bo)
+    return build_pef(g, tol, bo)
 
 
 def _positions(ids: np.ndarray, x: np.ndarray) -> np.ndarray:

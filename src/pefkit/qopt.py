@@ -2,17 +2,17 @@
 
 The objective J(Q) = H(Q) - sum_i p(a_i) H_min(P_i, Q) is always <= 0 and
 vanishes exactly when every coupling is a permutation matrix. H_min uses the
-greedy coupling approximation by default (the exact oracle can be swapped in
+greedy coupling approximation (``objective_j`` can swap in the exact oracle
 for small instances). Candidates come from a stationary-point scan over the
-input distributions and, optionally, Gaussian-process UCB Bayesian
-optimization on the simplex.
+input distributions and, when a ``BoConfig`` is given, Gaussian-process UCB
+Bayesian optimization on the simplex seeded with that scan.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -36,28 +36,17 @@ class BoConfig:
     kappa: float = 2.5
     n_acq_candidates: int = 1024
     seed: int = 0
-    kernel_lengthscale: Union[float, str] = "median-heuristic"
 
     def __post_init__(self):
         if self.budget < 1:
             raise DistError("budget must be >= 1")
-        if self.kappa <= 0:
-            raise DistError("kappa must be > 0")
+        if not 0 < self.kappa < np.inf:
+            raise DistError("kappa must be finite and > 0")
         if self.n_acq_candidates < 1:
             raise DistError("n_acq_candidates must be >= 1")
 
     def to_json(self) -> dict:
-        return {
-            "budget": self.budget,
-            "kappa": self.kappa,
-            "n_acq_candidates": self.n_acq_candidates,
-            "seed": self.seed,
-            "kernel_lengthscale": self.kernel_lengthscale,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BoConfig":
-        return cls(**obj)
+        return dataclasses.asdict(self)
 
 
 def output_support(g: GroupedData, out_size: int) -> tuple[int, ...]:
@@ -86,9 +75,7 @@ def objective_j(q: Categorical, g: GroupedData, use_oracle: bool = False) -> flo
     return float(val)
 
 
-def scan_stationary(
-    g: GroupedData, out_size: int, use_oracle: bool = False
-) -> list[QCandidate]:
+def scan_stationary(g: GroupedData, out_size: int) -> list[QCandidate]:
     """Score each input distribution, re-indexed onto the output support.
 
     Probabilities are laid out in descending order on ascending output ids;
@@ -101,9 +88,7 @@ def scan_stationary(
     for _, d in g.groups:
         probs = np.sort(d.probs)[::-1]
         dist = Categorical(support[: len(d)], probs)
-        candidates.append(
-            QCandidate(dist, objective_j(dist, g, use_oracle), "stationary")
-        )
+        candidates.append(QCandidate(dist, objective_j(dist, g), "stationary"))
     return candidates
 
 
@@ -165,40 +150,37 @@ def _gp_posterior(
     return mean, np.sqrt(var)
 
 
-def bayes_opt_q(
-    g: GroupedData, out_size: int, cfg: BoConfig, use_oracle: bool = False
-) -> QCandidate:
+def bayes_opt_q(g: GroupedData, out_size: int, cfg: BoConfig) -> QCandidate:
     """Maximize J(Q) with GP-UCB over softmax-parameterized simplex points.
 
-    The initial design embeds the stationary candidates (scored exactly)
-    plus symmetric-Dirichlet draws; each round proposes random candidates
-    and evaluates the UCB maximizer. Deterministic given the config seed.
+    Every stationary candidate is scored once, even past the budget; the
+    first ``cfg.budget`` of them seed the GP's observations, followed by
+    symmetric-Dirichlet draws, and each round proposes random candidates
+    and evaluates the UCB maximizer, until ``cfg.budget`` observations.
+    Returns the best stationary candidate unless a proposal beats it
+    strictly. Deterministic given the config seed.
     """
     rng = np.random.default_rng(cfg.seed)
     support = output_support(g, out_size)
-    thetas: list[np.ndarray] = []
-    values: list[float] = []
-    best_dist: Categorical | None = None
-    best_val = -np.inf
+    stationary = scan_stationary(g, out_size)
+    best = max(stationary, key=lambda c: c.j_value)
+    observed = stationary[: cfg.budget]
+    thetas = [_embed_theta(c.dist, support) for c in observed]
+    values = [c.j_value for c in observed]
 
-    def record(theta: np.ndarray, dist: Categorical, val: float) -> None:
-        nonlocal best_dist, best_val
+    def record(theta: np.ndarray) -> None:
+        nonlocal best
+        dist = _softmax_dist(theta, support)
+        val = objective_j(dist, g)
         thetas.append(theta)
         values.append(val)
-        if val > best_val:
-            best_val = val
-            best_dist = dist
+        if val > best.j_value:
+            best = QCandidate(dist, val, "bayesopt")
 
-    for cand in scan_stationary(g, out_size, use_oracle):
-        if len(values) >= cfg.budget:
-            break
-        record(_embed_theta(cand.dist, support), cand.dist, cand.j_value)
     n_dirichlet = min(max(2, out_size), max(0, cfg.budget - len(values)))
     # One batched draw equals as many single draws, in order, bit for bit.
     for probs in rng.dirichlet(np.ones(out_size), size=n_dirichlet):
-        theta = np.log(np.maximum(probs, 1e-12))
-        dist = _softmax_dist(theta, support)
-        record(theta, dist, objective_j(dist, g, use_oracle))
+        record(np.log(np.maximum(probs, 1e-12)))
 
     random_search = False
     while len(values) < cfg.budget:
@@ -208,11 +190,8 @@ def bayes_opt_q(
         # The expansion can leave rounding residue where a point meets itself;
         # the median heuristic must skip those zero distances.
         np.fill_diagonal(d2_obs, 0.0)
-        if cfg.kernel_lengthscale == "median-heuristic":
-            pos = d2_obs[d2_obs > 0]
-            ls = float(np.median(np.sqrt(pos))) if pos.size else 0.0
-        else:
-            ls = float(cfg.kernel_lengthscale)
+        pos = d2_obs[d2_obs > 0]
+        ls = float(np.median(np.sqrt(pos))) if pos.size else 0.0
         if ls <= 0:
             if not random_search:
                 warnings.warn("degenerate kernel; falling back to random search")
@@ -228,28 +207,16 @@ def bayes_opt_q(
             ])
             mean, std = _gp_posterior(x_obs, y_obs, x_new, ls, d2_obs)
             theta = x_new[int(np.argmax(mean + cfg.kappa * std))]
-        dist = _softmax_dist(theta, support)
-        record(theta, dist, objective_j(dist, g, use_oracle))
+        record(theta)
 
-    assert best_dist is not None
-    return QCandidate(best_dist, float(best_val), "bayesopt")
-
-
-def select_q(
-    g: GroupedData,
-    out_size: int,
-    cfg: BoConfig,
-    use_bo: bool,
-    use_oracle: bool = False,
-) -> QCandidate:
-    """Argmax of J over stationary candidates and, optionally, the BO solution.
-
-    Ties break toward stationary candidates.
-    """
-    stationary = scan_stationary(g, out_size, use_oracle)
-    best = max(stationary, key=lambda c: c.j_value)
-    if use_bo:
-        bo = bayes_opt_q(g, out_size, cfg, use_oracle)
-        if bo.j_value > best.j_value:
-            return bo
     return best
+
+
+def select_q(g: GroupedData, out_size: int, bo: BoConfig | None = None) -> QCandidate:
+    """The best stationary candidate, or with ``bo`` the GP-UCB search seeded by it.
+
+    Ties break toward the first stationary candidate.
+    """
+    if bo is None:
+        return max(scan_stationary(g, out_size), key=lambda c: c.j_value)
+    return bayes_opt_q(g, out_size, bo)

@@ -116,8 +116,8 @@ def test_criterion_3_unequal(capsys):
         )
         # strictly inside the funnel on the epsilon=0 axis
         assert 0.0 < report.i_zx_analytic < report.h_x_given_a
-        bo = select_q(g, 50, BoConfig(budget=100, seed=0), use_bo=True)
-        stationary = select_q(g, 50, BoConfig(seed=0), use_bo=False)
+        bo = select_q(g, 50, BoConfig(budget=100, seed=0))
+        stationary = select_q(g, 50)
         assert bo.j_value >= stationary.j_value - 1e-9
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"took {elapsed:.2f}s"
@@ -222,7 +222,7 @@ def test_criterion_8_pgd_solver(capsys):
             r = np.random.default_rng([8, seed])
             k = int(r.integers(2, 5))
             g = random_grouped(r, n_groups=2, support_per_group=k)
-            sel = select_q(g, k, BoConfig(seed=0), use_bo=False)
+            sel = select_q(g, k)
             init = np.zeros(k)
             init[: len(sel.dist)] = np.sort(sel.dist.probs)[::-1]
             res = pgd_solve(

@@ -143,16 +143,36 @@ class TestErase:
 
     @pytest.mark.parametrize(
         "flag,message",
-        [("--bo-acq-candidates", "n_acq_candidates must be >= 1"), ("--bo-budget", "budget")],
+        [
+            ("--bo-acq-candidates", "n_acq_candidates must be >= 1"),
+            ("--bo-budget", "budget"),
+            ("--bo-kappa=nan", "kappa must be finite"),
+            ("--bo-kappa=inf", "kappa must be finite"),
+        ],
     )
     def test_zero_bo_setting_is_config_error(self, tmp_path, capsys, flag, message):
+        # A flag without "=value" is set to 0.
+        setting = [flag] if "=" in flag else [flag, 0]
         out = gen(tmp_path, setting="unequal")
         argv = ["--samples", out / "samples.csv", "--dists", out / "true_dists.json"]
         capsys.readouterr()
-        code = run(["erase", *argv, "--use-bo", flag, 0, "--out-dir", tmp_path / "erased"])
+        code = run(["erase", *argv, "--use-bo", *setting, "--out-dir", tmp_path / "erased"])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tol_not_finite_and_non_negative_is_config_error(self, tmp_path, capsys, tol):
+        # A NaN or infinite tol would pass every group as permutation-equal,
+        # sending unequal groups down the leaking deterministic branch.
+        out = gen(tmp_path, setting="unequal", support=20, samples=2000, seed=1)
+        for dists in (["--dists", out / "true_dists.json"], []):
+            capsys.readouterr()
+            code = run(["erase", "--samples", out / "samples.csv", *dists,
+                        "--tol", tol, "--out-dir", tmp_path / "erased"])
+            assert code == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "tol must be finite and >= 0" in err
 
 
 class TestMalformedSamples:

@@ -194,12 +194,12 @@ class TestPgd:
         assert coupling_entropy(res.couplings[0]) == pytest.approx(1.0, abs=1e-6)
 
     def test_competitive_with_greedy_pipeline(self, rng):
-        from pefkit import BoConfig, select_q
+        from pefkit import select_q
         from conftest import random_grouped
 
         for _ in range(5):
             g = random_grouped(rng, n_groups=2, support_per_group=3)
-            sel = select_q(g, 3, BoConfig(seed=0), use_bo=False)
+            sel = select_q(g, 3)
             init = np.zeros(3)
             init[: len(sel.dist)] = np.sort(sel.dist.probs)[::-1]
             res = pgd_solve(

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pefkit import (
-    BoConfig,
     Categorical,
     DataConstraintError,
     ErasureFunction,
@@ -165,7 +164,7 @@ class TestStochasticBranch:
 
     def test_rows_cover_all_symbols(self):
         g = grouped([0.5, 0.5], [0.6, 0.4])
-        q = select_q(g, 2, BoConfig(seed=0), use_bo=False)
+        q = select_q(g, 2)
         f = build_stochastic_pef(g, q)
         assert f.input_symbols().tolist() == [0, 1, 2, 3]
         for x in f.input_symbols().tolist():

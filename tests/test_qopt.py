@@ -16,7 +16,7 @@ from pefkit import (
     scan_stationary,
     select_q,
 )
-from pefkit import synth
+from pefkit import qopt, synth
 from pefkit.qopt import _sq_dists
 from conftest import random_grouped
 
@@ -91,7 +91,7 @@ class TestStationaryScan:
 
     def test_best_stationary_selected_without_bo(self):
         g = grouped([0.5, 0.5], [0.6, 0.4])
-        sel = select_q(g, 2, BoConfig(seed=0), use_bo=False)
+        sel = select_q(g, 2)
         assert sel.source == "stationary"
         np.testing.assert_allclose(np.sort(sel.dist.probs), [0.5, 0.5])
 
@@ -127,6 +127,38 @@ class TestBayesOpt:
             "f0e610fa0dd058cbf4414a633112bb6ab5fa9334fa41ae03ddc267058572de14"
         )
 
+    @staticmethod
+    def count_objective_calls(monkeypatch):
+        calls = []
+        inner = qopt.objective_j
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(qopt, "objective_j", counted)
+        return calls
+
+    @pytest.mark.parametrize("n_groups,budget", [(2, 2), (2, 9), (4, 4), (4, 10)])
+    def test_budget_counts_every_scored_candidate(self, monkeypatch, n_groups, budget):
+        # The stationary scan seeds the GP, so it counts toward the budget
+        # and is not scored a second time.
+        g, _ = synth.generate(synth.SynthConfig(n_groups, 4, 10, "unequal", seed=2))
+        calls = self.count_objective_calls(monkeypatch)
+        select_q(g, default_out_size(g), BoConfig(budget=budget, seed=0))
+        assert len(calls) == budget
+
+    def test_budget_below_groups_returns_best_stationary(self, monkeypatch):
+        g, _ = synth.generate(synth.SynthConfig(5, 4, 10, "unequal", seed=3))
+        nz = default_out_size(g)
+        best = max(scan_stationary(g, nz), key=lambda c: c.j_value)
+        calls = self.count_objective_calls(monkeypatch)
+        sel = select_q(g, nz, BoConfig(budget=2, seed=0))
+        assert len(calls) == 5
+        assert sel.source == "stationary"
+        assert sel.j_value == best.j_value
+        assert sel.dist == best.dist
+
     def test_budget_one_falls_back_to_stationary(self, rng):
         g = random_grouped(rng, n_groups=2, support_per_group=2)
         bo = bayes_opt_q(g, 2, BoConfig(budget=1, seed=0))
@@ -146,7 +178,7 @@ def test_output_support_fresh_ids():
 
 def test_bo_config_round_trip():
     cfg = BoConfig(budget=42, kappa=1.5, seed=9)
-    assert BoConfig.from_json(cfg.to_json()) == cfg
+    assert BoConfig(**cfg.to_json()) == cfg
 
 
 def test_bo_config_validation():
@@ -154,13 +186,16 @@ def test_bo_config_validation():
         BoConfig(budget=0)
     with pytest.raises(ValueError):
         BoConfig(kappa=-1.0)
+    for kappa in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            BoConfig(kappa=kappa)
     with pytest.raises(ValueError, match="n_acq_candidates"):
         BoConfig(n_acq_candidates=0)
 
 
 def test_equal_uniform_select_reaches_log_k():
     g = grouped([0.25] * 4, [0.25] * 4)
-    sel = select_q(g, 4, BoConfig(seed=0), use_bo=False)
+    sel = select_q(g, 4)
     assert sel.j_value == pytest.approx(0.0, abs=1e-12)
     assert math.isclose(float(sel.dist.probs[0]), 0.25)
 
