@@ -25,11 +25,11 @@ from .dist import (
     Categorical,
     DataConstraintError,
     DistError,
-    GroupedData,
     erasure_feasible,
     funnel_bounds,
     load_grouped_json,
     pic_spectrum,
+    write_json,
 )
 from .qopt import BoConfig
 
@@ -42,15 +42,7 @@ EXIT_IO = 5
 
 def _write_config_sidecar(out_dir: str, subcommand: str, cfg: dict) -> None:
     path = os.path.join(out_dir, "run_config.json")
-    with open(path, "w") as fh:
-        json.dump({"subcommand": subcommand, "config": cfg}, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _save_grouped(g: GroupedData, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(g.to_json(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json({"subcommand": subcommand, "config": cfg}, path)
 
 
 def cmd_generate(args) -> int:
@@ -65,7 +57,7 @@ def cmd_generate(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     g, samples = synth.generate(cfg)
     pef.write_samples_csv(samples, os.path.join(args.out_dir, "samples.csv"))
-    _save_grouped(g, os.path.join(args.out_dir, "true_dists.json"))
+    write_json(g.to_json(), os.path.join(args.out_dir, "true_dists.json"))
     _write_config_sidecar(args.out_dir, "generate", cfg.to_json())
     print(f"wrote {len(samples)} samples for {cfg.n_groups} groups to {args.out_dir}")
     return EXIT_OK
@@ -82,8 +74,7 @@ def _bo_config(args) -> BoConfig:
 
 def cmd_erase(args) -> int:
     samples = pef.read_samples_csv(args.samples)
-    bo_cfg = _bo_config(args)
-    bo = bo_cfg if args.use_bo else None
+    bo = _bo_config(args) if args.use_bo else None
     if args.dists:
         g = load_grouped_json(args.dists)
         ev.check_symbols_known(
@@ -100,9 +91,7 @@ def cmd_erase(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     pef.write_erased_csv(erased, os.path.join(args.out_dir, "erased.csv"))
     pef.save_function_json(f, os.path.join(args.out_dir, "function.json"))
-    with open(os.path.join(args.out_dir, "report.json"), "w") as fh:
-        json.dump(report.to_json(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(report.to_json(), os.path.join(args.out_dir, "report.json"))
     _write_config_sidecar(
         args.out_dir,
         "erase",
@@ -112,7 +101,7 @@ def cmd_erase(args) -> int:
             "tol": args.tol,
             "use_bo": args.use_bo,
             "seed": args.seed,
-            "bo": bo_cfg.to_json(),
+            "bo": bo.to_json() if bo else None,
         },
     )
     print(
@@ -200,9 +189,7 @@ def cmd_pic(args) -> int:
         "feasible": verdict.feasible,
         "reason": verdict.reason,
     }
-    with open(os.path.join(args.out_dir, "pic.json"), "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(obj, os.path.join(args.out_dir, "pic.json"))
     _write_config_sidecar(args.out_dir, "pic", {"dists": args.dists})
     print(f"pics={np.round(spec.pics, 6).tolist()} feasible={verdict.feasible} ({verdict.reason})")
     return EXIT_OK

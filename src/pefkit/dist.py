@@ -12,6 +12,7 @@ immutable values and safe to call concurrently.
 from __future__ import annotations
 
 import json
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -36,6 +37,18 @@ class DataConstraintError(DistError):
     """Input violates a data constraint required by the erasure pipeline."""
 
 
+def int_ids(values, what: str = "symbol ids") -> tuple[int, ...]:
+    """``values`` as a tuple of ints; DistError if one is not an integer.
+
+    ``int`` would truncate an id of 1.4 to 1 and parse one of "1";
+    ``operator.index`` accepts Python and numpy integers only.
+    """
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise DistError(f"{what} must be integers ({exc})") from None
+
+
 @dataclass(frozen=True, eq=False)
 class Categorical:
     """A probability distribution over an ordered finite support of symbol ids.
@@ -49,7 +62,7 @@ class Categorical:
     probs: np.ndarray
 
     def __post_init__(self):
-        support = tuple(int(s) for s in self.support)
+        support = int_ids(self.support)
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 1 or len(support) != probs.size:
             raise DistError("support and probs must be 1-d and the same length")
@@ -124,7 +137,8 @@ class GroupedData:
     priors: np.ndarray
 
     def __post_init__(self):
-        groups = tuple((int(c), d) for c, d in self.groups)
+        concepts = int_ids((c for c, _ in self.groups), "concept ids")
+        groups = tuple(zip(concepts, (d for _, d in self.groups)))
         priors = np.asarray(self.priors, dtype=np.float64)
         if priors.ndim != 1 or priors.size != len(groups):
             raise DistError("priors must be 1-d and match the number of groups")
@@ -264,11 +278,6 @@ def entropy(p: Categorical) -> float:
     return entropy_bits(p.probs)
 
 
-def entropy_of_probs(probs: np.ndarray) -> float:
-    """Entropy in bits of a raw probability vector (zeros contribute 0)."""
-    return entropy_bits(np.asarray(probs, dtype=np.float64))
-
-
 def conditional_entropy_x_given_a(g: GroupedData) -> float:
     """H(X|A) = sum_i p(a_i) H(P_i), in bits."""
     return float(sum(pr * entropy(d) for pr, d in zip(g.priors, g.dists)))
@@ -379,3 +388,10 @@ def erasure_feasible(g: GroupedData) -> FeasibilityVerdict:
 def load_grouped_json(path) -> GroupedData:
     with open(path) as fh:
         return GroupedData.from_json(json.load(fh))
+
+
+def write_json(obj, path) -> None:
+    """Write ``obj`` as key-sorted JSON, indented by 2, ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")

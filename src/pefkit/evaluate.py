@@ -7,14 +7,13 @@ emission for plotting.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .dist import Categorical, FunnelCurve, GroupedData
+from .dist import Categorical, FunnelCurve, GroupedData, write_json
 from .pef import ErasureFunction, ErasureReport, analyze, as_samples
 
 _LN2 = float(np.log(2.0))
@@ -209,6 +208,4 @@ def write_report_json(
             for p in points
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(obj, path)

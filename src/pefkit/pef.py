@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -37,8 +37,9 @@ from .dist import (
     check_permutation_equal,
     conditional_entropy_x_given_a,
     entropy,
-    entropy_of_probs,
+    int_ids,
     sorted_symbols,
+    write_json,
 )
 from .qopt import BoConfig, QCandidate, default_out_size, output_support, select_q
 
@@ -69,13 +70,7 @@ class ErasureReport:
     j_value: float
 
     def to_json(self) -> dict:
-        return {
-            "branch": self.branch,
-            "i_za_analytic": self.i_za_analytic,
-            "i_zx_analytic": self.i_zx_analytic,
-            "h_x_given_a": self.h_x_given_a,
-            "j_value": self.j_value,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ErasureReport":
@@ -117,7 +112,7 @@ class ErasureFunction:
                 "need variant 'deterministic' with group_maps or 'stochastic' with rows, "
                 f"got {self.variant!r}"
             )
-        object.__setattr__(self, "output_support", tuple(int(s) for s in self.output_support))
+        object.__setattr__(self, "output_support", int_ids(self.output_support))
         compiled = _compile_rows(np.array(self.output_support, dtype=np.int64), *table)
         outside = np.setdiff1d(self.q.support, self.output_support)
         if outside.size:
@@ -177,7 +172,7 @@ class ErasureFunction:
             head = (obj["variant"], tuple(obj["output_support"]), Categorical.from_json(obj["q"]))
             if head[0] == "deterministic":
                 maps = {
-                    int(c): Permutation({int(k): int(v) for k, v in m.items()})
+                    int(c): Permutation(dict(zip(map(int, m), int_ids(m.values()))))
                     for c, m in obj["group_maps"].items()
                 }
                 return cls(*head, group_maps=maps)
@@ -186,7 +181,7 @@ class ErasureFunction:
             if sizes != [len(r["probs"]) for r in rows.values()]:
                 raise DistError("every row needs one probability per output symbol")
             ids = np.array([int(x) for x in rows], dtype=np.int64)
-            out = np.array([z for r in rows.values() for z in r["support"]], dtype=np.int64)
+            out = np.array(int_ids(z for r in rows.values() for z in r["support"]), dtype=np.int64)
             probs = [p for r in rows.values() for p in r["probs"]]
         except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise DistError(f"malformed function JSON: {exc!r}") from None
@@ -302,8 +297,8 @@ def analyze(f: ErasureFunction, g: GroupedData) -> ErasureReport:
     h_xa = conditional_entropy_x_given_a(g)
     outputs = [f.induced_output(d) for d in g.dists]
     p_z = np.einsum("i,ij->j", g.priors, np.array(outputs))
-    i_za = entropy_of_probs(p_z) - float(
-        sum(pr * entropy_of_probs(o) for pr, o in zip(g.priors, outputs))
+    i_za = entropy_bits(p_z) - float(
+        sum(pr * entropy_bits(o) for pr, o in zip(g.priors, outputs))
     )
     if f.variant == "deterministic":
         i_zx = h_xa
@@ -311,17 +306,14 @@ def analyze(f: ErasureFunction, g: GroupedData) -> ErasureReport:
         branch = "equal"
     else:
         _check_pushforward(f, g, outputs)
-        h_rows = _row_entropies(f.probs, f.bounds)
-        h_q = entropy(f.q)
-        i_zx = 0.0
+        # I(Z;X) = H(Z) - H(Z|X). Every group pushes onto q, so H(Z) = H(Q);
+        # the supports are disjoint, so P(X=x) = p(a_i) P_i(x) for x in group i.
+        p_x = np.zeros(len(f.ids))
         for prior, d in zip(g.priors, g.dists):
-            # Joint coupling entropy recovered from the stored conditional
-            # rows: Gamma_i(x, z) = P_i(x) P(Z=z|X=x), summed over x in order.
-            p = d.probs
-            surprisal = np.array([-math.log2(v) for v in p.tolist()])  # Categorical probs are > 0
-            per_x = p * h_rows[_positions(f.ids, d.support)] + p * surprisal
-            h_joint = float(np.cumsum(per_x)[-1])
-            i_zx += float(prior) * (h_q + entropy(d) - h_joint)
+            p_x[_positions(f.ids, d.support)] = prior * d.probs
+        plogp = f.probs * np.log2(np.where(f.probs > 0.0, f.probs, 1.0))
+        h_rows = -np.add.reduceat(plogp, f.bounds[:-1])
+        i_zx = entropy(f.q) - float(p_x @ h_rows)
         j_value = i_zx - h_xa
         branch = "unequal"
     return ErasureReport(branch, float(i_za), float(i_zx), float(h_xa), float(j_value))
@@ -342,29 +334,6 @@ def _check_pushforward(f: ErasureFunction, g: GroupedData, outputs: list[np.ndar
             f"q differs from the pushforward of group {g.concepts[i]} by {err[i]:.3g}, "
             f"outside tolerance {RENORM_TOL}"
         )
-
-
-def _row_entropies(probs: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Entropy in bits of each row ``probs[bounds[r]:bounds[r + 1]]``.
-
-    Equal bit for bit to ``entropy_bits`` of the row alone. np.sum adds
-    fewer than 8 terms left to right and 8 or more pairwise, so rows with
-    fewer than 8 non-zero cells are summed here a column at a time, left to
-    right, and only longer ones go through ``entropy_bits``.
-    """
-    nz = probs > 0.0
-    terms = np.zeros_like(probs)
-    terms[nz] = probs[nz] * np.log2(probs[nz])
-    start, sizes = bounds[:-1], np.diff(bounds)
-    long_rows = np.add.reduceat(nz.astype(np.int64), start) >= 8
-    acc = terms[start]
-    for k in range(1, sizes[~long_rows].max(initial=1)):
-        r = np.flatnonzero((sizes > k) & ~long_rows)
-        acc[r] += terms[start[r] + k]
-    h = -acc
-    for r in np.flatnonzero(long_rows).tolist():
-        h[r] = entropy_bits(probs[bounds[r]:bounds[r + 1]])
-    return h
 
 
 def default_tol(n_min: int, delta: float = 0.01) -> float:
@@ -518,9 +487,7 @@ def read_erased_csv(path) -> np.ndarray:
 
 
 def save_function_json(f: ErasureFunction, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(f.to_json(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(f.to_json(), path)
 
 
 def load_function_json(path) -> ErasureFunction:

@@ -9,7 +9,7 @@ by construction; sampling is fully determined by the config seed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,14 +38,7 @@ class SynthConfig:
             raise DistError(f"setting must be one of {SETTINGS}")
 
     def to_json(self) -> dict:
-        return {
-            "n_groups": self.n_groups,
-            "support_per_group": self.support_per_group,
-            "n_samples_per_group": self.n_samples_per_group,
-            "setting": self.setting,
-            "seed": self.seed,
-            "dirichlet_alpha": self.dirichlet_alpha,
-        }
+        return asdict(self)
 
 
 def bell_profile(k: int) -> np.ndarray:

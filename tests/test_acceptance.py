@@ -30,8 +30,8 @@ from pefkit import (
     plugin_mi,
     select_q,
 )
+from pefkit._kernels import entropy_bits
 from pefkit.coupling import PgdProblem
-from pefkit.dist import entropy_of_probs
 from pefkit.synth import SynthConfig, bell_profile
 from conftest import random_grouped
 
@@ -90,7 +90,7 @@ def test_criterion_1_equal_uniform(capsys):
 
 
 def test_criterion_2_equal_gaussian(capsys):
-    h = entropy_of_probs(bell_profile(100))
+    h = entropy_bits(bell_profile(100))
     _equal_setting_run(
         "equal_gaussian", h, capsys, 2, "equal-gaussian reproduction"
     )

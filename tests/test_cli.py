@@ -161,6 +161,32 @@ class TestErase:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
 
+    def test_bo_settings_unused_without_use_bo(self, tmp_path):
+        # Without --use-bo no GP-UCB runs, so its settings are neither
+        # validated nor recorded.
+        out = gen(tmp_path, setting="unequal")
+        erased = tmp_path / "erased"
+        code = run(["erase", "--samples", out / "samples.csv", "--dists", out / "true_dists.json",
+                    "--bo-budget", 0, "--out-dir", erased])
+        assert code == EXIT_OK
+        config = json.loads((erased / "run_config.json").read_text())["config"]
+        assert config["bo"] is None and config["use_bo"] is False
+
+    @pytest.mark.parametrize("support", [[0.4, 1.4, 2.4, 3.4], ["0", "1", "2", "3"]],
+                             ids=["fractional", "string"])
+    def test_non_integer_dists_support_is_config_error(self, tmp_path, capsys, support):
+        # int() once truncated 0.4 to 0 and parsed "0", so the run exited 0.
+        out = gen(tmp_path, setting="unequal")
+        obj = json.loads((out / "true_dists.json").read_text())
+        obj["groups"][0]["dist"]["support"] = support
+        (out / "bad_dists.json").write_text(json.dumps(obj))
+        capsys.readouterr()
+        code = run(["erase", "--samples", out / "samples.csv", "--dists", out / "bad_dists.json",
+                    "--out-dir", tmp_path / "erased"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "symbol ids must be integers" in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_tol_not_finite_and_non_negative_is_config_error(self, tmp_path, capsys, tol):
         # A NaN or infinite tol would pass every group as permutation-equal,
@@ -240,6 +266,20 @@ def _scale_first_row(obj):
     row["probs"] = [p * 1.1 for p in row["probs"]]
 
 
+def _shift_output_support(obj):
+    obj["output_support"] = [s + 0.9 for s in obj["output_support"]]
+
+
+def _shift_first_row(obj):
+    row = _first_row(obj)
+    row["support"] = [s + 0.5 for s in row["support"]]
+
+
+def _shift_one_map_value(obj):
+    m = obj["group_maps"]["0"]
+    m[min(m, key=int)] += 0.5
+
+
 class TestMalformedFunction:
     # The setting of the generated data (unequal: stochastic, equal_uniform:
     # deterministic), the edit that breaks its function.json, and the error.
@@ -278,6 +318,10 @@ class TestMalformedFunction:
             _uniform_q(lambda obj: obj["output_support"]),
             "differs from the pushforward of group",
         ),
+        # Fractional ids were once truncated to the ids they were shifted from.
+        "fractional_output_support": ("unequal", _shift_output_support, "must be integers"),
+        "fractional_row_output": ("unequal", _shift_first_row, "must be integers"),
+        "fractional_map_value": ("equal_uniform", _shift_one_map_value, "must be integers"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

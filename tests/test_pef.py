@@ -14,6 +14,7 @@ from pefkit import (
     ErasureReport,
     GroupedData,
     Sample,
+    SynthConfig,
     analyze,
     apply,
     build_deterministic_pef,
@@ -22,8 +23,10 @@ from pefkit import (
     default_tol,
     entropy,
     estimate_distribution,
+    generate,
     grouped_from_samples,
     load_function_json,
+    objective_j,
     read_erased_csv,
     read_samples_csv,
     run_algorithm1,
@@ -32,9 +35,8 @@ from pefkit import (
     write_erased_csv,
     write_samples_csv,
 )
-from pefkit._kernels import entropy_bits
 from pefkit.dist import DistError
-from pefkit.pef import CSV_WRITE_CHUNK, _row_entropies
+from pefkit.pef import CSV_WRITE_CHUNK
 from conftest import random_grouped
 
 
@@ -179,17 +181,44 @@ class TestStochasticBranch:
             )
             assert report.j_value <= 1e-12
 
+    # analyze reads J off the compiled table; objective_j computes it again
+    # from the dense greedy coupling of each group with Q.
+    def test_j_matches_objective_j_on_random_groups(self, rng):
+        for _ in range(10):
+            g = random_grouped(rng)
+            f, report = build_pef(g, tol=0.0)
+            assert report.j_value == pytest.approx(objective_j(f.q, g), abs=1e-9)
 
-def test_row_entropies_equal_entropy_bits_per_row(rng):
-    # Rows of 1 to 12 cells, some holding zeros, straddle the 8 terms at
-    # which np.sum stops adding left to right.
-    sizes = rng.integers(1, 13, size=400)
-    probs = rng.dirichlet(np.ones(sizes.sum())) * rng.random(sizes.sum()) ** 4
-    probs[rng.random(sizes.sum()) < 0.15] = 0.0
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    h = _row_entropies(probs, bounds)
-    for r in range(len(sizes)):
-        assert h[r].tobytes() == np.float64(entropy_bits(probs[bounds[r]:bounds[r + 1]])).tobytes()
+    @pytest.mark.parametrize("groups,support", [(2, 50), (4, 200), (8, 1000)])
+    def test_j_matches_objective_j_on_generated_groups(self, groups, support):
+        cfg = SynthConfig(n_groups=groups, support_per_group=support,
+                          n_samples_per_group=1, setting="unequal", seed=1)
+        g, _ = generate(cfg)
+        f, report = build_pef(g, tol=1e-9)
+        assert report.branch == "unequal"
+        assert report.j_value == pytest.approx(objective_j(f.q, g), abs=1e-9)
+
+
+def test_analyze_hand_built_table_with_zero_cell():
+    # Symbol 0 goes to 10 (its row also holds a zero cell for 11), 1 and 3 go
+    # to 11, and 2 goes to 10 or 11 at odds 2:1. Both groups push onto
+    # Q = (1/2, 1/2), and only row 2 is uncertain, so
+    # I(Z;X) = H(Q) - p(X=2) h(1/3) = 1 - 0.375 (log2 3 - 2/3).
+    g = GroupedData(
+        ((0, Categorical((0, 1), [0.5, 0.5])), (1, Categorical((2, 3), [0.75, 0.25]))),
+        [0.5, 0.5],
+    )
+    f = ErasureFunction(
+        "stochastic", (10, 11), Categorical.uniform((10, 11)), ids=[0, 1, 2, 3],
+        bounds=[0, 2, 3, 5, 6], out=[10, 11, 11, 10, 11, 11],
+        probs=[1.0, 0.0, 1.0, 2 / 3, 1 / 3, 1.0],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the zero cell must not reach log2
+        report = analyze(f, g)
+    assert report.i_zx_analytic == pytest.approx(1 - 0.375 * (math.log2(3) - 2 / 3), abs=1e-12)
+    assert report.j_value == pytest.approx(-0.25, abs=1e-12)
+    assert report.i_za_analytic == pytest.approx(0.0, abs=1e-12)
 
 
 def test_analyze_rejects_q_off_the_pushforward():
