@@ -1,12 +1,15 @@
 """The numeric inner loops that every layer shares.
 
-``entropy_bits`` is summed by dist, coupling and qopt; ``greedy_fill``
-builds every greedy coupling, including the one inside each call of the
-Q objective; ``row_searchsorted`` draws every stochastic erasure. All
-take and return plain arrays, not ``Categorical`` or ``Coupling`` values,
-so hot callers skip the validation those types do on construction, and
-this module imports nothing from pefkit, so every other module can use it
-without an import cycle.
+``entropy_bits`` is summed by dist, coupling and qopt. Greedy couplings
+come from one of two kernels, chosen by how many the caller needs at once:
+``greedy_fill_batch`` scores every (candidate, group) pair of the
+stationary Q scan in one lockstep pass, and ``greedy_fill`` builds each
+single coupling (``objective_j`` in GP-UCB rounds, ``greedy_mec`` for the
+erasure function, PGD and the ``mec`` command). ``row_searchsorted`` draws
+every stochastic erasure. All take and return plain arrays, not
+``Categorical`` or ``Coupling`` values, so hot callers skip the validation
+those types do on construction, and this module imports nothing from
+pefkit, so every other module can use it without an import cycle.
 """
 
 from __future__ import annotations
@@ -50,6 +53,51 @@ def greedy_fill(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         heapq.heapreplace(hp, (neg_rp + m, i))
         heapq.heapreplace(hq, (neg_rq + m, j))
     return mass
+
+
+def greedy_fill_batch(
+    p: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy couplings of B problems at once, stepped in lockstep.
+
+    ``p`` (B, m) and ``q`` (B, n) hold one problem per row, zero-padded on
+    the right. Each step takes the first maximum of every residual row with
+    ``argmax``, pairs them with their minimum and subtracts it from both,
+    until every problem's minimum is at most ``RESIDUAL_EPS``; a finished
+    problem records and subtracts 0. This is the argmax form of
+    ``greedy_fill`` run across problems: the same tie rule (lowest index),
+    stop rule and subtraction, so problem b's cells with mass > 0 are
+    exactly the nonzero cells of ``greedy_fill(p[b], q[b])``, bit for bit,
+    and padding is never paired while mass remains. Returns ``(rows, cols,
+    mass)``, each of shape (steps, B); no cell appears twice in a problem.
+
+    A step scans whole rows, O(B (m + n)) per step against the heap's
+    O(log(m + n)), so this pays off only over many problems: the stationary
+    scan's ``n_groups**2`` couplings (the ``wide_unequal`` workload), not a
+    single coupling per GP-UCB round (``bo_unequal``), which stays on
+    ``greedy_fill``.
+    """
+    # order="C": a broadcast input would otherwise keep its strides.
+    rp = np.array(p, dtype=np.float64, order="C")
+    rq = np.array(q, dtype=np.float64, order="C")
+    b = np.arange(rp.shape[0])
+    steps = rp.shape[1] + rq.shape[1]
+    rows = np.zeros((steps, b.size), dtype=np.intp)
+    cols = np.zeros((steps, b.size), dtype=np.intp)
+    mass = np.zeros((steps, b.size))
+    t = 0
+    while t < steps:
+        i = rp.argmax(axis=1)
+        j = rq.argmax(axis=1)
+        m = np.minimum(rp[b, i], rq[b, j])
+        m[m <= RESIDUAL_EPS] = 0.0
+        if not m.any():
+            break
+        rp[b, i] -= m
+        rq[b, j] -= m
+        rows[t], cols[t], mass[t] = i, j, m
+        t += 1
+    return rows[:t], cols[:t], mass[:t]
 
 
 def row_searchsorted(

@@ -172,7 +172,7 @@ class ErasureFunction:
             head = (obj["variant"], tuple(obj["output_support"]), Categorical.from_json(obj["q"]))
             if head[0] == "deterministic":
                 maps = {
-                    int(c): Permutation(dict(zip(map(int, m), int_ids(m.values()))))
+                    _int_key(c): Permutation(dict(zip(map(_int_key, m), int_ids(m.values()))))
                     for c, m in obj["group_maps"].items()
                 }
                 return cls(*head, group_maps=maps)
@@ -180,12 +180,33 @@ class ErasureFunction:
             sizes = [len(r["support"]) for r in rows.values()]
             if sizes != [len(r["probs"]) for r in rows.values()]:
                 raise DistError("every row needs one probability per output symbol")
-            ids = np.array([int(x) for x in rows], dtype=np.int64)
+            ids = np.array([_int_key(x) for x in rows], dtype=np.int64)
             out = np.array(int_ids(z for r in rows.values() for z in r["support"]), dtype=np.int64)
             probs = [p for r in rows.values() for p in r["probs"]]
         except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise DistError(f"malformed function JSON: {exc!r}") from None
         return cls(*head, ids=ids, bounds=np.cumsum([0, *sizes]), out=out, probs=probs)
+
+
+def _int_key(key: str) -> int:
+    """A JSON object key as an int; DistError unless it is the key ``str`` writes.
+
+    ``int`` alone would also read "1_0" as 10 and " 3" as 3.
+    """
+    try:
+        if str(int(key)) == key:
+            return int(key)
+    except (TypeError, ValueError):
+        pass
+    raise DistError(f"key {key!r} is not an integer in canonical form")
+
+
+def _int_array(a, what: str) -> np.ndarray:
+    """``a`` as int64; DistError if it holds anything but integers, as ``int_ids``."""
+    arr = np.asarray(a)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise DistError(f"{what} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64)
 
 
 def _compile_rows(support, ids, bounds, out, probs):
@@ -194,7 +215,9 @@ def _compile_rows(support, ids, bounds, out, probs):
     As in Categorical, a row whose mass is off by more than NORM_TOL is
     renormalized with a warning and one off by more than RENORM_TOL raises.
     """
-    ids, bounds, out = (np.asarray(a, dtype=np.int64) for a in (ids, bounds, out))
+    ids, bounds, out = (
+        _int_array(a, what) for a, what in ((ids, "ids"), (bounds, "bounds"), (out, "outputs"))
+    )
     probs = np.asarray(probs, dtype=np.float64)
     sizes = np.diff(bounds)
     if not ids.size or np.any(sizes < 1) or not len(out) == len(probs) == bounds[-1]:

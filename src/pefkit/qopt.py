@@ -5,7 +5,9 @@ vanishes exactly when every coupling is a permutation matrix. H_min uses the
 greedy coupling approximation (``objective_j`` can swap in the exact oracle
 for small instances). Candidates come from a stationary-point scan over the
 input distributions and, when a ``BoConfig`` is given, Gaussian-process UCB
-Bayesian optimization on the simplex seeded with that scan.
+Bayesian optimization on the simplex seeded with that scan. The scan scores
+all of its ``n_groups**2`` couplings in one ``greedy_fill_batch`` pass;
+``objective_j`` scores one Q at a time on the heap kernel ``greedy_fill``.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import entropy_bits, greedy_fill
+from ._kernels import entropy_bits, greedy_fill, greedy_fill_batch
 from .coupling import mec_oracle
 from .dist import Categorical, DistError, GroupedData, entropy
 
@@ -65,14 +67,29 @@ def objective_j(q: Categorical, g: GroupedData, use_oracle: bool = False) -> flo
     This runs once per BO evaluation, so it takes the coupling mass straight
     from the kernel instead of building a validated ``Coupling``.
     """
-    val = entropy(q)
-    for prior, d in zip(g.priors, g.dists):
+    h = []
+    for d in g.dists:
         if use_oracle:
             mass = mec_oracle(d, q).mass
         else:
             mass = greedy_fill(d.probs, q.probs)
-        val -= float(prior) * entropy_bits(mass.ravel())
+        h.append(entropy_bits(mass.ravel()))
+    return _j_value(q, g, h)
+
+
+def _j_value(q: Categorical, g: GroupedData, coupling_entropies) -> float:
+    """H(Q) minus the prior-weighted coupling entropies, subtracted in group order."""
+    val = entropy(q)
+    for prior, h in zip(g.priors, coupling_entropies):
+        val -= float(prior) * h
     return float(val)
+
+
+def _zero_padded(rows: list[np.ndarray]) -> np.ndarray:
+    out = np.zeros((len(rows), max(r.size for r in rows)))
+    for k, r in enumerate(rows):
+        out[k, : r.size] = r
+    return out
 
 
 def scan_stationary(g: GroupedData, out_size: int) -> list[QCandidate]:
@@ -80,16 +97,28 @@ def scan_stationary(g: GroupedData, out_size: int) -> list[QCandidate]:
 
     Probabilities are laid out in descending order on ascending output ids;
     zero padding beyond the group's support is trimmed by construction.
+    Every (candidate, group) coupling comes from one ``greedy_fill_batch``
+    call. Each coupling's entropy is summed over its cells in row-major
+    order, the order of ``greedy_fill``'s dense mass, so every J equals
+    ``objective_j``'s bit for bit.
     """
     if out_size < default_out_size(g):
         raise DistError("out_size must be >= the largest group support")
     support = output_support(g, out_size)
-    candidates = []
-    for _, d in g.groups:
-        probs = np.sort(d.probs)[::-1]
-        dist = Categorical(support[: len(d)], probs)
-        candidates.append(QCandidate(dist, objective_j(dist, g), "stationary"))
-    return candidates
+    dists = [Categorical(support[: len(d)], np.sort(d.probs)[::-1]) for d in g.dists]
+    n_groups = len(dists)
+    # Problem c * n_groups + i couples group i onto candidate c.
+    p = np.tile(_zero_padded([d.probs for d in g.dists]), (n_groups, 1))
+    q = np.repeat(_zero_padded([d.probs for d in dists]), n_groups, axis=0)
+    rows, cols, mass = greedy_fill_batch(p, q)
+    h = []
+    for b in range(p.shape[0]):
+        live = mass[:, b] > 0.0
+        h.append(entropy_bits(mass[live, b][np.lexsort((cols[live, b], rows[live, b]))]))
+    return [
+        QCandidate(dist, _j_value(dist, g, h[c * n_groups : (c + 1) * n_groups]), "stationary")
+        for c, dist in enumerate(dists)
+    ]
 
 
 def _softmax_dist(theta: np.ndarray, support: tuple[int, ...]) -> Categorical:

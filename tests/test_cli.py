@@ -280,6 +280,23 @@ def _shift_one_map_value(obj):
     m[min(m, key=int)] += 0.5
 
 
+def _rename_first_row(key):
+    def mutate(obj):
+        first = min(obj["rows"], key=int)
+        obj["rows"][key(first)] = obj["rows"].pop(first)
+    return mutate
+
+
+def _pad_one_map_key(obj):
+    m = obj["group_maps"]["0"]
+    first = min(m, key=int)
+    m[f" {first}"] = m.pop(first)
+
+
+def _pad_one_concept_key(obj):
+    obj["group_maps"]["+0"] = obj["group_maps"].pop("0")
+
+
 class TestMalformedFunction:
     # The setting of the generated data (unequal: stochastic, equal_uniform:
     # deterministic), the edit that breaks its function.json, and the error.
@@ -322,6 +339,20 @@ class TestMalformedFunction:
         "fractional_output_support": ("unequal", _shift_output_support, "must be integers"),
         "fractional_row_output": ("unequal", _shift_first_row, "must be integers"),
         "fractional_map_value": ("equal_uniform", _shift_one_map_value, "must be integers"),
+        # int() alone read a row key "1_0" as 10 and " 3" as 3.
+        "underscored_row_key": (
+            "unequal", _rename_first_row(lambda k: f"1_{k}"), "not an integer in canonical form"
+        ),
+        "padded_row_key": (
+            "unequal", _rename_first_row(lambda k: f" {k}"), "not an integer in canonical form"
+        ),
+        "zero_led_row_key": (
+            "unequal", _rename_first_row(lambda k: f"0{k}"), "not an integer in canonical form"
+        ),
+        "padded_map_key": ("equal_uniform", _pad_one_map_key, "not an integer in canonical form"),
+        "signed_concept_key": (
+            "equal_uniform", _pad_one_concept_key, "not an integer in canonical form"
+        ),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

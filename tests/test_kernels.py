@@ -2,7 +2,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pefkit._kernels import RESIDUAL_EPS, entropy_bits, greedy_fill, row_searchsorted
+from pefkit._kernels import (
+    RESIDUAL_EPS,
+    entropy_bits,
+    greedy_fill,
+    greedy_fill_batch,
+    row_searchsorted,
+)
 
 
 def greedy_fill_reference(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -80,6 +86,59 @@ def test_greedy_fill_property(a, b):
     np.testing.assert_allclose(mass.sum(axis=1), p, rtol=0, atol=1e-12)
     np.testing.assert_allclose(mass.sum(axis=0), q, rtol=0, atol=1e-12)
     assert np.count_nonzero(mass) <= p.size + q.size - 1
+
+
+def assert_batch_matches_reference(ps: list, qs: list) -> None:
+    """Stack the problems zero-padded, run the batch kernel once, and compare
+    every problem's cells with the argmax reference, bit for bit."""
+    p = np.zeros((len(ps), max(a.size for a in ps)))
+    q = np.zeros((len(qs), max(a.size for a in qs)))
+    for b, (a, c) in enumerate(zip(ps, qs)):
+        p[b, : a.size] = a
+        q[b, : c.size] = c
+    rows, cols, mass = greedy_fill_batch(p, q)
+    assert mass.shape[0] <= p.shape[1] + q.shape[1]
+    for b, (a, c) in enumerate(zip(ps, qs)):
+        live = mass[:, b] > 0
+        cells = list(zip(rows[live, b].tolist(), cols[live, b].tolist()))
+        assert len(set(cells)) == len(cells)
+        # A cell in the padding would fall outside the problem's own shape.
+        dense = np.zeros((a.size, c.size))
+        dense[rows[live, b], cols[live, b]] = mass[live, b]
+        np.testing.assert_array_equal(dense, greedy_fill_reference(a, c))
+
+
+_problem = st.tuples(_weights, _weights, st.booleans(), st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_problem, min_size=1, max_size=6))
+def test_greedy_fill_batch_property(problems):
+    # Mixed support sizes, so shorter problems run on zero padding, and
+    # uniform sides, so every step meets ties.
+    ps, qs = [], []
+    for a, b, uniform_p, uniform_q in problems:
+        ps.append(np.full(len(a), 1.0 / len(a)) if uniform_p else np.array(a) / sum(a))
+        qs.append(np.full(len(b), 1.0 / len(b)) if uniform_q else np.array(b) / sum(b))
+    assert_batch_matches_reference(ps, qs)
+
+
+def test_greedy_fill_batch_wide_stack():
+    # The size of the 8 x 1000 stationary scan: 64 problems, 1000 wide.
+    rng = np.random.default_rng(5)
+    ps = [rng.dirichlet(np.ones(int(rng.integers(500, 1001)))) for _ in range(64)]
+    qs = [rng.dirichlet(np.ones(int(rng.integers(500, 1001)))) for _ in range(64)]
+    ps[0] = np.full(1000, 1e-3)
+    assert_batch_matches_reference(ps, qs)
+
+
+def test_greedy_fill_batch_leaves_inputs_alone():
+    p = np.broadcast_to(np.array([0.5, 0.3, 0.2]), (2, 3))
+    q = np.array([[0.6, 0.4, 0.0], [1.0, 0.0, 0.0]])
+    before = q.copy()
+    rows, cols, mass = greedy_fill_batch(p, q)
+    np.testing.assert_array_equal(q, before)
+    np.testing.assert_array_equal(mass.sum(axis=0), [1.0, 1.0])
 
 
 def test_row_searchsorted_exact_at_cdf_values():

@@ -243,6 +243,19 @@ def test_q_outside_output_support_is_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "ids,out",
+    [([0.4, 1.7], [10, 11]), ([0, 1], [10.6, 11.2]), ([0.4, 1.7], [10.6, 11.2])],
+)
+def test_fractional_table_ids_are_rejected(ids, out):
+    # They were once truncated to [0, 1] and [10, 11] without an error.
+    with pytest.raises(DistError, match="must be integers"):
+        ErasureFunction(
+            "stochastic", (10, 11), Categorical.uniform((10, 11)),
+            ids=ids, bounds=[0, 1, 2], out=out, probs=[1.0, 1.0],
+        )
+
+
 def induced_output_reference(f, d):
     """The per-symbol, per-cell loop the bincount replaced, kept as the oracle."""
     out = np.zeros(len(f.output_support))

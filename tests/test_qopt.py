@@ -89,6 +89,29 @@ class TestStationaryScan:
         assert cands[(0.5, 0.5)] == pytest.approx(-0.18048202372184052, abs=1e-9)
         assert cands[(0.6, 0.4)] == pytest.approx(-0.19500672649450623, abs=1e-9)
 
+    def test_j_equals_objective_j_bit_for_bit(self, rng):
+        # Mixed support sizes, so the batched couplings run on zero padding.
+        for _ in range(30):
+            g = random_grouped(rng, n_groups=int(rng.integers(2, 6)))
+            for out_size in (default_out_size(g), default_out_size(g) + 2):
+                for c in scan_stationary(g, out_size):
+                    assert c.j_value == objective_j(c.dist, g)
+
+    def test_golden_eight_by_two_hundred(self):
+        # Pinned from the scan that called objective_j once per candidate; a
+        # change in how the coupling entropies are summed moves the last bits.
+        g, _ = synth.generate(synth.SynthConfig(8, 200, 10, "unequal", seed=1))
+        assert [c.j_value for c in scan_stationary(g, 200)] == [
+            -0.15753799579833883,
+            -0.14541982817273402,
+            -0.12796370469966822,
+            -0.16609815230553238,
+            -0.13066452099581638,
+            -0.11149981177882617,
+            -0.14586231808252081,
+            -0.11569451705360911,
+        ]
+
     def test_best_stationary_selected_without_bo(self):
         g = grouped([0.5, 0.5], [0.6, 0.4])
         sel = select_q(g, 2)
@@ -128,33 +151,44 @@ class TestBayesOpt:
         )
 
     @staticmethod
-    def count_objective_calls(monkeypatch):
-        calls = []
-        inner = qopt.objective_j
+    def count_scored_candidates(monkeypatch):
+        # The scan scores its candidates in one batch, GP-UCB one
+        # objective_j call at a time; both count.
+        scored, scans = [], []
+        scan, objective = qopt.scan_stationary, qopt.objective_j
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return inner(*args, **kwargs)
+        def counted_scan(*args, **kwargs):
+            candidates = scan(*args, **kwargs)
+            scans.append(1)
+            scored.extend(candidates)
+            return candidates
 
-        monkeypatch.setattr(qopt, "objective_j", counted)
-        return calls
+        def counted_objective(*args, **kwargs):
+            scored.append(1)
+            return objective(*args, **kwargs)
+
+        monkeypatch.setattr(qopt, "scan_stationary", counted_scan)
+        monkeypatch.setattr(qopt, "objective_j", counted_objective)
+        return scored, scans
 
     @pytest.mark.parametrize("n_groups,budget", [(2, 2), (2, 9), (4, 4), (4, 10)])
     def test_budget_counts_every_scored_candidate(self, monkeypatch, n_groups, budget):
         # The stationary scan seeds the GP, so it counts toward the budget
         # and is not scored a second time.
         g, _ = synth.generate(synth.SynthConfig(n_groups, 4, 10, "unequal", seed=2))
-        calls = self.count_objective_calls(monkeypatch)
+        scored, scans = self.count_scored_candidates(monkeypatch)
         select_q(g, default_out_size(g), BoConfig(budget=budget, seed=0))
-        assert len(calls) == budget
+        assert len(scored) == budget
+        assert len(scans) == 1
 
     def test_budget_below_groups_returns_best_stationary(self, monkeypatch):
         g, _ = synth.generate(synth.SynthConfig(5, 4, 10, "unequal", seed=3))
         nz = default_out_size(g)
         best = max(scan_stationary(g, nz), key=lambda c: c.j_value)
-        calls = self.count_objective_calls(monkeypatch)
+        scored, scans = self.count_scored_candidates(monkeypatch)
         sel = select_q(g, nz, BoConfig(budget=2, seed=0))
-        assert len(calls) == 5
+        assert len(scored) == 5
+        assert len(scans) == 1
         assert sel.source == "stationary"
         assert sel.j_value == best.j_value
         assert sel.dist == best.dist
