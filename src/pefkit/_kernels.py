@@ -1,15 +1,18 @@
 """The numeric inner loops that every layer shares.
 
 ``entropy_bits`` is summed by dist, coupling and qopt. Greedy couplings
-come from one of two kernels, chosen by how many the caller needs at once:
-``greedy_fill_batch`` scores every (candidate, group) pair of the
-stationary Q scan in one lockstep pass, and ``greedy_fill`` builds each
-single coupling (``objective_j`` in GP-UCB rounds, ``greedy_mec`` for the
-erasure function, PGD and the ``mec`` command). ``row_searchsorted`` draws
-every stochastic erasure. All take and return plain arrays, not
-``Categorical`` or ``Coupling`` values, so hot callers skip the validation
-those types do on construction, and this module imports nothing from
-pefkit, so every other module can use it without an import cycle.
+come from one of two kernels, chosen by how many the caller needs at once.
+``greedy_fill_batch`` steps many couplings in lockstep and returns their
+cells, which ``live_cells`` splits per problem in row-major order: the
+stationary Q scan couples every (candidate, group) pair in one call, and
+``build_stochastic_pef`` every group onto the chosen Q in another, so
+neither builds a dense mass matrix. ``greedy_fill`` is a heap that builds
+one dense coupling: ``objective_j`` in GP-UCB rounds, ``greedy_mec`` (the
+``mec`` command) and PGD. ``row_searchsorted`` draws every stochastic
+erasure. All take and return plain arrays, not ``Categorical`` or
+``Coupling`` values, so hot callers skip the validation those types do on
+construction, and this module imports nothing from pefkit, so every other
+module can use it without an import cycle.
 """
 
 from __future__ import annotations
@@ -72,10 +75,11 @@ def greedy_fill_batch(
     mass)``, each of shape (steps, B); no cell appears twice in a problem.
 
     A step scans whole rows, O(B (m + n)) per step against the heap's
-    O(log(m + n)), so this pays off only over many problems: the stationary
-    scan's ``n_groups**2`` couplings (the ``wide_unequal`` workload), not a
-    single coupling per GP-UCB round (``bo_unequal``), which stays on
-    ``greedy_fill``.
+    O(log(m + n)), so it pays off over several problems at once: the
+    stationary scan's ``n_groups**2`` couplings and the erasure function's
+    ``n_groups`` (one per group onto Q), both dominant on the
+    ``wide_unequal`` workload. A single coupling per GP-UCB round
+    (``bo_unequal``) stays on ``greedy_fill``.
     """
     # order="C": a broadcast input would otherwise keep its strides.
     rp = np.array(p, dtype=np.float64, order="C")
@@ -98,6 +102,33 @@ def greedy_fill_batch(
         rows[t], cols[t], mass[t] = i, j, m
         t += 1
     return rows[:t], cols[:t], mass[:t]
+
+
+def zero_padded(rows: list[np.ndarray]) -> np.ndarray:
+    """Stack 1-d arrays of any lengths as the rows of one matrix, zero-filled on the right."""
+    out = np.zeros((len(rows), max(r.size for r in rows)))
+    for k, r in enumerate(rows):
+        out[k, : r.size] = r
+    return out
+
+
+def live_cells(
+    rows: np.ndarray, cols: np.ndarray, mass: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each problem's cells of a ``greedy_fill_batch`` result, in row-major order.
+
+    Returns one ``(rows, cols, mass)`` per problem, holding only its cells
+    with mass > 0, sorted by row and then by column: the order of
+    ``np.nonzero`` on that problem's dense ``greedy_fill`` mass, so sums
+    over them round as sums over ``mass[mass > 0]`` do.
+    """
+    out = []
+    for b in range(mass.shape[1]):
+        live = mass[:, b] > 0.0
+        r, c, m = rows[live, b], cols[live, b], mass[live, b]
+        order = np.lexsort((c, r))
+        out.append((r[order], c[order], m[order]))
+    return out
 
 
 def row_searchsorted(

@@ -101,24 +101,41 @@ def coupling_entropy(c: Coupling) -> float:
     return entropy_bits(c.mass.ravel())
 
 
-def conditional_rows(c: Coupling, p: Categorical) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P(Z|X=x_k) per row symbol, as the non-zero cells ``(bounds, cols, probs)``.
+def conditional_rows(
+    rows: np.ndarray, cols: np.ndarray, mass: np.ndarray, p: Categorical
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P(Z|X=x_k) per row symbol of one coupling, from its non-zero cells.
 
-    Row k holds ``cols[bounds[k]:bounds[k + 1]]``, ascending indices into
-    ``c.col_support``; as in Categorical, cells of ``TRIM_EPS`` or less
-    after normalizing by the row's mass are dropped.
+    Cell t has mass ``mass[t]`` at row ``rows[t]``, an index into
+    ``p.support``, and column ``cols[t]``; cells come in row-major order,
+    none twice, as ``_kernels.live_cells`` returns them. Returns the cells
+    as ``(bounds, cols, probs)``: row k holds ``cols[bounds[k]:bounds[k + 1]]``.
+    Each row is normalized by its mass summed over its cells in order; as
+    in Categorical, cells of ``TRIM_EPS`` or less after that are dropped.
+    Raises CouplingError unless the cells form a coupling with row
+    marginal ``p``, as ``Coupling`` and the dense checks would.
     """
-    if c.row_support != p.support:
-        raise CouplingError("coupling row support does not match p")
-    totals = c.row_marginal
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    mass = np.asarray(mass, dtype=np.float64)
+    if not rows.shape == cols.shape == mass.shape or mass.ndim != 1:
+        raise CouplingError("need one row, column and mass per cell")
+    if np.any(mass < 0.0):
+        raise CouplingError("coupling mass must be non-negative")
+    if abs(mass.sum() - 1.0) > MARGINAL_TOL:
+        raise CouplingError("total coupling mass must be 1")
+    if rows.min() < 0 or rows.max() >= len(p) or cols.min() < 0:
+        raise CouplingError("cell indices must fall inside the supports")
+    if np.any(np.diff(rows * (cols.max() + 1) + cols) <= 0):
+        raise CouplingError("cells must be in row-major order, each once")
+    totals = np.bincount(rows, mass, minlength=len(p))
     if np.any(np.abs(totals - p.probs) > MARGINAL_TOL):
         raise CouplingError("coupling row marginals do not match p")
     if np.any(totals <= 0):
         raise CouplingError("zero-mass row in coupling")
-    rows, cols = np.nonzero(c.mass)
-    probs = c.mass[rows, cols] / totals[rows]
+    probs = mass / totals[rows]
     keep = probs > TRIM_EPS
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=len(totals)))])
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(rows[keep], minlength=len(p)))])
     return bounds, cols[keep], probs[keep]
 
 

@@ -166,6 +166,10 @@ def evaluate_run(
         )
     ]
     za = JointCounts.from_pairs(erased)
+    check_symbols_known(
+        za.rows, f.output_support, "the erased samples",
+        "the output_support of the erasure function",
+    )
     zx = JointCounts.from_pairs(np.column_stack([z, original[:, 0]]))
     points.append(TradeoffPoint(plugin_mi(zx), plugin_mi(za), "pef", "plugin"))
 

@@ -24,8 +24,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.typing import ArrayLike
 
-from ._kernels import entropy_bits, row_searchsorted
-from .coupling import conditional_rows, greedy_mec
+from ._kernels import entropy_bits, greedy_fill_batch, live_cells, row_searchsorted, zero_padded
+from .coupling import conditional_rows
 from .dist import (
     NORM_TOL,
     RENORM_TOL,
@@ -296,14 +296,20 @@ def build_stochastic_pef(g: GroupedData, q: QCandidate) -> ErasureFunction:
     """Stochastic erasure function: greedy coupling of each group onto Q.
 
     The conditional rows of each coupling give P(Z|X=x); the column-marginal
-    identity makes every group's induced output distribution equal Q.
+    identity makes every group's induced output distribution equal Q. All
+    groups are coupled in one ``greedy_fill_batch`` call, whose cells
+    (at most |X_i| + |Q| - 1 per group) become the rows directly, so no
+    dense |X_i| x |Q| mass matrix is built.
     """
+    support = q.dist.support
+    p = zero_padded([d.probs for d in g.dists])
+    q_rows = np.broadcast_to(q.dist.probs, (len(p), len(support)))
+    cells = live_cells(*greedy_fill_batch(p, q_rows))
     parts = []
-    for d in g.dists:
-        bounds, cols, probs = conditional_rows(greedy_mec(d, q.dist), d)
+    for d, (rows, cols, mass) in zip(g.dists, cells):
+        bounds, cols, probs = conditional_rows(rows, cols, mass, d)
         parts.append((d.support, np.diff(bounds), cols, probs))
     ids, sizes, cols, probs = (np.concatenate(a) for a in zip(*parts))
-    support = q.dist.support
     return ErasureFunction(
         "stochastic",
         support,

@@ -6,7 +6,8 @@ greedy coupling approximation (``objective_j`` can swap in the exact oracle
 for small instances). Candidates come from a stationary-point scan over the
 input distributions and, when a ``BoConfig`` is given, Gaussian-process UCB
 Bayesian optimization on the simplex seeded with that scan. The scan scores
-all of its ``n_groups**2`` couplings in one ``greedy_fill_batch`` pass;
+all of its ``n_groups**2`` couplings in one ``greedy_fill_batch`` pass, as
+``build_stochastic_pef`` then couples every group onto the chosen Q;
 ``objective_j`` scores one Q at a time on the heap kernel ``greedy_fill``.
 """
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import entropy_bits, greedy_fill, greedy_fill_batch
+from ._kernels import entropy_bits, greedy_fill, greedy_fill_batch, live_cells, zero_padded
 from .coupling import mec_oracle
 from .dist import Categorical, DistError, GroupedData, entropy
 
@@ -85,13 +86,6 @@ def _j_value(q: Categorical, g: GroupedData, coupling_entropies) -> float:
     return float(val)
 
 
-def _zero_padded(rows: list[np.ndarray]) -> np.ndarray:
-    out = np.zeros((len(rows), max(r.size for r in rows)))
-    for k, r in enumerate(rows):
-        out[k, : r.size] = r
-    return out
-
-
 def scan_stationary(g: GroupedData, out_size: int) -> list[QCandidate]:
     """Score each input distribution, re-indexed onto the output support.
 
@@ -108,13 +102,9 @@ def scan_stationary(g: GroupedData, out_size: int) -> list[QCandidate]:
     dists = [Categorical(support[: len(d)], np.sort(d.probs)[::-1]) for d in g.dists]
     n_groups = len(dists)
     # Problem c * n_groups + i couples group i onto candidate c.
-    p = np.tile(_zero_padded([d.probs for d in g.dists]), (n_groups, 1))
-    q = np.repeat(_zero_padded([d.probs for d in dists]), n_groups, axis=0)
-    rows, cols, mass = greedy_fill_batch(p, q)
-    h = []
-    for b in range(p.shape[0]):
-        live = mass[:, b] > 0.0
-        h.append(entropy_bits(mass[live, b][np.lexsort((cols[live, b], rows[live, b]))]))
+    p = np.tile(zero_padded([d.probs for d in g.dists]), (n_groups, 1))
+    q = np.repeat(zero_padded([d.probs for d in dists]), n_groups, axis=0)
+    h = [entropy_bits(mass) for _, _, mass in live_cells(*greedy_fill_batch(p, q))]
     return [
         QCandidate(dist, _j_value(dist, g, h[c * n_groups : (c + 1) * n_groups]), "stationary")
         for c, dist in enumerate(dists)

@@ -496,6 +496,25 @@ class TestEvaluate:
         assert err.count("\n") == 1 and "missing from the erasure function" in err
 
 
+    def test_erased_symbol_outside_output_support_is_align_error(self, tmp_path, capsys):
+        out = gen(tmp_path, setting="unequal", support=6, samples=50)
+        erased = tmp_path / "erased"
+        code = run(["erase", "--samples", out / "samples.csv", "--dists",
+                    out / "true_dists.json", "--out-dir", erased])
+        assert code == EXIT_OK
+        header, first, *rest = (erased / "erased.csv").read_text().splitlines()
+        edited = tmp_path / "edited.csv"
+        edited.write_text("\n".join([header, "999999," + first.split(",")[1], *rest]) + "\n")
+        capsys.readouterr()
+        code = run(["evaluate", "--dists", out / "true_dists.json", "--function",
+                    erased / "function.json", "--erased", edited, "--samples",
+                    out / "samples.csv", "--out-dir", tmp_path / "eval"])
+        assert code == EXIT_ALIGN
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "output_support" in err and "999999" in err
+        assert not (tmp_path / "eval").exists()
+
+
 class TestUtilities:
     def test_funnel(self, tmp_path, capsys):
         out = gen(tmp_path)

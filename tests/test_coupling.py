@@ -109,14 +109,21 @@ class TestOracle:
             mec_oracle(p, q, max_cells=20)
 
 
+def cells(c: Coupling):
+    """A dense coupling's non-zero cells in row-major order: conditional_rows' input."""
+    rows, cols = np.nonzero(c.mass)
+    return rows, cols, c.mass[rows, cols]
+
+
 def conditional_rows_reference(c: Coupling, p: Categorical) -> list[Categorical]:
     """One validated Categorical per row over the whole column support,
-    the construction the sparse rows replace, kept as the oracle."""
-    return [Categorical(c.col_support, row / row.sum()) for row in c.mass]
+    the construction the sparse rows replace, kept as the oracle. Each
+    row's mass is summed left to right, the order of its cells."""
+    return [Categorical(c.col_support, row / np.cumsum(row)[-1]) for row in c.mass]
 
 
 def assert_rows_match_reference(c: Coupling, p: Categorical) -> None:
-    bounds, cols, probs = conditional_rows(c, p)
+    bounds, cols, probs = conditional_rows(*cells(c), p)
     reference = conditional_rows_reference(c, p)
     assert len(bounds) == len(reference) + 1
     support = np.array(c.col_support)
@@ -128,15 +135,15 @@ def assert_rows_match_reference(c: Coupling, p: Categorical) -> None:
 class TestConditionalRows:
     def test_normalization_example(self):
         c = greedy_mec(cat([0, 1], [0.6, 0.4]), cat([2, 3], [0.5, 0.5]))
-        bounds, cols, probs = conditional_rows(c, cat([0, 1], [0.6, 0.4]))
+        bounds, cols, probs = conditional_rows(*cells(c), cat([0, 1], [0.6, 0.4]))
         assert bounds.tolist() == [0, 2, 3]
-        assert cols.tolist() == [0, 1, 1]  # the zero cell (1, 0) is trimmed
+        assert cols.tolist() == [0, 1, 1]  # the zero cell (1, 0) is absent
         np.testing.assert_allclose(probs[:2], [5 / 6, 1 / 6], atol=1e-12)
         np.testing.assert_allclose(probs[2:], [1.0], atol=1e-12)
 
     def test_diagonal_gives_point_masses(self):
         p = cat([0, 1, 2], [0.5, 0.3, 0.2])
-        bounds, cols, probs = conditional_rows(greedy_mec(p, p), p)
+        bounds, cols, probs = conditional_rows(*cells(greedy_mec(p, p)), p)
         assert bounds.tolist() == [0, 1, 2, 3]
         assert cols.tolist() == [0, 1, 2]
         np.testing.assert_array_equal(probs, [1.0, 1.0, 1.0])
@@ -145,7 +152,7 @@ class TestConditionalRows:
         for _ in range(20):
             p, q = random_pair(rng)
             c = greedy_mec(p, q)
-            bounds, cols, probs = conditional_rows(c, p)
+            bounds, cols, probs = conditional_rows(*cells(c), p)
             rebuilt = np.zeros_like(c.mass)
             rows = np.repeat(np.arange(len(p)), np.diff(bounds))
             rebuilt[rows, cols] = p.probs[rows] * probs
@@ -156,14 +163,34 @@ class TestConditionalRows:
         p = cat([0, 1], [0.5, 0.5])
         mass = np.array([[0.5 - 1e-13, 1e-13, 0.0], [0.0, 1e-12, 0.5 - 1e-12]])
         c = Coupling((0, 1), (2, 3, 4), mass)
-        bounds, cols, _ = conditional_rows(c, p)
+        bounds, cols, _ = conditional_rows(*cells(c), p)
         assert bounds.tolist() == [0, 1, 3] and cols.tolist() == [0, 1, 2]
         assert_rows_match_reference(c, p)
 
     def test_rejects_mismatched_marginals(self):
         c = Coupling((0, 1), (2, 3), np.array([[0.5, 0.0], [0.0, 0.5]]))
         with pytest.raises(CouplingError):
-            conditional_rows(c, cat([0, 1], [0.6, 0.4]))
+            conditional_rows(*cells(c), cat([0, 1], [0.6, 0.4]))
+
+    # Each case breaks one condition and keeps the ones checked before it.
+    @pytest.mark.parametrize("rows,cols,mass,match", [
+        ([0, 0, 1], [0, 1, 1], [0.6, -0.1, 0.5], "non-negative"),
+        ([0, 1], [0, 1], [0.5, 0.6], "total coupling mass"),
+        ([0, 1], [0, 1], [0.6, 0.4], "row marginals"),
+        ([0, 1, 3], [0, 1, 1], [0.25, 0.25, 0.5], "inside the supports"),
+        ([1, 0], [1, 0], [0.5, 0.5], "row-major"),
+        ([0, 0, 1], [0, 0, 1], [0.25, 0.25, 0.5], "row-major"),
+        ([0, 1], [0], [0.5, 0.5], "one row, column and mass"),
+    ])
+    def test_rejects_malformed_cells(self, rows, cols, mass, match):
+        with pytest.raises(CouplingError, match=match):
+            conditional_rows(rows, cols, mass, cat([0, 1], [0.5, 0.5]))
+
+    def test_rejects_zero_mass_row(self):
+        # Row 2's marginal is within MARGINAL_TOL of 0, but it holds no cell.
+        p = cat([0, 1, 2], [0.5, 0.5 - 1e-9, 1e-9])
+        with pytest.raises(CouplingError, match="zero-mass row"):
+            conditional_rows([0, 1], [0, 1], [0.5, 0.5], p)
 
     @pytest.mark.parametrize("k", [None, 1000])
     def test_matches_reference_bit_for_bit(self, rng, k):

@@ -24,6 +24,7 @@ from pefkit import (
     entropy,
     estimate_distribution,
     generate,
+    greedy_mec,
     grouped_from_samples,
     load_function_json,
     objective_j,
@@ -35,8 +36,9 @@ from pefkit import (
     write_erased_csv,
     write_samples_csv,
 )
-from pefkit.dist import DistError
+from pefkit.dist import NORM_TOL, RENORM_TOL, TRIM_EPS, DistError
 from pefkit.pef import CSV_WRITE_CHUNK
+from pefkit.qopt import QCandidate, output_support
 from conftest import random_grouped
 
 
@@ -197,6 +199,55 @@ class TestStochasticBranch:
         f, report = build_pef(g, tol=1e-9)
         assert report.branch == "unequal"
         assert report.j_value == pytest.approx(objective_j(f.q, g), abs=1e-9)
+
+
+def build_stochastic_reference(g: GroupedData, q: QCandidate) -> ErasureFunction:
+    """The dense construction the batched build replaced, kept as the oracle:
+    ``greedy_mec`` of each group onto Q, then each row's non-zero cells
+    divided by the row's numpy sum, cells of TRIM_EPS or less dropped."""
+    ids, sizes, out, probs = [], [], [], []
+    for d in g.dists:
+        for x, row in zip(d.support, greedy_mec(d, q.dist).mass):
+            cols = np.flatnonzero(row)
+            p = row[cols] / row.sum()
+            keep = p > TRIM_EPS
+            ids.append(x)
+            sizes.append(np.count_nonzero(keep))
+            out.extend(np.array(q.dist.support)[cols[keep]].tolist())
+            probs.extend(p[keep].tolist())
+    return ErasureFunction("stochastic", q.dist.support, q.dist, ids=ids,
+                           bounds=np.cumsum([0, *sizes]), out=out, probs=probs)
+
+
+# Weights from 1..3 tie often; weights up to 10**6 seldom do.
+_weights = st.lists(st.one_of(st.integers(1, 3), st.integers(1, 10**6)), min_size=1, max_size=12)
+
+
+@given(groups=st.lists(_weights, min_size=2, max_size=5), q_weights=_weights,
+       extra=st.integers(0, 3), prior_weights=st.lists(st.integers(1, 5), min_size=5, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_batched_build_matches_dense_reference(groups, q_weights, extra, prior_weights):
+    dists, base = [], 0
+    for w in groups:
+        dists.append(Categorical(tuple(range(base, base + len(w))), np.array(w) / sum(w)))
+        base += len(w)
+    priors = np.array(prior_weights[: len(dists)], dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small groups may violate A5
+        g = GroupedData(tuple(enumerate(dists)), priors / priors.sum())
+    # Q spans at least the largest group, so the groups of other sizes are padded.
+    q_w = (q_weights * (max(map(len, groups)) + extra))[: max(map(len, groups)) + extra]
+    support = output_support(g, len(q_w))
+    q = QCandidate(Categorical(support, np.array(q_w) / sum(q_w)), 0.0, "user")
+    f = build_stochastic_pef(g, q)
+    ref = build_stochastic_reference(g, q)
+    for name in ("ids", "bounds", "out"):
+        np.testing.assert_array_equal(getattr(f, name), getattr(ref, name))
+    np.testing.assert_allclose(f.probs, ref.probs, rtol=0, atol=1e-15)
+    assert np.all(np.abs(np.add.reduceat(f.probs, f.bounds[:-1]) - 1.0) <= NORM_TOL)
+    for d in g.dists:
+        assert np.abs(f.induced_output(d) - q.dist.probs).max() <= RENORM_TOL
+    assert analyze(f, g).i_za_analytic <= 1e-12
 
 
 def test_analyze_hand_built_table_with_zero_cell():
