@@ -60,21 +60,6 @@ class Coupling:
     def col_marginal(self) -> np.ndarray:
         return self.mass.sum(axis=0)
 
-    def to_json(self) -> dict:
-        return {
-            "row_support": list(self.row_support),
-            "col_support": list(self.col_support),
-            "mass": [[float(v) for v in row] for row in self.mass],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Coupling":
-        return cls(
-            tuple(obj["row_support"]),
-            tuple(obj["col_support"]),
-            np.asarray(obj["mass"], dtype=np.float64),
-        )
-
     def write_csv(self, path) -> None:
         """Header row of column symbol ids, then one mass row per row symbol."""
         with open(path, "w") as fh:

@@ -77,6 +77,10 @@ class ErasureReport:
         return cls(**obj)
 
 
+#: The compiled table's arrays: ErasureFunction fields and stochastic JSON keys.
+_TABLE = ("ids", "bounds", "out", "probs")
+
+
 @dataclass(frozen=True, eq=False)
 class ErasureFunction:
     """P(Z|X=x) per input symbol over a shared output support.
@@ -109,15 +113,15 @@ class ErasureFunction:
             table = (self.ids, self.bounds, self.out, self.probs)
         else:
             raise DistError(
-                "need variant 'deterministic' with group_maps or 'stochastic' with rows, "
-                f"got {self.variant!r}"
+                "need variant 'deterministic' with group_maps or 'stochastic' with "
+                f"ids, bounds, out and probs, got {self.variant!r}"
             )
         object.__setattr__(self, "output_support", int_ids(self.output_support))
         compiled = _compile_rows(np.array(self.output_support, dtype=np.int64), *table)
         outside = np.setdiff1d(self.q.support, self.output_support)
         if outside.size:
             raise DistError(f"q has symbol {outside[0]} outside output_support")
-        for name, a in zip(("ids", "bounds", "out", "probs", "cdfs"), compiled):
+        for name, a in zip((*_TABLE, "cdfs"), compiled):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -157,12 +161,7 @@ class ErasureFunction:
                 for c, perm in self.group_maps.items()
             }
         else:
-            b = self.bounds.tolist()
-            obj["rows"] = {
-                str(x): {"support": self.out[b[r]:b[r + 1]].tolist(),
-                         "probs": self.probs[b[r]:b[r + 1]].tolist()}
-                for r, x in enumerate(self.ids.tolist())
-            }
+            obj.update((name, getattr(self, name).tolist()) for name in _TABLE)
         return obj
 
     @classmethod
@@ -176,16 +175,9 @@ class ErasureFunction:
                     for c, m in obj["group_maps"].items()
                 }
                 return cls(*head, group_maps=maps)
-            rows = obj["rows"]
-            sizes = [len(r["support"]) for r in rows.values()]
-            if sizes != [len(r["probs"]) for r in rows.values()]:
-                raise DistError("every row needs one probability per output symbol")
-            ids = np.array([_int_key(x) for x in rows], dtype=np.int64)
-            out = np.array(int_ids(z for r in rows.values() for z in r["support"]), dtype=np.int64)
-            probs = [p for r in rows.values() for p in r["probs"]]
+            return cls(*head, **{name: obj[name] for name in _TABLE})
         except (KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise DistError(f"malformed function JSON: {exc!r}") from None
-        return cls(*head, ids=ids, bounds=np.cumsum([0, *sizes]), out=out, probs=probs)
 
 
 def _int_key(key: str) -> int:
@@ -201,12 +193,21 @@ def _int_key(key: str) -> int:
     raise DistError(f"key {key!r} is not an integer in canonical form")
 
 
-def _int_array(a, what: str) -> np.ndarray:
-    """``a`` as int64; DistError if it holds anything but integers, as ``int_ids``."""
-    arr = np.asarray(a)
-    if arr.size and arr.dtype.kind not in "iu":
-        raise DistError(f"{what} must be integers, got dtype {arr.dtype}")
-    return arr.astype(np.int64)
+def _column(a, name: str, dtype=np.int64) -> np.ndarray:
+    """``a`` as a 1-d ``dtype`` array; DistError unless it is a flat list of
+    numbers that cast to ``dtype`` safely, so an id of 1.4 is never truncated
+    to 1 (as ``int_ids``) and a nested list fails here, not deep in numpy.
+    """
+    try:
+        arr = np.asarray(a)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.ndim != 1:
+        raise DistError(f"{name} must be a flat list, got {arr.ndim} dimensions")
+    if arr.size and (arr.dtype.kind == "b" or not np.can_cast(arr.dtype, dtype)):
+        kind = "integers" if dtype is np.int64 else "numbers"
+        raise DistError(f"{name} must be {kind}, got dtype {arr.dtype}")
+    return arr.astype(dtype)
 
 
 def _compile_rows(support, ids, bounds, out, probs):
@@ -215,12 +216,17 @@ def _compile_rows(support, ids, bounds, out, probs):
     As in Categorical, a row whose mass is off by more than NORM_TOL is
     renormalized with a warning and one off by more than RENORM_TOL raises.
     """
-    ids, bounds, out = (
-        _int_array(a, what) for a, what in ((ids, "ids"), (bounds, "bounds"), (out, "outputs"))
-    )
-    probs = np.asarray(probs, dtype=np.float64)
+    ids, bounds, out = (_column(a, name) for a, name in zip((ids, bounds, out), _TABLE))
+    probs = _column(probs, "probs", np.float64)
+    if len(bounds) != len(ids) + 1 or bounds[0] != 0 or bounds[-1] != len(out):
+        raise DistError(
+            f"bounds must have len(ids) + 1 = {len(ids) + 1} entries "
+            f"and run from 0 to len(out) = {len(out)}"
+        )
+    if len(probs) != len(out):
+        raise DistError(f"need one probability per output, got {len(probs)} for {len(out)}")
     sizes = np.diff(bounds)
-    if not ids.size or np.any(sizes < 1) or not len(out) == len(probs) == bounds[-1]:
+    if not ids.size or np.any(sizes < 1):
         raise DistError("need at least one row, each with at least one cell")
     if not support.size or support[0] < 0 or np.any(np.diff(support) <= 0):
         raise DistError("output_support must be non-empty, ascending and non-negative")

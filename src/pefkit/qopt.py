@@ -2,13 +2,13 @@
 
 The objective J(Q) = H(Q) - sum_i p(a_i) H_min(P_i, Q) is always <= 0 and
 vanishes exactly when every coupling is a permutation matrix. H_min uses the
-greedy coupling approximation (``objective_j`` can swap in the exact oracle
-for small instances). Candidates come from a stationary-point scan over the
-input distributions and, when a ``BoConfig`` is given, Gaussian-process UCB
-Bayesian optimization on the simplex seeded with that scan. The scan scores
-all of its ``n_groups**2`` couplings in one ``greedy_fill_batch`` pass, as
-``build_stochastic_pef`` then couples every group onto the chosen Q;
-``objective_j`` scores one Q at a time on the heap kernel ``greedy_fill``.
+greedy coupling approximation. Candidates come from a stationary-point scan
+over the input distributions and, when a ``BoConfig`` is given,
+Gaussian-process UCB Bayesian optimization on the simplex seeded with that
+scan. The scan scores all of its ``n_groups**2`` couplings in one
+``greedy_fill_batch`` pass, as ``build_stochastic_pef`` then couples every
+group onto the chosen Q; ``objective_j`` scores one Q at a time on the heap
+kernel ``greedy_fill``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import entropy_bits, greedy_fill, greedy_fill_batch, live_cells, zero_padded
-from .coupling import mec_oracle
 from .dist import Categorical, DistError, GroupedData, entropy
 
 
@@ -62,19 +61,13 @@ def default_out_size(g: GroupedData) -> int:
     return max(len(d) for d in g.dists)
 
 
-def objective_j(q: Categorical, g: GroupedData, use_oracle: bool = False) -> float:
+def objective_j(q: Categorical, g: GroupedData) -> float:
     """J(Q) in bits; uses the greedy coupling as the H_min surrogate.
 
     This runs once per BO evaluation, so it takes the coupling mass straight
     from the kernel instead of building a validated ``Coupling``.
     """
-    h = []
-    for d in g.dists:
-        if use_oracle:
-            mass = mec_oracle(d, q).mass
-        else:
-            mass = greedy_fill(d.probs, q.probs)
-        h.append(entropy_bits(mass.ravel()))
+    h = [entropy_bits(greedy_fill(d.probs, q.probs).ravel()) for d in g.dists]
     return _j_value(q, g, h)
 
 

@@ -237,17 +237,17 @@ class TestMalformedSamples:
 
 
 def _first_row(obj):
-    return obj["rows"][min(obj["rows"], key=int)]
+    """The cells of the first row (the smallest id) of a stochastic function.json."""
+    return slice(0, obj["bounds"][1])
 
 
-def _set_first_row(support, probs):
+def _set_first_row(out, probs):
     def mutate(obj):
-        _first_row(obj).update(support=support(obj), probs=probs)
+        cells = _first_row(obj)
+        obj["out"][cells], obj["probs"][cells] = out(obj), probs
+        shift = len(probs) - cells.stop
+        obj["bounds"][1:] = [b + shift for b in obj["bounds"][1:]]
     return mutate
-
-
-def _last_output_outside(obj):
-    _first_row(obj)["support"][-1] = 10**6
 
 
 def _map_one_symbol_twice(obj):
@@ -262,17 +262,20 @@ def _uniform_q(support):
 
 
 def _scale_first_row(obj):
-    row = _first_row(obj)
-    row["probs"] = [p * 1.1 for p in row["probs"]]
+    cells = _first_row(obj)
+    obj["probs"][cells] = [p * 1.1 for p in obj["probs"][cells]]
 
 
 def _shift_output_support(obj):
     obj["output_support"] = [s + 0.9 for s in obj["output_support"]]
 
 
-def _shift_first_row(obj):
-    row = _first_row(obj)
-    row["support"] = [s + 0.5 for s in row["support"]]
+def _overflow_output_support(obj):
+    obj["output_support"][-1] = 2**63
+
+
+def _shift_first_output(obj):
+    obj["out"][0] += 0.5
 
 
 def _shift_one_map_value(obj):
@@ -280,11 +283,28 @@ def _shift_one_map_value(obj):
     m[min(m, key=int)] += 0.5
 
 
-def _rename_first_row(key):
-    def mutate(obj):
-        first = min(obj["rows"], key=int)
-        obj["rows"][key(first)] = obj["rows"].pop(first)
-    return mutate
+def _last_output_outside(obj):
+    obj["out"][-1] = 10**6
+
+
+def _repeat_first_id(obj):
+    obj["ids"][1] = obj["ids"][0]
+
+
+def _float_first_id(obj):
+    obj["ids"][0] += 0.0
+
+
+def _extend_bounds_past_out(obj):
+    obj["bounds"][-1] += 1
+
+
+def _start_bounds_at_1(obj):
+    obj["bounds"][0] = 1
+
+
+def _drop_one_bound(obj):
+    obj["bounds"].pop(1)
 
 
 def _pad_one_map_key(obj):
@@ -302,7 +322,7 @@ class TestMalformedFunction:
     # deterministic), the edit that breaks its function.json, and the error.
     CASES = {
         "output_outside_support": ("unequal", _last_output_outside, "outside output_support"),
-        "missing_rows": ("unequal", lambda obj: obj.pop("rows"), "KeyError('rows')"),
+        "missing_ids": ("unequal", lambda obj: obj.pop("ids"), "KeyError('ids')"),
         "empty_output_support": (
             "unequal", lambda obj: obj.update(output_support=[]), "output_support must be"
         ),
@@ -310,6 +330,12 @@ class TestMalformedFunction:
         "input_symbol_twice": (
             "equal_uniform", _map_one_symbol_twice, "has more than one row"
         ),
+        "repeated_id": ("unequal", _repeat_first_id, "has more than one row"),
+        # Written as 0.0: an id of 1.0 is no more an integer than one of 1.4.
+        "float_id": ("unequal", _float_first_id, "ids must be integers"),
+        "bounds_past_len_out": ("unequal", _extend_bounds_past_out, "run from 0 to len(out)"),
+        "bounds_not_from_0": ("unequal", _start_bounds_at_1, "run from 0 to len(out)"),
+        "bounds_one_short": ("unequal", _drop_one_bound, "bounds must have len(ids) + 1"),
         "repeated_output": (
             "unequal",
             _set_first_row(lambda obj: obj["output_support"][:1] * 2, [0.5, 0.5]),
@@ -337,18 +363,11 @@ class TestMalformedFunction:
         ),
         # Fractional ids were once truncated to the ids they were shifted from.
         "fractional_output_support": ("unequal", _shift_output_support, "must be integers"),
-        "fractional_row_output": ("unequal", _shift_first_row, "must be integers"),
+        "fractional_row_output": ("unequal", _shift_first_output, "must be integers"),
         "fractional_map_value": ("equal_uniform", _shift_one_map_value, "must be integers"),
-        # int() alone read a row key "1_0" as 10 and " 3" as 3.
-        "underscored_row_key": (
-            "unequal", _rename_first_row(lambda k: f"1_{k}"), "not an integer in canonical form"
-        ),
-        "padded_row_key": (
-            "unequal", _rename_first_row(lambda k: f" {k}"), "not an integer in canonical form"
-        ),
-        "zero_led_row_key": (
-            "unequal", _rename_first_row(lambda k: f"0{k}"), "not an integer in canonical form"
-        ),
+        # It once escaped as a raw OverflowError with a traceback.
+        "output_support_past_int64": ("unequal", _overflow_output_support, "OverflowError"),
+        # int() alone read a key "1_0" as 10 and " 3" as 3.
         "padded_map_key": ("equal_uniform", _pad_one_map_key, "not an integer in canonical form"),
         "signed_concept_key": (
             "equal_uniform", _pad_one_concept_key, "not an integer in canonical form"

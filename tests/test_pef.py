@@ -74,7 +74,8 @@ class TestEstimation:
 
     def test_grouped_from_samples_priors(self):
         samples = [Sample(0, 0)] * 3 + [Sample(5, 1)] * 1
-        g = grouped_from_samples(samples)
+        with pytest.warns(UserWarning, match="A5 violated"):
+            g = grouped_from_samples(samples)
         np.testing.assert_allclose(g.priors, [0.75, 0.25])
 
     def test_grouped_rejects_shared_symbol(self):
@@ -307,6 +308,31 @@ def test_fractional_table_ids_are_rejected(ids, out):
         )
 
 
+@pytest.mark.parametrize(
+    "ids,bounds,out,probs,match",
+    [
+        ([0, 1], [1, 2, 3], [10, 11], [1.0, 1.0], "from 0 to len"),
+        ([0, 1], [0, 1], [10, 11], [1.0, 1.0], r"len\(ids\) \+ 1 = 3 entries"),
+        ([0, 1], [0, 1, 3], [10, 11], [1.0, 1.0], r"to len\(out\) = 2"),
+        ([[0, 1]], [0, 1, 2], [10, 11], [1.0, 1.0], "ids must be a flat list"),
+        ([0, 1], [0, 1, 2], [[10], [11]], [1.0, 1.0], "out must be a flat list"),
+        ([0, 1], [0, [1], 2], [10, 11], [1.0, 1.0], "bounds must be a flat list"),
+        ([0, 1], [0, 1, 2], [10, 11], 1.0, "probs must be a flat list"),
+        ([0, 1], [0, 1, 2], [10, 11], [1.0], "one probability per output"),
+        ([0, 1], [0, 1, 2], [10, 11], ["1", "1"], "probs must be numbers"),
+        ([True, False], [0, 1, 2], [10, 11], [1.0, 1.0], "ids must be integers"),
+    ],
+)
+def test_malformed_table_shape_is_rejected(ids, bounds, out, probs, match):
+    # Mismatched bounds once raised numpy's "all keys need to be the same
+    # shape", and a 2-d ids array "has more than one row".
+    with pytest.raises(DistError, match=match):
+        ErasureFunction(
+            "stochastic", (10, 11), Categorical.uniform((10, 11)),
+            ids=ids, bounds=bounds, out=out, probs=probs,
+        )
+
+
 def induced_output_reference(f, d):
     """The per-symbol, per-cell loop the bincount replaced, kept as the oracle."""
     out = np.zeros(len(f.output_support))
@@ -484,11 +510,16 @@ class TestSerialization:
         f, _ = build_pef(g, tol=1e-9)
         path = tmp_path / "f.json"
         save_function_json(f, path)
+        assert sorted(json.loads(path.read_text())) == [
+            "bounds", "ids", "out", "output_support", "probs", "q", "variant",
+        ]
         f2 = load_function_json(path)
         assert f2.variant == f.variant
         assert f2.output_support == f.output_support
         samples = [Sample(int(x), int(x > 1)) for x in [0, 1, 2, 3]]
         np.testing.assert_array_equal(apply(f2, samples, seed=5), apply(f, samples, seed=5))
+        save_function_json(f2, tmp_path / "f2.json")
+        assert (tmp_path / "f2.json").read_bytes() == path.read_bytes()
 
     def test_deterministic_json_round_trip(self, tmp_path):
         g = grouped([0.5, 0.3, 0.2], [0.2, 0.5, 0.3])
