@@ -1,9 +1,13 @@
 """Minimum entropy coupling.
 
-Greedy construction, an exact brute-force oracle on small instances
-(vertex enumeration of the transportation polytope), coupling entropy,
-and the projected-gradient-descent joint solver over couplings with a
-shared column marginal.
+Greedy construction, an exact brute-force oracle on small instances,
+coupling entropy, and the projected-gradient-descent joint solver over
+couplings with a shared column marginal.
+
+Both exact tools build on one 0/1 marginal matrix (``_marginals``) that
+maps a flattened coupling to its row and column sums. The oracle takes
+the polytope's vertices as the basic solutions of its nonsingular square
+subsystems; PGD projects onto the affine set its blocks define.
 """
 
 from __future__ import annotations
@@ -20,6 +24,10 @@ from .dist import TRIM_EPS, Categorical, DistError, GroupedData
 
 MARGINAL_TOL = 1e-8
 _LN2 = float(np.log(2.0))
+#: pgd_solve's initial gradient step, halved on each rejected step.
+_PGD_STEP = 0.01
+#: pgd_solve's tolerance on the Dykstra and feasibility-polish projections.
+_PGD_TOL = 1e-8
 
 
 class CouplingError(ValueError):
@@ -128,64 +136,41 @@ def conditional_rows(
 # Exact oracle: vertex enumeration of the transportation polytope.
 # ---------------------------------------------------------------------------
 
+def _marginals(m: int, n: int) -> np.ndarray:
+    """The (m+n, m*n) 0/1 matrix taking an m x n mass, flattened row-major
+    (cell (i, j) at i*n + j), to its row sums and then its column sums."""
+    return np.vstack([np.kron(np.eye(m), np.ones(n)), np.kron(np.ones(m), np.eye(n))])
+
+
+#: Cell subsets whose subsystem is tested per batched det/inv call.
+_BASIS_CHUNK = 4096
+
+
 @lru_cache(maxsize=None)
 def _basis_weights(m: int, n: int) -> np.ndarray:
     """Weight tensor W of shape (n_bases, m*n, m+n).
 
-    Each basis is a spanning tree of the complete bipartite graph on m row
-    nodes and n column nodes; its basic solution is linear in the stacked
-    marginals [p; q], so the vertex cells are W[b] @ [p; q]. Computed once
-    per shape and cached; the per-instance oracle is then a matrix product.
+    The last marginal constraint is implied by the others, so a vertex of
+    the transportation polytope is the basic solution of a nonsingular
+    square subsystem of the other m+n-1 constraints on m+n-1 cells. The
+    marginal matrix is totally unimodular, so each such subsystem has
+    determinant +-1 and an integer inverse; its basic solution is linear
+    in the stacked marginals [p; q], so the vertex cells are W[b] @ [p; q].
+    Computed once per shape and cached; the per-instance oracle is then a
+    matrix product.
     """
-    edges = [(i, j) for i in range(m) for j in range(n)]
-    n_nodes = m + n
+    a = _marginals(m, n)[:-1]
+    k = m + n - 1
+    combos = itertools.combinations(range(m * n), k)
     bases = []
-    for combo in itertools.combinations(range(len(edges)), n_nodes - 1):
-        # Acyclicity (hence spanning, since |E| = |V| - 1) via union-find.
-        parent = list(range(n_nodes))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        ok = True
-        for e in combo:
-            i, j = edges[e]
-            ri, rj = find(i), find(m + j)
-            if ri == rj:
-                ok = False
-                break
-            parent[ri] = rj
-        if not ok:
-            continue
-        # Leaf elimination, tracking each node's residual as a coefficient
-        # vector over [p_0..p_{m-1}, q_0..q_{n-1}].
-        coeff = np.eye(n_nodes)
-        adj: dict[int, set[int]] = {k: set() for k in range(n_nodes)}
-        edge_of = {}
-        for e in combo:
-            i, j = edges[e]
-            adj[i].add(m + j)
-            adj[m + j].add(i)
-            edge_of[frozenset((i, m + j))] = e
-        w = np.zeros((m * n, n_nodes))
-        leaves = [k for k in range(n_nodes) if len(adj[k]) == 1]
-        while leaves:
-            u = leaves.pop()
-            if not adj[u]:
-                continue
-            v = next(iter(adj[u]))
-            e = edge_of[frozenset((u, v))]
-            w[edges[e][0] * n + edges[e][1]] = coeff[u]
-            coeff[v] -= coeff[u]
-            adj[u].remove(v)
-            adj[v].remove(u)
-            if len(adj[v]) == 1:
-                leaves.append(v)
+    for chunk in iter(lambda: list(itertools.islice(combos, _BASIS_CHUNK)), []):
+        cells = np.array(chunk)
+        sub = a[:, cells].transpose(1, 0, 2)  # (chunk, constraint, cell)
+        keep = np.abs(np.linalg.det(sub)) > 0.5
+        w = np.zeros((np.count_nonzero(keep), m * n, m + n))
+        w[np.arange(len(w))[:, None], cells[keep], :k] = np.rint(np.linalg.inv(sub[keep]))
         bases.append(w)
-    return np.array(bases)
+    return np.concatenate(bases)
 
 
 def mec_oracle(p: Categorical, q: Categorical, max_cells: int = 20) -> Coupling:
@@ -193,14 +178,12 @@ def mec_oracle(p: Categorical, q: Categorical, max_cells: int = 20) -> Coupling:
 
     Entropy is concave, so the minimum over the transportation polytope is
     attained at a vertex; every vertex is the basic solution of some
-    spanning-tree basis. Only feasible for ``|p| * |q| <= max_cells``.
+    nonsingular square subsystem of the marginal constraints. Only feasible
+    for ``|p| * |q| <= max_cells``.
     """
     m, n = len(p), len(q)
     if m * n > max_cells:
         raise InstanceTooLarge(f"{m}x{n} instance exceeds max_cells={max_cells}")
-    if m == 1 or n == 1:
-        mass = np.outer(p.probs, q.probs)
-        return Coupling(p.support, q.support, mass)
     w = _basis_weights(m, n)
     pq = np.concatenate([p.probs, q.probs])
     verts = w @ pq  # (n_bases, m*n)
@@ -225,9 +208,7 @@ class PgdProblem:
     group_dists: tuple[Categorical, ...]
     priors: np.ndarray
     out_size: int
-    step_size: float = 0.01
     max_iters: int = 1000
-    projection_tol: float = 1e-8
 
     def __post_init__(self):
         object.__setattr__(self, "group_dists", tuple(self.group_dists))
@@ -236,8 +217,6 @@ class PgdProblem:
         )
         if self.out_size < 1:
             raise DistError("out_size must be >= 1")
-        if self.step_size <= 0:
-            raise DistError("step_size must be > 0")
         for d in self.group_dists:
             if len(d) > 16 or self.out_size > 16:
                 warnings.warn(
@@ -283,30 +262,20 @@ class _AffineProjector:
     """Least-squares projection onto {row sums = P_i, equal column sums}."""
 
     def __init__(self, shapes: list[tuple[int, int]], probs: list[np.ndarray]):
-        sizes = [r * c for r, c in shapes]
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        dim = int(offsets[-1])
-        rows = []
-        b = []
-        for gi, ((r, c), p) in enumerate(zip(shapes, probs)):
-            for k in range(r):
-                a = np.zeros(dim)
-                a[offsets[gi] + k * c : offsets[gi] + (k + 1) * c] = 1.0
-                rows.append(a)
-                b.append(p[k])
+        offsets = np.concatenate([[0], np.cumsum([r * c for r, c in shapes])])
         r0, c0 = shapes[0]
-        for gi in range(1, len(shapes)):
-            r, c = shapes[gi]
-            for j in range(c):
-                a = np.zeros(dim)
-                a[offsets[gi] + j : offsets[gi] + r * c : c] = 1.0
-                a[offsets[0] + j : offsets[0] + r0 * c0 : c0] = -1.0
-                rows.append(a)
-                b.append(0.0)
+        sums, ties = [], []  # per group: row sums = P_i; column sums = group 0's
+        for gi, (r, c) in enumerate(shapes):
+            block = np.zeros((r + c, int(offsets[-1])))
+            block[:, offsets[gi] : offsets[gi + 1]] = _marginals(r, c)
+            sums.append(block[:r])
+            if gi:
+                block[r:, : offsets[1]] = -_marginals(r0, c0)[r0:]
+                ties.append(block[r:])
         self.shapes = shapes
         self.offsets = offsets
-        self.a = np.array(rows)
-        self.b = np.array(b)
+        self.a = np.vstack(sums + ties)
+        self.b = np.concatenate([*probs, *(np.zeros(len(t)) for t in ties)])
         self.solver = np.linalg.pinv(self.a @ self.a.T)
 
     def project(self, x: np.ndarray) -> np.ndarray:
@@ -392,15 +361,15 @@ def pgd_solve(
         x = np.concatenate(
             [greedy_fill(d.probs, start_q).ravel() for d in dists]
         )
-        x = _dykstra(x, proj, problem.projection_tol)
+        x = _dykstra(x, proj, _PGD_TOL)
         obj = _pgd_objective(proj.split(x), problem.priors)
-        step = problem.step_size
+        step = _PGD_STEP
         stalled = 0
         it = 0
         for it in range(1, problem.max_iters + 1):
             grads = _pgd_gradient(proj.split(x), problem.priors)
             cand = x + step * np.concatenate([g.ravel() for g in grads])
-            cand = _dykstra(cand, proj, problem.projection_tol)
+            cand = _dykstra(cand, proj, _PGD_TOL)
             cand_obj = _pgd_objective(proj.split(cand), problem.priors)
             if cand_obj >= obj - 1e-6:
                 if abs(cand_obj - obj) < 1e-10:
@@ -421,7 +390,7 @@ def pgd_solve(
     if not converged:
         warnings.warn("pgd_solve did not converge within max_iters; returning best iterate")
 
-    best_x = _polish_feasibility(best_x, proj, problem.projection_tol)
+    best_x = _polish_feasibility(best_x, proj, _PGD_TOL)
     best_obj = _pgd_objective(proj.split(best_x), problem.priors)
     mats = proj.split(best_x)
     q_probs = np.mean([m.sum(axis=0) for m in mats], axis=0)

@@ -37,16 +37,46 @@ class DataConstraintError(DistError):
     """Input violates a data constraint required by the erasure pipeline."""
 
 
+#: What indexing or iterating a malformed JSON object raises; ``from_json``
+#: turns each into DistError.
+MALFORMED_JSON = (KeyError, TypeError, AttributeError, OverflowError)
+
+
 def int_ids(values, what: str = "symbol ids") -> tuple[int, ...]:
     """``values`` as a tuple of ints; DistError if one is not an integer.
 
     ``int`` would truncate an id of 1.4 to 1 and parse one of "1";
-    ``operator.index`` accepts Python and numpy integers only.
+    ``operator.index`` accepts Python and numpy integers only, and of
+    those the bools are turned away here, so a JSON ``true`` is no id 1.
     """
+    values = tuple(values)
     try:
+        if bool in map(type, values):
+            raise TypeError("a bool is not an id")
         return tuple(map(operator.index, values))
     except TypeError as exc:
         raise DistError(f"{what} must be integers ({exc})") from None
+
+
+def _column(a, name: str, dtype=np.int64) -> np.ndarray:
+    """``a`` as a 1-d ``dtype`` array; DistError unless it is a flat list of
+    numbers that cast to ``dtype`` safely, so an id of 1.4 is never truncated
+    to 1 (as ``int_ids``), neither "0.5" nor ``true`` reads as a number, and
+    a nested list fails here, not deep in numpy.
+    """
+    try:
+        arr = np.asarray(a)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.ndim != 1:
+        raise DistError(f"{name} must be a flat list, got {arr.ndim} dimensions")
+    # numpy reads [1, true] as ints and [0.5, true] as floats.
+    bools = arr.dtype.kind == "b" or isinstance(a, list) and bool in map(type, a)
+    if arr.size and (bools or not np.can_cast(arr.dtype, dtype)):
+        kind = "integers" if dtype is np.int64 else "numbers"
+        got = "bool" if bools else f"dtype {arr.dtype}"
+        raise DistError(f"{name} must be {kind}, got {got}")
+    return arr.astype(dtype)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +145,11 @@ class Categorical:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Categorical":
-        return cls(tuple(obj["support"]), np.asarray(obj["probs"], dtype=np.float64))
+        """Parse ``to_json`` output; a malformed object raises DistError."""
+        try:
+            return cls(tuple(obj["support"]), _column(obj["probs"], "probs", np.float64))
+        except MALFORMED_JSON as exc:
+            raise DistError(f"malformed distribution JSON: {exc!r}") from None
 
     @classmethod
     def uniform(cls, support) -> "Categorical":
@@ -205,10 +239,14 @@ class GroupedData:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GroupedData":
-        groups = tuple(
-            (g["concept"], Categorical.from_json(g["dist"])) for g in obj["groups"]
-        )
-        return cls(groups, np.asarray(obj["priors"], dtype=np.float64))
+        """Parse ``to_json`` output; a malformed object raises DistError."""
+        try:
+            groups = tuple(
+                (g["concept"], Categorical.from_json(g["dist"])) for g in obj["groups"]
+            )
+            return cls(groups, _column(obj["priors"], "priors", np.float64))
+        except MALFORMED_JSON as exc:
+            raise DistError(f"malformed distributions JSON: {exc!r}") from None
 
 
 @dataclass(frozen=True)

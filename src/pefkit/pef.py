@@ -27,6 +27,7 @@ from numpy.typing import ArrayLike
 from ._kernels import entropy_bits, greedy_fill_batch, live_cells, row_searchsorted, zero_padded
 from .coupling import conditional_rows
 from .dist import (
+    MALFORMED_JSON,
     NORM_TOL,
     RENORM_TOL,
     Categorical,
@@ -34,6 +35,7 @@ from .dist import (
     DistError,
     GroupedData,
     Permutation,
+    _column,
     check_permutation_equal,
     conditional_entropy_x_given_a,
     entropy,
@@ -176,7 +178,7 @@ class ErasureFunction:
                 }
                 return cls(*head, group_maps=maps)
             return cls(*head, **{name: obj[name] for name in _TABLE})
-        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+        except MALFORMED_JSON as exc:
             raise DistError(f"malformed function JSON: {exc!r}") from None
 
 
@@ -191,23 +193,6 @@ def _int_key(key: str) -> int:
     except (TypeError, ValueError):
         pass
     raise DistError(f"key {key!r} is not an integer in canonical form")
-
-
-def _column(a, name: str, dtype=np.int64) -> np.ndarray:
-    """``a`` as a 1-d ``dtype`` array; DistError unless it is a flat list of
-    numbers that cast to ``dtype`` safely, so an id of 1.4 is never truncated
-    to 1 (as ``int_ids``) and a nested list fails here, not deep in numpy.
-    """
-    try:
-        arr = np.asarray(a)
-    except ValueError:  # ragged nesting
-        arr = np.asarray(None)
-    if arr.ndim != 1:
-        raise DistError(f"{name} must be a flat list, got {arr.ndim} dimensions")
-    if arr.size and (arr.dtype.kind == "b" or not np.can_cast(arr.dtype, dtype)):
-        kind = "integers" if dtype is np.int64 else "numbers"
-        raise DistError(f"{name} must be {kind}, got dtype {arr.dtype}")
-    return arr.astype(dtype)
 
 
 def _compile_rows(support, ids, bounds, out, probs):

@@ -172,10 +172,14 @@ class TestErase:
         config = json.loads((erased / "run_config.json").read_text())["config"]
         assert config["bo"] is None and config["use_bo"] is False
 
-    @pytest.mark.parametrize("support", [[0.4, 1.4, 2.4, 3.4], ["0", "1", "2", "3"]],
-                             ids=["fractional", "string"])
+    @pytest.mark.parametrize(
+        "support",
+        [[0.4, 1.4, 2.4, 3.4], ["0", "1", "2", "3"], [False, True, 2, 3]],
+        ids=["fractional", "string", "bool"],
+    )
     def test_non_integer_dists_support_is_config_error(self, tmp_path, capsys, support):
-        # int() once truncated 0.4 to 0 and parsed "0", so the run exited 0.
+        # int() once truncated 0.4 to 0 and parsed "0", and operator.index
+        # read false as 0, so the run exited 0.
         out = gen(tmp_path, setting="unequal")
         obj = json.loads((out / "true_dists.json").read_text())
         obj["groups"][0]["dist"]["support"] = support
@@ -199,6 +203,74 @@ class TestErase:
             assert code == EXIT_CONFIG
             err = capsys.readouterr().err
             assert err.count("\n") == 1 and "tol must be finite and >= 0" in err
+
+
+def _set_in_group(index, *keys, value):
+    """An edit of a distributions object that sets one entry of a group."""
+    def mutate(obj):
+        entry = obj["groups"][index]
+        for key in keys[:-1]:
+            entry = entry[key]
+        entry[keys[-1]] = value
+        return obj
+    return mutate
+
+
+def _drop_first_dist(obj):
+    del obj["groups"][0]["dist"]
+    return obj
+
+
+class TestMalformedDists:
+    # The subcommand that reads the file, the edit that breaks a valid
+    # true_dists.json (for mec, the first group's dist as --p), and the error.
+    CASES = {
+        # Each of these once ended in a traceback and exit 1.
+        "no_groups_no_priors": ("funnel", lambda obj: {"groups": []}, "KeyError('priors')"),
+        "top_level_list": ("funnel", lambda obj: [obj], "TypeError"),
+        "group_without_dist": ("funnel", _drop_first_dist, "KeyError('dist')"),
+        "group_without_dist_erase": ("erase", _drop_first_dist, "KeyError('dist')"),
+        "p_without_probs": ("mec", lambda obj: {"support": obj["support"]}, "KeyError('probs')"),
+        "p_top_level_list": ("mec", lambda obj: [obj], "TypeError"),
+        # These once loaded as concept 1 and probabilities 0.25 and 1.
+        "bool_concept": ("erase", _set_in_group(1, "concept", value=True), "concept ids must be"),
+        "string_probs": (
+            "erase", _set_in_group(0, "dist", "probs", value=["0.25"] * 4), "probs must be numbers"
+        ),
+        "bool_probs": (
+            "erase",
+            _set_in_group(0, "dist", "probs", value=[True, False, False, False]),
+            "probs must be numbers, got bool",
+        ),
+        "mixed_bool_probs": (
+            "erase",
+            _set_in_group(0, "dist", "probs", value=[0.0, True, 0.0, 0.0]),
+            "probs must be numbers, got bool",
+        ),
+        "string_priors": (
+            "funnel", lambda obj: {**obj, "priors": ["0.5", "0.5"]}, "priors must be numbers"
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_is_config_error(self, tmp_path, capsys, case):
+        command, mutate, message = self.CASES[case]
+        out = gen(tmp_path, setting="unequal")
+        dists = json.loads((out / "true_dists.json").read_text())
+        bad = tmp_path / "bad.json"
+        if command == "mec":
+            (tmp_path / "q.json").write_text(json.dumps(dists["groups"][1]["dist"]))
+            bad.write_text(json.dumps(mutate(dists["groups"][0]["dist"])))
+            argv = ["mec", "--p", bad, "--q", tmp_path / "q.json"]
+        else:
+            bad.write_text(json.dumps(mutate(dists)))
+            argv = [command, "--dists", bad]
+            if command == "erase":
+                argv += ["--samples", out / "samples.csv"]
+        capsys.readouterr()
+        assert run([*argv, "--out-dir", tmp_path / "run"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
 
 
 class TestMalformedSamples:

@@ -18,6 +18,7 @@ from pefkit import (
     mec_oracle,
     pgd_solve,
 )
+from pefkit.coupling import _basis_weights
 
 
 def cat(support, probs):
@@ -101,6 +102,24 @@ class TestOracle:
             assert ho <= hg + 1e-9
             assert hg - ho <= 0.53
             assert ho >= max(entropy(p), entropy(q)) - 1e-9
+
+    @pytest.mark.parametrize(
+        "m,n", [(m, n) for m in range(1, 13) for n in range(1, 13) if m * n <= 12]
+    )
+    def test_bases_are_the_spanning_trees(self, m, n):
+        # A basis of the m x n transportation polytope is a spanning tree of
+        # K_{m,n}, of which there are m^(n-1) n^(m-1); total unimodularity
+        # makes every weight an integer, and the trees make it -1, 0 or 1.
+        w = _basis_weights(m, n)
+        assert w.shape == (m ** (n - 1) * n ** (m - 1), m * n, m + n)
+        assert set(np.unique(w)) <= {-1.0, 0.0, 1.0}
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (1, 5), (2, 1), (5, 1), (1, 20)])
+    def test_single_row_or_column_is_the_product(self, rng, m, n):
+        p = Categorical(tuple(range(m)), rng.dirichlet(np.ones(m)))
+        q = Categorical(tuple(range(50, 50 + n)), rng.dirichlet(np.ones(n)))
+        c = mec_oracle(p, q)
+        assert np.max(np.abs(c.mass - np.outer(p.probs, q.probs))) <= 1e-15
 
     def test_rejects_large_instance(self):
         p = Categorical.uniform(range(5))

@@ -63,6 +63,26 @@ class TestCategorical:
         c = cat([4, 7], [0.25, 0.75])
         assert Categorical.from_json(json.loads(json.dumps(c.to_json()))) == c
 
+    @pytest.mark.parametrize(
+        "obj,match",
+        [
+            ({"support": [0, 1]}, "KeyError"),
+            ([[0, 1], [0.5, 0.5]], "TypeError"),
+            ({"support": [0, True], "probs": [0.5, 0.5]}, "symbol ids must be integers"),
+            ({"support": [0, 1], "probs": ["0.5", "0.5"]}, "probs must be numbers"),
+            ({"support": [0, 1], "probs": [True, False]}, "probs must be numbers"),
+        ],
+    )
+    def test_malformed_json_is_rejected(self, obj, match):
+        with pytest.raises(DistError, match=match):
+            Categorical.from_json(obj)
+
+    def test_bool_ids_are_rejected(self):
+        with pytest.raises(DistError, match="must be integers"):
+            cat([False, True], [0.5, 0.5])
+        with pytest.raises(DistError, match="must be integers"):
+            cat(np.array([False, True]), [0.5, 0.5])
+
 
 class TestEntropy:
     def test_uniform_four(self):

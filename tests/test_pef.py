@@ -321,6 +321,9 @@ def test_fractional_table_ids_are_rejected(ids, out):
         ([0, 1], [0, 1, 2], [10, 11], [1.0], "one probability per output"),
         ([0, 1], [0, 1, 2], [10, 11], ["1", "1"], "probs must be numbers"),
         ([True, False], [0, 1, 2], [10, 11], [1.0, 1.0], "ids must be integers"),
+        # numpy reads these mixed lists as [0, 1] and [1.0, 1.0].
+        ([0, True], [0, 1, 2], [10, 11], [1.0, 1.0], "ids must be integers, got bool"),
+        ([0, 1], [0, 1, 2], [10, 11], [1.0, True], "probs must be numbers, got bool"),
     ],
 )
 def test_malformed_table_shape_is_rejected(ids, bounds, out, probs, match):
