@@ -3,11 +3,12 @@
 ``entropy_bits`` is summed by dist, coupling and qopt. Greedy couplings
 come from one of two kernels, chosen by how many the caller needs at once.
 ``greedy_fill_batch`` steps many couplings in lockstep and returns their
-cells, which ``live_cells`` splits per problem in row-major order: the
-stationary Q scan couples every (candidate, group) pair in one call, and
-``build_stochastic_pef`` every group onto the chosen Q in another, so
-neither builds a dense mass matrix. ``greedy_fill`` is a heap that builds
-one dense coupling: ``objective_j`` in GP-UCB rounds, ``greedy_mec`` (the
+cells, which ``live_cells`` splits per problem in row-major order: qopt
+scores every (candidate, group) pair of the stationary Q scan in one call
+and of GP-UCB's Dirichlet design in another, and ``build_stochastic_pef``
+couples every group onto the chosen Q in a third, so none builds a dense
+mass matrix. ``greedy_fill`` is a heap that builds one dense coupling:
+``objective_j`` for the one Q of each GP-UCB round, ``greedy_mec`` (the
 ``mec`` command) and PGD. ``row_searchsorted`` draws every stochastic
 erasure. All take and return plain arrays, not ``Categorical`` or
 ``Coupling`` values, so hot callers skip the validation those types do on
@@ -78,8 +79,11 @@ def greedy_fill_batch(
     O(log(m + n)), so it pays off over several problems at once: the
     stationary scan's ``n_groups**2`` couplings and the erasure function's
     ``n_groups`` (one per group onto Q), both dominant on the
-    ``wide_unequal`` workload. A single coupling per GP-UCB round
-    (``bo_unequal``) stays on ``greedy_fill``.
+    ``wide_unequal`` workload, and GP-UCB's Dirichlet design, up to
+    ``out_size * n_groups`` couplings. The ``n_groups`` couplings of the
+    single Q that each later GP-UCB round scores stay on ``greedy_fill``:
+    at 2 groups x 50 symbols one Q takes about 0.5 ms there against 1.8 ms
+    here (one thread of a 2-vCPU VM).
     """
     # order="C": a broadcast input would otherwise keep its strides.
     rp = np.array(p, dtype=np.float64, order="C")

@@ -5,16 +5,18 @@ vanishes exactly when every coupling is a permutation matrix. H_min uses the
 greedy coupling approximation. Candidates come from a stationary-point scan
 over the input distributions and, when a ``BoConfig`` is given,
 Gaussian-process UCB Bayesian optimization on the simplex seeded with that
-scan. The scan scores all of its ``n_groups**2`` couplings in one
-``greedy_fill_batch`` pass, as ``build_stochastic_pef`` then couples every
-group onto the chosen Q; ``objective_j`` scores one Q at a time on the heap
-kernel ``greedy_fill``.
+scan. ``_j_values`` scores many Q at once, all their couplings in one
+``greedy_fill_batch`` pass: the scan's candidates in one call and GP-UCB's
+Dirichlet design in another. ``objective_j`` scores one Q on the heap
+kernel ``greedy_fill``, as each GP-UCB round does after the design; both
+give the same J bit for bit. A round's GP posterior runs on matrix
+products: one inverse of the Cholesky factor replaces the triangular
+solves, which numpy lacks.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,28 +81,36 @@ def _j_value(q: Categorical, g: GroupedData, coupling_entropies) -> float:
     return float(val)
 
 
+def _j_values(qs: list[Categorical], g: GroupedData) -> list[float]:
+    """J of every Q in ``qs``, its couplings from one ``greedy_fill_batch`` call.
+
+    Problem c * n_groups + i couples group i onto ``qs[c]``. Each
+    coupling's entropy is summed over its cells in row-major order, the
+    order of ``greedy_fill``'s dense mass, so every J equals
+    ``objective_j``'s bit for bit.
+    """
+    if not qs:
+        return []
+    n_groups = len(g.dists)
+    p = np.tile(zero_padded([d.probs for d in g.dists]), (len(qs), 1))
+    q = np.repeat(zero_padded([q.probs for q in qs]), n_groups, axis=0)
+    h = [entropy_bits(mass) for _, _, mass in live_cells(*greedy_fill_batch(p, q))]
+    return [_j_value(dist, g, h[c * n_groups : (c + 1) * n_groups]) for c, dist in enumerate(qs)]
+
+
 def scan_stationary(g: GroupedData, out_size: int) -> list[QCandidate]:
     """Score each input distribution, re-indexed onto the output support.
 
     Probabilities are laid out in descending order on ascending output ids;
     zero padding beyond the group's support is trimmed by construction.
-    Every (candidate, group) coupling comes from one ``greedy_fill_batch``
-    call. Each coupling's entropy is summed over its cells in row-major
-    order, the order of ``greedy_fill``'s dense mass, so every J equals
-    ``objective_j``'s bit for bit.
+    Every candidate is scored in one ``_j_values`` batch.
     """
     if out_size < default_out_size(g):
         raise DistError("out_size must be >= the largest group support")
     support = output_support(g, out_size)
     dists = [Categorical(support[: len(d)], np.sort(d.probs)[::-1]) for d in g.dists]
-    n_groups = len(dists)
-    # Problem c * n_groups + i couples group i onto candidate c.
-    p = np.tile(zero_padded([d.probs for d in g.dists]), (n_groups, 1))
-    q = np.repeat(zero_padded([d.probs for d in dists]), n_groups, axis=0)
-    h = [entropy_bits(mass) for _, _, mass in live_cells(*greedy_fill_batch(p, q))]
     return [
-        QCandidate(dist, _j_value(dist, g, h[c * n_groups : (c + 1) * n_groups]), "stationary")
-        for c, dist in enumerate(dists)
+        QCandidate(dist, j, "stationary") for dist, j in zip(dists, _j_values(dists, g))
     ]
 
 
@@ -144,6 +154,13 @@ def _gp_posterior(
     (len(x_new), len(x_obs), dim) temporary. ``d2_obs`` holds the
     observations' own squared distances, which the caller has already
     computed for the median-heuristic lengthscale.
+
+    The predictive step (Rasmussen & Williams 2006, Alg. 2.1) needs only
+    solves with the lower Cholesky factor L of the observation kernel.
+    numpy has no triangular solve, so L is inverted once, an
+    (n_obs, n_obs) inverse, and every solve becomes a matrix product:
+    alpha = L^-T (L^-1 y) and v = L^-1 k_sx^T, the latter over all
+    candidates at once.
     """
     y_mean = y_obs.mean()
     y_c = y_obs - y_mean
@@ -154,10 +171,10 @@ def _gp_posterior(
 
     k_xx = kern(d2_obs) + 1e-8 * sig2 * np.eye(len(x_obs))
     k_sx = kern(_sq_dists(x_new, x_obs))
-    chol = np.linalg.cholesky(k_xx)
-    alpha = np.linalg.solve(chol.T, np.linalg.solve(chol, y_c))
+    chol_inv = np.linalg.inv(np.linalg.cholesky(k_xx))
+    alpha = chol_inv.T @ (chol_inv @ y_c)
     mean = y_mean + k_sx @ alpha
-    v = np.linalg.solve(chol, k_sx.T)
+    v = chol_inv @ k_sx.T
     var = np.maximum(sig2 - np.sum(v**2, axis=0), 1e-18)
     return mean, np.sqrt(var)
 
@@ -167,23 +184,25 @@ def bayes_opt_q(g: GroupedData, out_size: int, cfg: BoConfig) -> QCandidate:
 
     Every stationary candidate is scored once, even past the budget; the
     first ``cfg.budget`` of them seed the GP's observations, followed by
-    symmetric-Dirichlet draws, and each round proposes random candidates
-    and evaluates the UCB maximizer, until ``cfg.budget`` observations.
-    Returns the best stationary candidate unless a proposal beats it
-    strictly. Deterministic given the config seed.
+    symmetric-Dirichlet draws, all scored in one ``_j_values`` batch, and
+    each round proposes random candidates and evaluates the UCB maximizer
+    with ``objective_j``, until ``cfg.budget`` observations. Returns the
+    best stationary candidate unless a proposal beats it strictly, and at
+    once when ``out_size`` is 1, where the simplex is a single point.
+    Deterministic given the config seed.
     """
     rng = np.random.default_rng(cfg.seed)
     support = output_support(g, out_size)
     stationary = scan_stationary(g, out_size)
     best = max(stationary, key=lambda c: c.j_value)
+    if out_size == 1:
+        return best
     observed = stationary[: cfg.budget]
     thetas = [_embed_theta(c.dist, support) for c in observed]
     values = [c.j_value for c in observed]
 
-    def record(theta: np.ndarray) -> None:
+    def record(theta: np.ndarray, dist: Categorical, val: float) -> None:
         nonlocal best
-        dist = _softmax_dist(theta, support)
-        val = objective_j(dist, g)
         thetas.append(theta)
         values.append(val)
         if val > best.j_value:
@@ -191,10 +210,14 @@ def bayes_opt_q(g: GroupedData, out_size: int, cfg: BoConfig) -> QCandidate:
 
     n_dirichlet = min(max(2, out_size), max(0, cfg.budget - len(values)))
     # One batched draw equals as many single draws, in order, bit for bit.
-    for probs in rng.dirichlet(np.ones(out_size), size=n_dirichlet):
-        record(np.log(np.maximum(probs, 1e-12)))
+    design = [
+        np.log(np.maximum(probs, 1e-12))
+        for probs in rng.dirichlet(np.ones(out_size), size=n_dirichlet)
+    ]
+    dists = [_softmax_dist(theta, support) for theta in design]
+    for theta, dist, val in zip(design, dists, _j_values(dists, g)):
+        record(theta, dist, val)
 
-    random_search = False
     while len(values) < cfg.budget:
         x_obs = np.array(thetas)
         y_obs = np.array(values)
@@ -202,24 +225,17 @@ def bayes_opt_q(g: GroupedData, out_size: int, cfg: BoConfig) -> QCandidate:
         # The expansion can leave rounding residue where a point meets itself;
         # the median heuristic must skip those zero distances.
         np.fill_diagonal(d2_obs, 0.0)
-        pos = d2_obs[d2_obs > 0]
-        ls = float(np.median(np.sqrt(pos))) if pos.size else 0.0
-        if ls <= 0:
-            if not random_search:
-                warnings.warn("degenerate kernel; falling back to random search")
-                random_search = True
-            probs = rng.dirichlet(np.ones(out_size))
-            theta = np.log(np.maximum(probs, 1e-12))
-        else:
-            half = cfg.n_acq_candidates // 2
-            anchor = thetas[int(np.argmax(values))]
-            x_new = np.concatenate([
-                np.log(np.maximum(rng.dirichlet(np.ones(out_size), size=half), 1e-12)),
-                anchor + 0.25 * rng.standard_normal((cfg.n_acq_candidates - half, out_size)),
-            ])
-            mean, std = _gp_posterior(x_obs, y_obs, x_new, ls, d2_obs)
-            theta = x_new[int(np.argmax(mean + cfg.kappa * std))]
-        record(theta)
+        ls = float(np.median(np.sqrt(d2_obs[d2_obs > 0])))
+        half = cfg.n_acq_candidates // 2
+        anchor = thetas[int(np.argmax(values))]
+        x_new = np.concatenate([
+            np.log(np.maximum(rng.dirichlet(np.ones(out_size), size=half), 1e-12)),
+            anchor + 0.25 * rng.standard_normal((cfg.n_acq_candidates - half, out_size)),
+        ])
+        mean, std = _gp_posterior(x_obs, y_obs, x_new, ls, d2_obs)
+        theta = x_new[int(np.argmax(mean + cfg.kappa * std))]
+        dist = _softmax_dist(theta, support)
+        record(theta, dist, objective_j(dist, g))
 
     return best
 

@@ -172,6 +172,25 @@ class TestErase:
         config = json.loads((erased / "run_config.json").read_text())["config"]
         assert config["bo"] is None and config["use_bo"] is False
 
+    def test_use_bo_is_deterministic(self, tmp_path, monkeypatch):
+        # Two GP-UCB erases of one input write the same bytes to every file.
+        gen(tmp_path, setting="unequal", support=6, seed=4)
+        argv = ["--samples", "../gen/samples.csv", "--dists", "../gen/true_dists.json",
+                "--use-bo", "--bo-budget", 20, "--out-dir", "erased"]
+        outputs = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert run(["erase", *argv]) == EXIT_OK
+            root = tmp_path / name / "erased"
+            outputs.append({p.name: p.read_bytes() for p in sorted(root.iterdir())})
+        assert outputs[0].keys() == outputs[1].keys()
+        assert "function.json" in outputs[0]
+        for name in outputs[0]:
+            assert outputs[0][name] == outputs[1][name], f"{name} differs between identical runs"
+        config = json.loads(outputs[0]["run_config.json"])["config"]
+        assert config["use_bo"] is True and config["bo"]["budget"] == 20
+
     @pytest.mark.parametrize(
         "support",
         [[0.4, 1.4, 2.4, 3.4], ["0", "1", "2", "3"], [False, True, 2, 3]],

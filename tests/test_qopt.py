@@ -20,7 +20,7 @@ from pefkit import (
     select_q,
 )
 from pefkit import qopt, synth
-from pefkit.qopt import _sq_dists
+from pefkit.qopt import _gp_posterior, _sq_dists
 from conftest import random_grouped
 
 
@@ -159,22 +159,26 @@ class TestBayesOpt:
 
     @staticmethod
     def count_scored_candidates(monkeypatch):
-        # The scan scores its candidates in one batch, GP-UCB one
-        # objective_j call at a time; both count.
+        # The scan and the Dirichlet design score their candidates in
+        # _j_values batches, GP-UCB rounds one objective_j call at a time;
+        # all count.
         scored, scans = [], []
-        scan, objective = qopt.scan_stationary, qopt.objective_j
+        scan, batch, objective = qopt.scan_stationary, qopt._j_values, qopt.objective_j
 
         def counted_scan(*args, **kwargs):
-            candidates = scan(*args, **kwargs)
             scans.append(1)
-            scored.extend(candidates)
-            return candidates
+            return scan(*args, **kwargs)
+
+        def counted_batch(qs, g):
+            scored.extend(qs)
+            return batch(qs, g)
 
         def counted_objective(*args, **kwargs):
             scored.append(1)
             return objective(*args, **kwargs)
 
         monkeypatch.setattr(qopt, "scan_stationary", counted_scan)
+        monkeypatch.setattr(qopt, "_j_values", counted_batch)
         monkeypatch.setattr(qopt, "objective_j", counted_objective)
         return scored, scans
 
@@ -199,6 +203,25 @@ class TestBayesOpt:
         assert sel.source == "stationary"
         assert sel.j_value == best.j_value
         assert sel.dist == best.dist
+
+    def test_single_point_simplex_returns_best_stationary(self):
+        # At out_size 1 every theta is the same point, so no kernel can be
+        # fitted: the best stationary candidate is returned, without warning.
+        g = grouped([1.0], [1.0], priors=(0.3, 0.7))
+        best = max(scan_stationary(g, 1), key=lambda c: c.j_value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sel = bayes_opt_q(g, 1, BoConfig(budget=10, seed=0))
+        assert sel == best
+        assert sel.source == "stationary"
+
+    @pytest.mark.parametrize("n_groups,support", [(2, 50), (4, 8)])
+    def test_dirichlet_design_j_equals_objective_j_bit_for_bit(self, n_groups, support):
+        g, _ = synth.generate(synth.SynthConfig(n_groups, support, 10, "unequal", seed=5))
+        sup = output_support(g, support)
+        draws = np.random.default_rng(1).dirichlet(np.ones(support), size=support)
+        dists = [qopt._softmax_dist(np.log(np.maximum(p, 1e-12)), sup) for p in draws]
+        assert qopt._j_values(dists, g) == [objective_j(q, g) for q in dists]
 
     def test_budget_one_falls_back_to_stationary(self, rng):
         g = random_grouped(rng, n_groups=2, support_per_group=2)
@@ -264,3 +287,30 @@ def test_batched_proposals_equal_per_row_draws():
         rows = np.array([b.standard_normal(k) for _ in range(n)])
         assert batched.tobytes() == rows.tobytes()
         assert a.random() == b.random()
+
+
+def test_gp_posterior_matches_dense_solve(rng):
+    for n_obs, n_new, dim in [(2, 1, 3), (10, 37, 5), (40, 256, 20), (100, 1024, 50)]:
+        x_obs = np.log(rng.dirichlet(np.ones(dim), size=n_obs))
+        y_obs = rng.normal(-0.2, 0.05, size=n_obs)
+        x_new = np.concatenate([
+            np.log(rng.dirichlet(np.ones(dim), size=n_new - n_new // 2)),
+            x_obs[0] + 0.25 * rng.standard_normal((n_new // 2, dim)),
+        ])
+        d2_obs = _sq_dists(x_obs, x_obs)
+        np.fill_diagonal(d2_obs, 0.0)
+        ls = float(np.median(np.sqrt(d2_obs[d2_obs > 0])))
+        mean, std = _gp_posterior(x_obs, y_obs, x_new, ls, d2_obs)
+
+        y_c = y_obs - y_obs.mean()
+        sig2 = max(float(y_c.var()), 1e-12)
+        k_xx = sig2 * np.exp(-0.5 * d2_obs / ls**2) + 1e-8 * sig2 * np.eye(n_obs)
+        k_sx = sig2 * np.exp(-0.5 * _sq_dists(x_new, x_obs) / ls**2)
+        ref_mean = y_obs.mean() + k_sx @ np.linalg.solve(k_xx, y_c)
+        ref_var = np.maximum(
+            sig2 - np.sum(k_sx.T * np.linalg.solve(k_xx, k_sx.T), axis=0), 1e-18
+        )
+        assert mean.shape == std.shape == (n_new,)
+        assert np.all(std > 0)
+        np.testing.assert_allclose(mean, ref_mean, rtol=0, atol=1e-9 * sig2)
+        np.testing.assert_allclose(std**2, ref_var, rtol=0, atol=1e-9 * sig2)
