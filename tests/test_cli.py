@@ -312,7 +312,28 @@ class TestMalformedSamples:
         assert len(rows) == 1 + 5
 
     @pytest.mark.parametrize(
-        "row", ["1.5,0", "1,0,0", "-1,0"], ids=["float", "three_fields", "negative"]
+        "spelling",
+        [
+            VALID.replace("\n0,0", "\n-0,0", 1),
+            VALID.replace("\n1,0", "\n001,0").replace("\n3,1", "\n3,0001"),
+            VALID[:-1],
+            VALID.replace("\n", "\r\n"),
+        ],
+        ids=["minus_zero", "leading_zeros", "no_final_newline", "crlf"],
+    )
+    def test_other_spelling_reads_the_same_values(self, tmp_path, spelling):
+        (tmp_path / "valid").mkdir()
+        assert self.erase(tmp_path / "valid", self.VALID) == EXIT_OK
+        assert self.erase(tmp_path, spelling) == EXIT_OK
+        for name in ("erased.csv", "function.json", "report.json"):
+            got = (tmp_path / "erased" / name).read_bytes()
+            assert got == (tmp_path / "valid" / "erased" / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "row",
+        ["1.5,0", "1,0,0", "-1,0", "9223372036854775808,0", "-,0", "1,-", "--1,0"],
+        ids=["float", "three_fields", "negative", "19_digits", "lone_minus",
+             "trailing_minus", "double_minus"],
     )
     def test_bad_row_is_config_error(self, tmp_path, row):
         assert self.erase(tmp_path, self.VALID + row + "\n") == EXIT_CONFIG

@@ -1,10 +1,12 @@
 import json
 import math
+import os
+import threading
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pefkit import (
@@ -36,8 +38,9 @@ from pefkit import (
     write_erased_csv,
     write_samples_csv,
 )
+from pefkit import pef
 from pefkit.dist import NORM_TOL, RENORM_TOL, TRIM_EPS, DistError
-from pefkit.pef import CSV_WRITE_CHUNK
+from pefkit.pef import CSV_WRITE_CHUNK, _canonical_rows, _loadtxt_pairs
 from pefkit.qopt import QCandidate, output_support
 from conftest import random_grouped
 
@@ -562,3 +565,95 @@ class TestSerialization:
     def test_report_json_round_trip(self):
         r = ErasureReport("equal", 0.0, 2.0, 2.0, 0.0)
         assert ErasureReport.from_json(r.to_json()) == r
+
+
+def _loadtxt_samples(path):
+    with open(path) as fh:
+        return _loadtxt_pairs(fh, "x,concept", "sample")
+
+
+def _rows_or_error(read, path):
+    """What a reader returns, or the type and message of what it raises."""
+    try:
+        return read(path)
+    except Exception as exc:  # the comparison is the point, whatever is raised
+        return type(exc), str(exc)
+
+
+def _csv_bodies(field, min_fields=2, max_fields=2):
+    """CSV bodies of blank lines and lines of comma-separated fields."""
+    fields = st.lists(field, min_size=min_fields, max_size=max_fields)
+    line = st.one_of(st.just(""), fields.map(",".join))
+    return st.tuples(st.lists(line, max_size=12), st.booleans()).map(
+        lambda t: "\n".join(t[0]) + "\n" * t[1]
+    )
+
+
+#: Fields of 1-18 digits and an optional "-": the block reader parses these.
+_CANONICAL_FIELDS = st.from_regex(r"-?[0-9]{1,18}", fullmatch=True)
+#: Canonical fields and near misses: extra or "+" signs, 19 digits, no
+#: digit, whitespace, a trailing mark.
+_NEAR_CANONICAL_FIELDS = st.one_of(
+    _CANONICAL_FIELDS, st.from_regex(r"[-+ ]{0,2}[0-9]{0,19}[-. \t\r]?", fullmatch=True)
+)
+
+
+class TestCsvReader:
+    """The block reader against the np.loadtxt path it falls back to.
+
+    ``CSV_READ_BLOCK`` is set to a few bytes, so rows, blank lines and a
+    missing final newline fall across block edges.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        header=st.sampled_from(["x,concept\n", "x,concept\r\n", " x,concept\n", "z,concept\n"]),
+        body=st.one_of(
+            st.text(st.sampled_from("0123456789,\n-+. \t\r"), max_size=40),
+            _csv_bodies(_CANONICAL_FIELDS),
+            _csv_bodies(_NEAR_CANONICAL_FIELDS, 1, 4),
+        ),
+        block=st.integers(1, 8),
+    )
+    @example(header="x,concept\n", body="1,2,3,4\n", block=4)
+    @example(header="x,concept\n", body="--1,2\n", block=4)
+    @example(header="x,concept\n", body="1,\n2\n", block=4)
+    @example(header="x,concept\n", body="1,2-3,4\n", block=4)
+    def test_matches_loadtxt(self, tmp_path_factory, header, body, block):
+        path = tmp_path_factory.getbasetemp() / "reader.csv"
+        path.write_bytes((header + body).encode())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pef, "CSV_READ_BLOCK", block)
+            got = _rows_or_error(read_samples_csv, path)
+        want = _rows_or_error(_loadtxt_samples, path)
+        if isinstance(want, tuple):
+            assert isinstance(got, tuple) and got == want
+        else:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(body=_csv_bodies(_CANONICAL_FIELDS), block=st.integers(1, 8))
+    def test_canonical_file_is_read_in_blocks(self, tmp_path_factory, body, block):
+        path = tmp_path_factory.getbasetemp() / "canonical.csv"
+        path.write_bytes(("x,concept\n" + body).encode())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pef, "CSV_READ_BLOCK", block)
+            with open(path, "rb") as fh:
+                rows = _canonical_rows(fh, "x,concept")
+        want = _loadtxt_samples(path)
+        assert rows is not None and rows.dtype == want.dtype and rows.shape == want.shape
+        assert np.array_equal(rows, want)
+
+    def test_stream_that_cannot_seek_is_read_by_loadtxt(self, tmp_path):
+        # A non-canonical file in a pipe: the block reader would consume it,
+        # and np.loadtxt could not read it again from its start.
+        fifo = tmp_path / "s.csv"
+        os.mkfifo(fifo)
+        rows = []
+        reader = threading.Thread(target=lambda: rows.append(read_samples_csv(fifo)), daemon=True)
+        reader.start()
+        fifo.write_bytes(b"x,concept\r\n1,2\r\n 3,4\r\n")
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert rows[0].tolist() == [[1, 2], [3, 4]]
