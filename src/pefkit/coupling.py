@@ -1,13 +1,14 @@
 """Minimum entropy coupling.
 
 Greedy construction, an exact brute-force oracle on small instances,
-coupling entropy, and the projected-gradient-descent joint solver over
-couplings with a shared column marginal.
+coupling entropy, and the PGD joint solver over couplings with a shared
+column marginal.
 
-Both exact tools build on one 0/1 marginal matrix (``_marginals``) that
-maps a flattened coupling to its row and column sums. The oracle takes
-the polytope's vertices as the basic solutions of its nonsingular square
-subsystems; PGD projects onto the affine set its blocks define.
+The oracle builds on the 0/1 marginal matrix (``_marginals``) that maps a
+flattened coupling to its row and column sums, and takes the polytope's
+vertices as the basic solutions of its nonsingular square subsystems.
+PGD is entropic mirror ascent: each multiplicative step is projected back
+in KL by row and column scaling, so every iterate is a feasible coupling.
 """
 
 from __future__ import annotations
@@ -20,14 +21,20 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import entropy_bits, greedy_fill
-from .dist import TRIM_EPS, Categorical, DistError, GroupedData
+from .dist import RENORM_TOL, TRIM_EPS, Categorical, DistError, GroupedData
 
 MARGINAL_TOL = 1e-8
 _LN2 = float(np.log(2.0))
-#: pgd_solve's initial gradient step, halved on each rejected step.
-_PGD_STEP = 0.01
-#: pgd_solve's tolerance on the Dykstra and feasibility-polish projections.
-_PGD_TOL = 1e-8
+#: pgd_solve's first mirror step, halved on each rejected step.
+_PGD_STEP = 4.0
+#: pgd_solve's iteration cap per start.
+_PGD_ITERS = 1000
+#: Weight of the independent coupling in each pgd_solve start.
+_PGD_BLEND = 0.1
+#: _scale_to_marginals stops once the groups' column sums agree within this.
+_SCALING_TOL = 1e-9
+#: Sweeps after which _scale_to_marginals gives up and the step is rejected.
+_SCALING_SWEEPS = 100_000
 
 
 class CouplingError(ValueError):
@@ -198,7 +205,7 @@ def mec_oracle(p: Categorical, q: Categorical, max_cells: int = 20) -> Coupling:
 
 
 # ---------------------------------------------------------------------------
-# Projected gradient descent on the joint coupling objective.
+# Mirror ascent on the joint coupling objective.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -208,13 +215,17 @@ class PgdProblem:
     group_dists: tuple[Categorical, ...]
     priors: np.ndarray
     out_size: int
-    max_iters: int = 1000
 
     def __post_init__(self):
         object.__setattr__(self, "group_dists", tuple(self.group_dists))
-        object.__setattr__(
-            self, "priors", np.asarray(self.priors, dtype=np.float64)
-        )
+        priors = np.asarray(self.priors, dtype=np.float64)
+        if priors.shape != (len(self.group_dists),):
+            raise DistError("need one prior per group")
+        if not np.all(np.isfinite(priors) & (priors >= 0.0)):
+            raise DistError("priors must be finite and non-negative")
+        if abs(float(priors.sum()) - 1.0) > RENORM_TOL:
+            raise DistError(f"priors sum to {priors.sum()}, outside tolerance {RENORM_TOL}")
+        object.__setattr__(self, "priors", priors)
         if self.out_size < 1:
             raise DistError("out_size must be >= 1")
         for d in self.group_dists:
@@ -228,6 +239,10 @@ class PgdProblem:
 
 @dataclass(frozen=True)
 class PgdResult:
+    """The best point pgd_solve saw; ``n_iters`` is the step of its start at
+    which it was reached (0: the greedy couplings), ``constraint_residual``
+    the largest row-sum error or column-sum spread across groups."""
+
     couplings: list[Coupling]
     q: Categorical
     objective: float
@@ -258,65 +273,28 @@ def _pgd_gradient(mats: list[np.ndarray], priors: np.ndarray) -> list[np.ndarray
     return grads
 
 
-class _AffineProjector:
-    """Least-squares projection onto {row sums = P_i, equal column sums}."""
+def _scale_to_marginals(
+    x: np.ndarray, p: np.ndarray, bounds: np.ndarray, group: np.ndarray
+) -> np.ndarray | None:
+    """KL projection of stacked couplings onto row sums ``p`` and equal column sums.
 
-    def __init__(self, shapes: list[tuple[int, int]], probs: list[np.ndarray]):
-        offsets = np.concatenate([[0], np.cumsum([r * c for r, c in shapes])])
-        r0, c0 = shapes[0]
-        sums, ties = [], []  # per group: row sums = P_i; column sums = group 0's
-        for gi, (r, c) in enumerate(shapes):
-            block = np.zeros((r + c, int(offsets[-1])))
-            block[:, offsets[gi] : offsets[gi + 1]] = _marginals(r, c)
-            sums.append(block[:r])
-            if gi:
-                block[r:, : offsets[1]] = -_marginals(r0, c0)[r0:]
-                ties.append(block[r:])
-        self.shapes = shapes
-        self.offsets = offsets
-        self.a = np.vstack(sums + ties)
-        self.b = np.concatenate([*probs, *(np.zeros(len(t)) for t in ties)])
-        self.solver = np.linalg.pinv(self.a @ self.a.T)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        resid = self.a @ x - self.b
-        return x - self.a.T @ (self.solver @ resid)
-
-    def residual(self, x: np.ndarray) -> float:
-        return float(np.max(np.abs(self.a @ x - self.b)))
-
-    def split(self, x: np.ndarray) -> list[np.ndarray]:
-        return [
-            x[self.offsets[i] : self.offsets[i + 1]].reshape(self.shapes[i])
-            for i in range(len(self.shapes))
-        ]
-
-
-def _dykstra(x: np.ndarray, proj: _AffineProjector, tol: float, max_sweeps: int = 500):
-    """Dykstra alternating projections onto the affine set and the nonnegative orthant."""
-    y = x.copy()
-    p_corr = np.zeros_like(x)
-    q_corr = np.zeros_like(x)
-    for _ in range(max_sweeps):
-        u = proj.project(y + p_corr)
-        p_corr = y + p_corr - u
-        y_new = np.maximum(u + q_corr, 0.0)
-        q_corr = u + q_corr - y_new
-        if np.max(np.abs(y_new - y)) < tol and proj.residual(y_new) < 10 * tol:
-            return y_new
-        y = y_new
-    return y
-
-
-def _polish_feasibility(
-    x: np.ndarray, proj: _AffineProjector, tol: float, max_sweeps: int = 20000
-) -> np.ndarray:
-    """Drive an iterate into the constraint set by plain alternating projections."""
-    for _ in range(max_sweeps):
-        x = np.maximum(proj.project(x), 0.0)
-        if proj.residual(x) < tol:
-            break
-    return x
+    Group i's coupling is rows ``bounds[i]:bounds[i + 1]`` of ``x``, and
+    ``group`` names each row's group. Alternates the two Bregman
+    projections: every row scaled to its ``p``, then every group's columns
+    to the geometric mean of the groups' column sums (a column empty in
+    any group is emptied in every group). Returns the scaled ``x`` once its column sums
+    agree within ``_SCALING_TOL``, or None if ``_SCALING_SWEEPS`` pass first.
+    """
+    for _ in range(_SCALING_SWEEPS):
+        x = x * (p / x.sum(axis=1))[:, None]
+        cols = np.add.reduceat(x, bounds[:-1], axis=0)
+        if np.max(np.ptp(cols, axis=0)) <= _SCALING_TOL:
+            return x
+        live = cols > 0.0
+        logs = np.log(cols, out=np.full_like(cols, -np.inf), where=live)
+        target = np.exp(logs.mean(axis=0))
+        x = x * np.divide(target, cols, out=np.zeros_like(cols), where=live)[group]
+    return None
 
 
 def pgd_solve(
@@ -324,20 +302,25 @@ def pgd_solve(
     rng_seed: int,
     init_q: np.ndarray | None = None,
 ) -> PgdResult:
-    """Projected gradient ascent on the joint coupling objective.
+    """Entropic mirror ascent on the joint coupling objective.
 
-    Starts from greedy couplings against ``init_q`` (default: the padded
-    average of the sorted group distributions) plus one random-restart from
-    a seeded Dirichlet draw; keeps the best iterate seen. The objective is
-    non-decreasing across accepted iterates within 1e-6 slack.
+    Each step multiplies every coupling by ``2 ** (step * gradient)`` and
+    scales the product back onto the constraint set
+    (``_scale_to_marginals``), so every iterate is feasible. A step that
+    lowers the objective by more than 1e-6, or whose scaling does not
+    settle, is rejected and the step halved. There are two starts: the
+    greedy couplings against ``init_q`` (default: the padded average of
+    the sorted group distributions), then against a seeded Dirichlet draw.
+    A multiplicative step cannot revive a zero cell, so each start's
+    greedy couplings are blended with the independent coupling before the
+    ascent; the unblended greedy couplings are scored first, and the
+    result is the best point seen, never below them.
     """
     dists = problem.group_dists
     nz = problem.out_size
     if any(len(d) > nz for d in dists):
         raise DistError("out_size must be >= every group support size")
     rng = np.random.default_rng(rng_seed)
-    shapes = [(len(d), nz) for d in dists]
-    proj = _AffineProjector(shapes, [d.probs for d in dists])
 
     def padded_sorted(d: Categorical) -> np.ndarray:
         v = np.zeros(nz)
@@ -350,64 +333,71 @@ def pgd_solve(
         q0 = np.asarray(init_q, dtype=np.float64)
         if q0.size != nz:
             raise DistError("init_q must have length out_size")
+        if not (np.all(np.isfinite(q0) & (q0 >= 0.0)) and q0.sum() > 0.0):
+            raise DistError("init_q must be finite and non-negative with a positive sum")
         q0 = q0 / q0.sum()
     starts = [q0, rng.dirichlet(np.ones(nz))]
+
+    p = np.concatenate([d.probs for d in dists])
+    bounds = np.cumsum([0] + [len(d) for d in dists])
+    group = np.repeat(np.arange(len(dists)), np.diff(bounds))
+
+    def split(x: np.ndarray) -> list[np.ndarray]:
+        return np.split(x, bounds[1:-1])
+
+    def score(x: np.ndarray) -> float:
+        return _pgd_objective(split(x), problem.priors)
 
     best_x = None
     best_obj = -np.inf
     best_iters = 0
     converged = False
     for start_q in starts:
-        x = np.concatenate(
-            [greedy_fill(d.probs, start_q).ravel() for d in dists]
-        )
-        x = _dykstra(x, proj, _PGD_TOL)
-        obj = _pgd_objective(proj.split(x), problem.priors)
+        greedy = np.vstack([greedy_fill(d.probs, start_q) for d in dists])
+        obj = score(greedy)
+        if obj > best_obj:
+            best_x, best_obj, best_iters = greedy, obj, 0
+        x = (1.0 - _PGD_BLEND) * greedy + _PGD_BLEND * np.outer(p, start_q)
+        obj = score(x)
         step = _PGD_STEP
         stalled = 0
-        it = 0
-        for it in range(1, problem.max_iters + 1):
-            grads = _pgd_gradient(proj.split(x), problem.priors)
-            cand = x + step * np.concatenate([g.ravel() for g in grads])
-            cand = _dykstra(cand, proj, _PGD_TOL)
-            cand_obj = _pgd_objective(proj.split(cand), problem.priors)
+        for it in range(1, _PGD_ITERS + 1):
+            grad = np.vstack(_pgd_gradient(split(x), problem.priors))
+            # A zero cell stays zero; its factor could overflow, so skip it.
+            cand = x * np.exp2(step * grad, out=np.zeros_like(x), where=x > 0.0)
+            cand = _scale_to_marginals(cand, p, bounds, group)
+            cand_obj = -np.inf if cand is None else score(cand)
             if cand_obj >= obj - 1e-6:
                 if abs(cand_obj - obj) < 1e-10:
                     stalled += 1
                 else:
                     stalled = 0
                 x, obj = cand, cand_obj
+                if obj > best_obj:
+                    best_x, best_obj, best_iters = x, obj, it
             else:
                 step *= 0.5
                 stalled += 1
             if step < 1e-9 or stalled >= 10:
                 converged = True
                 break
-        if obj > best_obj:
-            best_obj = obj
-            best_x = x
-            best_iters = it
     if not converged:
-        warnings.warn("pgd_solve did not converge within max_iters; returning best iterate")
+        warnings.warn("pgd_solve did not converge within its iteration cap; returning best iterate")
 
-    best_x = _polish_feasibility(best_x, proj, _PGD_TOL)
-    best_obj = _pgd_objective(proj.split(best_x), problem.priors)
-    mats = proj.split(best_x)
+    mats = split(best_x)
     q_probs = np.mean([m.sum(axis=0) for m in mats], axis=0)
-    q_probs = np.maximum(q_probs, 0.0)
     q_probs = q_probs / q_probs.sum()
     out_support = tuple(range(nz))
-    couplings = []
-    for d, m in zip(dists, mats):
-        mass = np.maximum(m, 0.0)
-        mass = mass * (1.0 / mass.sum())
-        couplings.append(Coupling(d.support, out_support, mass))
-    q = Categorical(out_support, q_probs)
+    couplings = [
+        Coupling(d.support, out_support, m * (1.0 / m.sum())) for d, m in zip(dists, mats)
+    ]
+    cols = np.add.reduceat(best_x, bounds[:-1], axis=0)
+    residual = max(np.max(np.abs(best_x.sum(axis=1) - p)), np.max(np.ptp(cols, axis=0)))
     return PgdResult(
         couplings=couplings,
-        q=q,
+        q=Categorical(out_support, q_probs),
         objective=float(best_obj),
         converged=converged,
         n_iters=best_iters,
-        constraint_residual=proj.residual(best_x),
+        constraint_residual=float(residual),
     )

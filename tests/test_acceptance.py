@@ -230,6 +230,10 @@ def test_criterion_8_pgd_solver(capsys):
             )
             assert res.constraint_residual <= 1e-6
             assert res.objective >= sel.j_value - 0.05
+            # The greedy couplings onto the scan's Q are PGD's first
+            # candidate, and no feasible point scores above J = 0.
+            assert res.objective >= sel.j_value - 1e-9
+            assert res.objective <= 1e-9
 
 
 def test_criterion_9_determinism(capsys, tmp_path, monkeypatch):

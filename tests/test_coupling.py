@@ -9,6 +9,7 @@ from pefkit import (
     Categorical,
     Coupling,
     CouplingError,
+    DistError,
     InstanceTooLarge,
     PgdProblem,
     conditional_rows,
@@ -249,7 +250,7 @@ class TestPgd:
             init = np.zeros(3)
             init[: len(sel.dist)] = np.sort(sel.dist.probs)[::-1]
             res = pgd_solve(
-                PgdProblem(g.dists, g.priors, out_size=3, max_iters=300),
+                PgdProblem(g.dists, g.priors, out_size=3),
                 rng_seed=0,
                 init_q=init,
             )
@@ -260,14 +261,38 @@ class TestPgd:
         from conftest import random_grouped
 
         g = random_grouped(rng, n_groups=2, support_per_group=4)
-        res = pgd_solve(
-            PgdProblem(g.dists, g.priors, out_size=4, max_iters=100), rng_seed=1
-        )
+        res = pgd_solve(PgdProblem(g.dists, g.priors, out_size=4), rng_seed=1)
         for d, c in zip(g.dists, res.couplings):
             np.testing.assert_allclose(c.row_marginal, d.probs, atol=1e-6)
         np.testing.assert_allclose(
             res.couplings[0].col_marginal, res.couplings[1].col_marginal, atol=1e-6
         )
+
+    @pytest.mark.parametrize("priors, match", [
+        ([0.2, 0.3, 0.5], "one prior per group"),
+        ([2.0, -1.0], "finite and non-negative"),
+        ([np.nan, 1.0], "finite and non-negative"),
+        ([0.5, 0.4], "outside tolerance"),
+    ])
+    def test_rejects_bad_priors(self, priors, match):
+        dists = (Categorical.uniform([0, 1]), Categorical.uniform([2, 3]))
+        with pytest.raises(DistError, match=match):
+            PgdProblem(dists, np.array(priors), out_size=2)
+
+    @pytest.mark.parametrize("init_q, match", [
+        ([0.0, 0.0], "positive sum"),
+        ([-1.0, 2.0], "non-negative"),
+        ([np.nan, 1.0], "finite"),
+        ([0.5, 0.25, 0.25], "length out_size"),
+    ])
+    def test_rejects_bad_init_q(self, init_q, match):
+        problem = PgdProblem(
+            (Categorical.uniform([0, 1]), Categorical.uniform([2, 3])),
+            np.array([0.5, 0.5]),
+            out_size=2,
+        )
+        with pytest.raises(DistError, match=match):
+            pgd_solve(problem, rng_seed=0, init_q=np.array(init_q))
 
 
 def test_coupling_write_csv(tmp_path):
