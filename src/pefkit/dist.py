@@ -1,7 +1,8 @@
 """Finite categorical distributions and information measures.
 
-Provides the core value types (Categorical, GroupedData, Permutation),
-entropy / mutual information in bits, permutation-equivalence testing,
+Provides the core value types (Categorical, GroupedData, and Permutation,
+kept only as an input to ErasureFunction), entropy / mutual information in
+bits, permutation-equivalence testing,
 the erasure-funnel envelope, and the principal-inertia-component
 feasibility diagnostics.
 
@@ -15,7 +16,6 @@ import json
 import operator
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -251,23 +251,17 @@ class GroupedData:
 
 @dataclass(frozen=True)
 class Permutation:
-    """A bijection between two equal-sized symbol supports."""
+    """A bijection between two equal-sized symbol supports.
+
+    Only ``ErasureFunction(group_maps=...)`` reads it, and compiles it into
+    the function's table; pefkit itself builds no Permutation.
+    """
 
     mapping: dict[int, int]
 
     def __post_init__(self):
         if len(set(self.mapping.values())) != len(self.mapping):
             raise DistError("permutation must be injective")
-
-    def __call__(self, symbol: int) -> int:
-        return self.mapping[symbol]
-
-    def inverse(self) -> "Permutation":
-        return Permutation({v: k for k, v in self.mapping.items()})
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: x -> self(other(x))."""
-        return Permutation({k: self.mapping[v] for k, v in other.mapping.items()})
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,24 +363,13 @@ def sorted_symbols(p: Categorical) -> list[int]:
     return [p.support[i] for i in np.argsort(-p.probs, kind="stable")]
 
 
-def check_permutation_equal(
-    p: Categorical, q: Categorical, tol: float
-) -> Optional[Permutation]:
-    """Return a permutation carrying ``p`` onto ``q`` if their sorted
-    probability vectors match elementwise within ``tol``, else ``None``.
-
-    The returned map sends the k-th largest-probability symbol of ``p``
-    (ties by ascending id) to the k-th of ``q``.
+def check_permutation_equal(p: Categorical, q: Categorical, tol: float) -> bool:
+    """Whether the sorted probability vectors of ``p`` and ``q`` match
+    elementwise within ``tol``: whether some bijection carries ``p`` onto ``q``.
     """
     if not 0 <= tol < np.inf:
         raise DistError("tol must be finite and >= 0")
-    if len(p) != len(q):
-        return None
-    sp = np.sort(p.probs)[::-1]
-    sq = np.sort(q.probs)[::-1]
-    if np.any(np.abs(sp - sq) > tol):
-        return None
-    return Permutation(dict(zip(sorted_symbols(p), sorted_symbols(q))))
+    return len(p) == len(q) and not np.any(np.abs(np.sort(p.probs) - np.sort(q.probs)) > tol)
 
 
 def pic_spectrum(g: GroupedData) -> PicSpectrum:
@@ -429,7 +412,10 @@ def load_grouped_json(path) -> GroupedData:
 
 
 def write_json(obj, path) -> None:
-    """Write ``obj`` as key-sorted JSON, indented by 2, ending in a newline."""
+    """Write ``obj`` as key-sorted JSON on one line, ending in a newline.
+
+    ``json.dumps`` without ``indent`` runs the C encoder; ``json.dump`` to a
+    file always runs the pure-Python one.
+    """
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True) + "\n")

@@ -19,7 +19,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import InitVar, asdict, dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -80,7 +80,7 @@ class ErasureReport:
         return cls(**obj)
 
 
-#: The compiled table's arrays: ErasureFunction fields and stochastic JSON keys.
+#: The compiled table's arrays: ErasureFunction fields and function.json keys.
 _TABLE = ("ids", "bounds", "out", "probs")
 
 
@@ -88,39 +88,48 @@ _TABLE = ("ids", "bounds", "out", "probs")
 class ErasureFunction:
     """P(Z|X=x) per input symbol over a shared output support.
 
-    Compiled at construction into one validated table of sparse rows: the
-    sorted input ``ids``, ``bounds`` (row r is cells ``bounds[r]:bounds[r + 1]``),
-    each cell's output symbol ``out`` (ascending within a row) and ``probs``.
-    A deterministic function is given as per-group bijections, one cell of
-    probability 1.0 per row; a stochastic one as the table, rows and cells
-    in any order. A malformed table raises DistError. The disjoint input
+    Both variants are one validated table of sparse rows: the sorted input
+    ``ids``, ``bounds`` (row r is cells ``bounds[r]:bounds[r + 1]``), each
+    cell's output symbol ``out`` (ascending within a row) and ``probs``,
+    given with rows and cells in any order. A deterministic table has one
+    cell per row. ``group_maps`` (per-group bijections) is an alternative
+    constructor input for a deterministic function, compiled into the table
+    and not kept. A malformed table raises DistError. The disjoint input
     supports make the function one of the symbol alone, not of the concept.
     """
 
     variant: str  # "deterministic" | "stochastic"
     output_support: tuple[int, ...]
     q: Categorical
-    group_maps: dict[int, Permutation] | None = None
+    group_maps: InitVar[dict[int, Permutation] | None] = None
     ids: np.ndarray | None = None
     bounds: np.ndarray | None = None
     out: np.ndarray | None = None
     probs: np.ndarray | None = None
     cdfs: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        if self.variant == "deterministic" and self.group_maps is not None:
-            pairs = [kv for perm in self.group_maps.values() for kv in perm.mapping.items()]
+    def __post_init__(self, group_maps):
+        table = (self.ids, self.bounds, self.out, self.probs)
+        if group_maps is not None and self.ids is None and self.variant == "deterministic":
+            pairs = [kv for perm in group_maps.values() for kv in perm.mapping.items()]
             x, z = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
             table = (x, np.arange(len(x) + 1), z, np.ones(len(x)))
-        elif self.variant == "stochastic" and self.ids is not None:
-            table = (self.ids, self.bounds, self.out, self.probs)
-        else:
+        elif group_maps is not None or self.variant not in ("deterministic", "stochastic") or (
+            any(a is None for a in table)
+        ):
             raise DistError(
-                "need variant 'deterministic' with group_maps or 'stochastic' with "
-                f"ids, bounds, out and probs, got {self.variant!r}"
+                "need variant 'deterministic' or 'stochastic' with ids, bounds, out and "
+                f"probs, or 'deterministic' with group_maps alone, got {self.variant!r}"
             )
         object.__setattr__(self, "output_support", int_ids(self.output_support))
         compiled = _compile_rows(np.array(self.output_support, dtype=np.int64), *table)
+        ids, bounds = compiled[:2]
+        if self.variant == "deterministic" and len(bounds) - 1 != bounds[-1]:
+            r = np.argmax(np.diff(bounds) > 1)
+            raise DistError(
+                f"row of symbol {ids[r]} has {bounds[r + 1] - bounds[r]} cells, "
+                "but a deterministic row has one"
+            )
         outside = np.setdiff1d(self.q.support, self.output_support)
         if outside.size:
             raise DistError(f"q has symbol {outside[0]} outside output_support")
@@ -153,47 +162,21 @@ class ErasureFunction:
         return np.bincount(cols, cells, minlength=len(self.output_support))
 
     def to_json(self) -> dict:
-        obj = {
+        return {
             "variant": self.variant,
             "output_support": list(self.output_support),
             "q": self.q.to_json(),
+            **{name: getattr(self, name).tolist() for name in _TABLE},
         }
-        if self.variant == "deterministic":
-            obj["group_maps"] = {
-                str(c): {str(k): v for k, v in perm.mapping.items()}
-                for c, perm in self.group_maps.items()
-            }
-        else:
-            obj.update((name, getattr(self, name).tolist()) for name in _TABLE)
-        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "ErasureFunction":
         """Parse ``to_json`` output; a malformed object raises DistError."""
         try:
             head = (obj["variant"], tuple(obj["output_support"]), Categorical.from_json(obj["q"]))
-            if head[0] == "deterministic":
-                maps = {
-                    _int_key(c): Permutation(dict(zip(map(_int_key, m), int_ids(m.values()))))
-                    for c, m in obj["group_maps"].items()
-                }
-                return cls(*head, group_maps=maps)
             return cls(*head, **{name: obj[name] for name in _TABLE})
         except MALFORMED_JSON as exc:
             raise DistError(f"malformed function JSON: {exc!r}") from None
-
-
-def _int_key(key: str) -> int:
-    """A JSON object key as an int; DistError unless it is the key ``str`` writes.
-
-    ``int`` alone would also read "1_0" as 10 and " 3" as 3.
-    """
-    try:
-        if str(int(key)) == key:
-            return int(key)
-    except (TypeError, ValueError):
-        pass
-    raise DistError(f"key {key!r} is not an integer in canonical form")
 
 
 def _compile_rows(support, ids, bounds, out, probs):
@@ -268,20 +251,27 @@ def build_deterministic_pef(g: GroupedData, tol: float = 1e-9) -> ErasureFunctio
 
     A fresh output support of size |X_1| receives the shared sorted
     probability multiset in descending order; each group's k-th largest
-    symbol (ties by ascending id) maps to the k-th output symbol.
+    symbol (ties by ascending id) maps to the k-th output symbol, written
+    straight into the table as one cell of probability 1.0 per row.
     """
-    support = output_support(g, len(g.dists[0]))
     ref = g.dists[0]
-    q = Categorical(support, np.sort(ref.probs)[::-1])
-    maps: dict[int, Permutation] = {}
-    for concept, d in g.groups:
-        if check_permutation_equal(ref, d, tol) is None:
+    for concept, d in g.groups[1:]:
+        if not check_permutation_equal(ref, d, tol):
             raise DataConstraintError(
                 f"group {concept} is not permutation-equal to group {g.concepts[0]}"
             )
-        ordered = sorted_symbols(d)
-        maps[concept] = Permutation(dict(zip(ordered, support)))
-    return ErasureFunction("deterministic", support, q, group_maps=maps)
+    support = output_support(g, len(ref))
+    q = Categorical(support, np.sort(ref.probs)[::-1])
+    ids = np.concatenate([sorted_symbols(d) for d in g.dists])
+    return ErasureFunction(
+        "deterministic",
+        support,
+        q,
+        ids=ids,
+        bounds=np.arange(len(ids) + 1),
+        out=np.tile(support, len(g.dists)),
+        probs=np.ones(len(ids)),
+    )
 
 
 def build_stochastic_pef(g: GroupedData, q: QCandidate) -> ErasureFunction:
@@ -400,10 +390,7 @@ def build_pef(
     if len(g.groups) < 2:
         raise DataConstraintError("need at least two concept groups")
     ref = g.dists[0]
-    equal = all(
-        check_permutation_equal(ref, d, tol) is not None for d in g.dists[1:]
-    )
-    if equal:
+    if all(check_permutation_equal(ref, d, tol) for d in g.dists[1:]):
         f = build_deterministic_pef(g, tol)
     else:
         f = build_stochastic_pef(g, select_q(g, default_out_size(g), bo))

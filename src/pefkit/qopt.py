@@ -29,7 +29,7 @@ from .dist import Categorical, DistError, GroupedData, entropy
 class QCandidate:
     dist: Categorical
     j_value: float
-    source: str  # "stationary" | "bayesopt" | "user"
+    source: str  # "stationary" | "bayesopt"
 
 
 @dataclass(frozen=True)

@@ -80,9 +80,7 @@ def generate(cfg: SynthConfig) -> tuple[GroupedData, np.ndarray]:
     g = GroupedData(tuple(groups), priors)
     if cfg.setting == "unequal":
         ref = g.dists[0]
-        if all(
-            check_permutation_equal(ref, d, 1e-9) is not None for d in g.dists[1:]
-        ):
+        if all(check_permutation_equal(ref, d, 1e-9) for d in g.dists[1:]):
             warnings.warn(
                 "unequal setting produced permutation-equal distributions; "
                 "re-seed or adjust dirichlet_alpha"

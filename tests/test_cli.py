@@ -349,7 +349,7 @@ class TestMalformedSamples:
 
 
 def _first_row(obj):
-    """The cells of the first row (the smallest id) of a stochastic function.json."""
+    """The cells of the first row (the smallest id) of a function.json."""
     return slice(0, obj["bounds"][1])
 
 
@@ -360,10 +360,6 @@ def _set_first_row(out, probs):
         shift = len(probs) - cells.stop
         obj["bounds"][1:] = [b + shift for b in obj["bounds"][1:]]
     return mutate
-
-
-def _map_one_symbol_twice(obj):
-    obj["group_maps"]["2"] = dict([next(iter(obj["group_maps"]["0"].items()))])
 
 
 def _uniform_q(support):
@@ -390,11 +386,6 @@ def _shift_first_output(obj):
     obj["out"][0] += 0.5
 
 
-def _shift_one_map_value(obj):
-    m = obj["group_maps"]["0"]
-    m[min(m, key=int)] += 0.5
-
-
 def _last_output_outside(obj):
     obj["out"][-1] = 10**6
 
@@ -419,14 +410,16 @@ def _drop_one_bound(obj):
     obj["bounds"].pop(1)
 
 
-def _pad_one_map_key(obj):
-    m = obj["group_maps"]["0"]
-    first = min(m, key=int)
-    m[f" {first}"] = m.pop(first)
-
-
-def _pad_one_concept_key(obj):
-    obj["group_maps"]["+0"] = obj["group_maps"].pop("0")
+def _as_group_maps(obj):
+    """Rewrite an equal_uniform function.json of two groups in the format that
+    held a deterministic function before the table: per-concept bijections."""
+    ids, out = obj.pop("ids"), obj.pop("out")
+    del obj["bounds"], obj["probs"]
+    half = len(ids) // 2
+    obj["group_maps"] = {
+        str(c): {str(x): z for x, z in zip(ids[rows], out[rows])}
+        for c, rows in enumerate((slice(0, half), slice(half, None)))
+    }
 
 
 class TestMalformedFunction:
@@ -439,9 +432,7 @@ class TestMalformedFunction:
             "unequal", lambda obj: obj.update(output_support=[]), "output_support must be"
         ),
         "bogus_variant": ("unequal", lambda obj: obj.update(variant="bogus"), "'bogus'"),
-        "input_symbol_twice": (
-            "equal_uniform", _map_one_symbol_twice, "has more than one row"
-        ),
+        "input_symbol_twice": ("equal_uniform", _repeat_first_id, "has more than one row"),
         "repeated_id": ("unequal", _repeat_first_id, "has more than one row"),
         # Written as 0.0: an id of 1.0 is no more an integer than one of 1.4.
         "float_id": ("unequal", _float_first_id, "ids must be integers"),
@@ -476,14 +467,16 @@ class TestMalformedFunction:
         # Fractional ids were once truncated to the ids they were shifted from.
         "fractional_output_support": ("unequal", _shift_output_support, "must be integers"),
         "fractional_row_output": ("unequal", _shift_first_output, "must be integers"),
-        "fractional_map_value": ("equal_uniform", _shift_one_map_value, "must be integers"),
+        "fractional_map_value": ("equal_uniform", _shift_first_output, "must be integers"),
         # It once escaped as a raw OverflowError with a traceback.
         "output_support_past_int64": ("unequal", _overflow_output_support, "OverflowError"),
-        # int() alone read a key "1_0" as 10 and " 3" as 3.
-        "padded_map_key": ("equal_uniform", _pad_one_map_key, "not an integer in canonical form"),
-        "signed_concept_key": (
-            "equal_uniform", _pad_one_concept_key, "not an integer in canonical form"
+        "deterministic_two_cell_row": (
+            "equal_uniform",
+            _set_first_row(lambda obj: obj["output_support"][:2], [0.5, 0.5]),
+            "a deterministic row has one",
         ),
+        # Deterministic functions were once written as per-concept bijections.
+        "group_maps_file": ("equal_uniform", _as_group_maps, "KeyError('ids')"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

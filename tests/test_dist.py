@@ -11,6 +11,7 @@ from pefkit import (
     Categorical,
     DistError,
     GroupedData,
+    build_deterministic_pef,
     check_permutation_equal,
     conditional_entropy_x_given_a,
     entropy,
@@ -176,20 +177,22 @@ class TestPermutationCheck:
     def test_same_multiset(self):
         p = cat([0, 1, 2], [0.2, 0.3, 0.5])
         q = cat([5, 6, 7], [0.5, 0.2, 0.3])
-        sigma = check_permutation_equal(p, q, 1e-9)
-        assert sigma is not None
-        assert sigma(2) == 5  # largest prob of p -> largest prob of q
+        assert check_permutation_equal(p, q, 1e-9) is True
+        f = build_deterministic_pef(GroupedData(((0, p), (1, q)), np.array([0.5, 0.5])))
+        assert f.map_symbol(2) == f.map_symbol(5)  # largest prob of p -> largest of q
 
     def test_different_multiset(self):
         p = cat([0, 1], [0.5, 0.5])
         q = cat([2, 3], [0.6, 0.4])
-        assert check_permutation_equal(p, q, 1e-9) is None
+        assert check_permutation_equal(p, q, 1e-9) is False
 
     def test_uniform_tie_rule_gives_id_order(self):
         p = Categorical.uniform(range(4))
-        q = Categorical.uniform(range(4))
-        sigma = check_permutation_equal(p, q, 1e-9)
-        assert sigma.mapping == {0: 0, 1: 1, 2: 2, 3: 3}
+        q = Categorical.uniform(range(4, 8))
+        f = build_deterministic_pef(GroupedData(((0, p), (1, q)), np.array([0.5, 0.5])))
+        support = list(f.output_support)
+        assert [f.map_symbol(x) for x in range(4)] == support
+        assert [f.map_symbol(x) for x in range(4, 8)] == support
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -199,11 +202,8 @@ class TestPermutationCheck:
         p = Categorical(tuple(range(k)), r.dirichlet(np.ones(k)))
         perm = r.permutation(len(p))
         q = Categorical(tuple(range(10, 10 + len(p))), p.probs[perm])
-        fwd = check_permutation_equal(p, q, 1e-9)
-        bwd = check_permutation_equal(q, p, 1e-9)
-        assert fwd is not None and bwd is not None
-        composed = fwd.inverse().compose(fwd)
-        assert all(composed(s) == s for s in p.support)
+        assert check_permutation_equal(p, q, 1e-9) is True
+        assert check_permutation_equal(q, p, 1e-9) is True
 
 
 class TestPicSpectrum:

@@ -136,10 +136,11 @@ class TestDeterministicBranch:
     def test_reconstruction_from_z_and_a(self):
         g = grouped([0.5, 0.3, 0.2], [0.2, 0.5, 0.3])
         f = build_deterministic_pef(g)
+        concept_of = {x: c for c, d in g.groups for x in d.support}
+        inverse = {(z, concept_of[x]): x for x, z in zip(f.ids.tolist(), f.out.tolist())}
         for concept, d in g.groups:
-            inv = f.group_maps[concept].inverse()
             for x in d.support:
-                assert inv(f.map_symbol(x)) == x
+                assert inverse[(f.map_symbol(x), concept)] == x
 
     def test_report_values(self):
         g = grouped([0.5, 0.3, 0.2], [0.2, 0.5, 0.3])
@@ -531,6 +532,9 @@ class TestSerialization:
         g = grouped([0.5, 0.3, 0.2], [0.2, 0.5, 0.3])
         f = build_deterministic_pef(g)
         save_function_json(f, tmp_path / "f.json")
+        assert sorted(json.loads((tmp_path / "f.json").read_text())) == [
+            "bounds", "ids", "out", "output_support", "probs", "q", "variant",
+        ]
         f2 = load_function_json(tmp_path / "f.json")
         for x in range(6):
             assert f2.map_symbol(x) == f.map_symbol(x)

@@ -63,9 +63,7 @@ class TestGenerate:
     def test_equal_settings_are_permutation_equal(self):
         for setting in ("equal_uniform", "equal_gaussian"):
             g, _ = generate(cfg(setting=setting))
-            assert (
-                check_permutation_equal(g.dists[0], g.dists[1], 1e-12) is not None
-            )
+            assert check_permutation_equal(g.dists[0], g.dists[1], 1e-12) is True
 
     def test_equal_uniform_is_uniform(self):
         g, _ = generate(cfg())
@@ -73,7 +71,7 @@ class TestGenerate:
 
     def test_unequal_differs_across_groups(self):
         g, _ = generate(cfg(setting="unequal", support_per_group=6, seed=3))
-        assert check_permutation_equal(g.dists[0], g.dists[1], 1e-9) is None
+        assert check_permutation_equal(g.dists[0], g.dists[1], 1e-9) is False
 
     def test_samples_respect_group_supports(self):
         g, samples = generate(cfg(n_groups=2, n_samples_per_group=50))
