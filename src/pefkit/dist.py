@@ -100,8 +100,8 @@ class Categorical:
             raise DistError("symbol ids must be unique within a support")
         if any(s < 0 for s in support):
             raise DistError("symbol ids must be non-negative")
-        if np.any(probs < -TRIM_EPS):
-            raise DistError("probabilities must be non-negative")
+        if not np.all(np.isfinite(probs)) or np.any(probs < -TRIM_EPS):
+            raise DistError("probabilities must be finite and non-negative")
         total = float(probs.sum())
         if abs(total - 1.0) > RENORM_TOL:
             raise DistError(f"probabilities sum to {total}, outside tolerance {RENORM_TOL}")
@@ -180,8 +180,8 @@ class GroupedData:
             raise DistError("need at least one group")
         if len({c for c, _ in groups}) != len(groups):
             raise DistError("concept ids must be unique")
-        if np.any(priors < -TRIM_EPS):
-            raise DistError("priors must be non-negative")
+        if not np.all(np.isfinite(priors)) or np.any(priors < -TRIM_EPS):
+            raise DistError("priors must be finite and non-negative")
         total = float(priors.sum())
         if abs(total - 1.0) > RENORM_TOL:
             raise DistError(f"priors sum to {total}, outside tolerance {RENORM_TOL}")

@@ -14,7 +14,6 @@ function that takes samples also accepts a sequence of ``Sample`` or of
 
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import math
@@ -215,8 +214,8 @@ def _compile_rows(support, ids, bounds, out, probs):
     if twice.any():
         i = np.argmax(twice)
         raise DistError(f"row of symbol {ids[row[i]]} has output {out[i]} twice")
-    if not np.all(probs >= 0.0):
-        raise DistError("probabilities must be non-negative")
+    if not np.all(np.isfinite(probs) & (probs >= 0.0)):
+        raise DistError("probabilities must be finite and non-negative")
     mass = np.add.reduceat(probs, bounds[:-1])
     off = ~(np.abs(mass - 1.0) <= RENORM_TOL)
     if off.any():
@@ -448,92 +447,33 @@ def apply(f: ErasureFunction, samples: ArrayLike, seed: int) -> np.ndarray:
 #: Rows formatted per write; bounds the Python ints alive at once.
 CSV_WRITE_CHUNK = 1 << 14
 
-#: Bytes per block of a canonical CSV read (each block is then completed to
-#: its line's end); bounds what a read holds beside its result.
-CSV_READ_BLOCK = 1 << 16
-
-_COMMA, _NEWLINE, _MINUS = b",\n-"
-#: Most digits in a canonical field: every 18-digit integer fits int64.
-_MAX_DIGITS = 18
-_COMMA_TO_SPACE = bytes.maketrans(b",", b" ")
-
 
 def _read_pairs_csv(path, header: str, kind: str) -> np.ndarray:
     """Rows of a two-column int CSV; blank and whitespace-only lines are skipped.
 
-    A canonical file is parsed in binary blocks (``_canonical_rows``). Any
-    other file, and a stream that cannot seek back to its start, is read by
-    ``_loadtxt_pairs``, which alone defines what is accepted and every error
-    raised.
+    ``np.loadtxt`` reads the body from ``path`` in large chunks (from a
+    handle it would read line by line). If that fails, or the file is a
+    pipe, ``_loadtxt_pairs`` reads it line by line and alone defines what is
+    accepted and every error raised: it makes the same call on the same
+    lines, but skips the whitespace-only lines that the path read rejects.
     """
-    with open(path, "rb") as fh:
+    with open(path) as fh:
         if fh.seekable():
-            rows = _canonical_rows(fh, header)
-            if rows is not None:
-                return rows
+            if fh.readline().strip() == header:
+                # Any failure defers to the read below, which raises again if
+                # the file is bad: a ValueError on content, or numpy failing
+                # to decompress a plain file named *.gz, *.bz2 or *.xz.
+                try:
+                    with warnings.catch_warnings():
+                        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                        return as_samples(np.loadtxt(
+                            path, delimiter=",", dtype=np.int64, ndmin=2, comments=None,
+                            skiprows=1,
+                        ))
+                except Exception:
+                    pass
             fh.seek(0)
-        with io.TextIOWrapper(fh) as text:
-            return _loadtxt_pairs(text, header, kind)
-
-
-def _canonical_rows(fh, header: str) -> np.ndarray | None:
-    """The rows of a canonical CSV, or None for any other file; never raises on content.
-
-    ``fh`` is a seekable binary file at its start. Canonical is the header
-    line as written, then lines of two comma-separated fields of 1-18
-    digits, each with an optional leading "-", and empty lines; the last
-    line may lack its newline. The result is allocated once, at its size,
-    and the body is parsed ``CSV_READ_BLOCK`` bytes at a time, each block
-    completed to its line's end, so beside the result a read holds one
-    block, whatever the line count.
-    """
-    if fh.readline() != header.encode() + b"\n":
-        return None
-    # A canonical row holds one comma, so a count of them sizes the result;
-    # the checks on ``n`` catch a file that changed between the two passes.
-    body = fh.tell()
-    n_rows = sum(chunk.count(b",") for chunk in iter(lambda: fh.read(CSV_READ_BLOCK), b""))
-    fh.seek(body)
-    values = np.empty(2 * n_rows, dtype=np.int64)
-    n = 0
-    while block := fh.read(CSV_READ_BLOCK):
-        parsed = _canonical_values(block + fh.readline())
-        if parsed is None or n + len(parsed) > len(values):
-            return None
-        values[n:n + len(parsed)] = parsed
-        n += len(parsed)
-    return as_samples(values.reshape(-1, 2)) if n == len(values) else None
-
-
-def _canonical_values(block: bytes) -> np.ndarray | None:
-    """The fields of a block of whole lines, in order; None unless it is canonical.
-
-    ``np.fromstring`` saturates an overflowing field and stops at a
-    malformed one, so it only parses a block that passed the checks.
-    """
-    if not block.endswith(b"\n"):
-        block += b"\n"
-    data = np.frombuffer(block, dtype=np.uint8)
-    at = np.flatnonzero(data - ord("0") > 9)  # the non-digit bytes; uint8 wraps below "0"
-    marks = data[at]
-    digits = np.diff(at, prepend=-1) - 1  # the run of digits just before each mark
-    before = np.concatenate(([_NEWLINE], marks[:-1]))  # a block starts a line
-    # A mark after no digit must open a field ("-") or end a blank line; one
-    # after digits ends a field, and the field ends must run ",", "\n", ",",
-    # "\n", ...: one comma in every non-blank line. No other byte passes.
-    opens = (marks == _MINUS) & (before != _MINUS) | (marks == _NEWLINE) & (before == _NEWLINE)
-    seps = marks[digits > 0]
-    if not (
-        (opens | (digits > 0)).all()
-        and (seps[0::2] == _COMMA).all()
-        and (seps[1::2] == _NEWLINE).all()
-        and digits.max() <= _MAX_DIGITS
-    ):
-        return None
-    if not len(seps):  # fromstring reads whitespace alone as [0]
-        return np.empty(0, dtype=np.int64)
-    values = np.fromstring(block.translate(_COMMA_TO_SPACE), dtype=np.int64, sep=" ")
-    return values if len(values) == len(seps) else None  # older numpy returns a short read
+        return _loadtxt_pairs(fh, header, kind)
 
 
 def _loadtxt_pairs(fh, header: str, kind: str) -> np.ndarray:

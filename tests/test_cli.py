@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import pytest
 
@@ -269,6 +271,12 @@ class TestMalformedDists:
         "string_priors": (
             "funnel", lambda obj: {**obj, "priors": ["0.5", "0.5"]}, "priors must be numbers"
         ),
+        # These once passed: a NaN probability dropped its symbol, and a NaN
+        # prior made every prior NaN.
+        "nan_probs": (
+            "funnel", _set_in_group(0, "dist", "probs", 0, value=math.nan), "must be finite"
+        ),
+        "nan_priors": ("funnel", lambda obj: {**obj, "priors": [math.nan, 1.0]}, "must be finite"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -302,8 +310,12 @@ class TestMalformedSamples:
             ["erase", "--samples", path, "--out-dir", tmp_path / "erased", *extra]
         )
 
-    def test_header_only_is_data_error(self, tmp_path):
-        assert self.erase(tmp_path, "x,concept\n") == EXIT_DATA
+    def test_header_only_is_data_error(self, tmp_path, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # np.loadtxt warns on an empty body
+            assert self.erase(tmp_path, "x,concept\n") == EXIT_DATA
+        assert not caught
+        assert capsys.readouterr().err.startswith("data constraint violated")
 
     def test_blank_line_is_skipped(self, tmp_path):
         head, tail = self.VALID.split("1,0\n")
@@ -318,8 +330,12 @@ class TestMalformedSamples:
             VALID.replace("\n1,0", "\n001,0").replace("\n3,1", "\n3,0001"),
             VALID[:-1],
             VALID.replace("\n", "\r\n"),
+            VALID.replace("\n2,1", "\n \t\n2,1"),
+            VALID.replace("\n1,0", "\n 1 , 0"),
+            VALID.replace("\n2,1", "\n+2,+1"),
         ],
-        ids=["minus_zero", "leading_zeros", "no_final_newline", "crlf"],
+        ids=["minus_zero", "leading_zeros", "no_final_newline", "crlf", "whitespace_line",
+             "spaces_around_fields", "leading_plus"],
     )
     def test_other_spelling_reads_the_same_values(self, tmp_path, spelling):
         (tmp_path / "valid").mkdir()
@@ -451,6 +467,12 @@ class TestMalformedFunction:
             "unequal",
             _set_first_row(lambda obj: obj["output_support"][:2], [1.5, -0.5]),
             "non-negative",
+        ),
+        # It was once reported as negative.
+        "nan_probability": (
+            "unequal",
+            _set_first_row(lambda obj: obj["output_support"][:2], [math.nan, 1.0]),
+            "must be finite and non-negative",
         ),
         "row_mass_off": ("unequal", _scale_first_row, "sums to 1.1"),
         # A q over fresh symbols once made evaluate report a positive J.

@@ -55,6 +55,12 @@ class TestCategorical:
         with pytest.raises(DistError):
             cat([0, 0], [0.5, 0.5])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_rejects_non_finite_or_negative_probs(self, bad):
+        # A NaN once passed the sum check and was trimmed with its symbol.
+        with pytest.raises(DistError, match="must be finite and non-negative"):
+            cat([0, 1, 2], [0.5, 0.5, bad])
+
     def test_canonical_id_order(self):
         c = Categorical((3, 1), np.array([0.7, 0.3]))
         assert c.support == (1, 3)
@@ -109,6 +115,12 @@ class TestEntropy:
 
 
 class TestGroupedMeasures:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
+    def test_rejects_non_finite_or_negative_priors(self, bad):
+        # A NaN prior once made every prior NaN.
+        with pytest.raises(DistError, match="priors must be finite and non-negative"):
+            two_groups([0.5, 0.5], [0.5, 0.5], priors=(bad, 1.0))
+
     def test_cond_entropy_equal_uniform(self):
         g = two_groups([0.25] * 4, [0.25] * 4)
         assert conditional_entropy_x_given_a(g) == pytest.approx(2.0, abs=1e-12)

@@ -38,9 +38,8 @@ from pefkit import (
     write_erased_csv,
     write_samples_csv,
 )
-from pefkit import pef
 from pefkit.dist import NORM_TOL, RENORM_TOL, TRIM_EPS, DistError
-from pefkit.pef import CSV_WRITE_CHUNK, _canonical_rows, _loadtxt_pairs
+from pefkit.pef import CSV_WRITE_CHUNK, _loadtxt_pairs
 from pefkit.qopt import QCandidate, output_support
 from conftest import random_grouped
 
@@ -593,7 +592,7 @@ def _csv_bodies(field, min_fields=2, max_fields=2):
     )
 
 
-#: Fields of 1-18 digits and an optional "-": the block reader parses these.
+#: Fields of 1-18 digits and an optional "-", as the CSV writer spells them.
 _CANONICAL_FIELDS = st.from_regex(r"-?[0-9]{1,18}", fullmatch=True)
 #: Canonical fields and near misses: extra or "+" signs, 19 digits, no
 #: digit, whitespace, a trailing mark.
@@ -603,11 +602,7 @@ _NEAR_CANONICAL_FIELDS = st.one_of(
 
 
 class TestCsvReader:
-    """The block reader against the np.loadtxt path it falls back to.
-
-    ``CSV_READ_BLOCK`` is set to a few bytes, so rows, blank lines and a
-    missing final newline fall across block edges.
-    """
+    """The CSV reader against the line-by-line np.loadtxt read it falls back to."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -617,18 +612,15 @@ class TestCsvReader:
             _csv_bodies(_CANONICAL_FIELDS),
             _csv_bodies(_NEAR_CANONICAL_FIELDS, 1, 4),
         ),
-        block=st.integers(1, 8),
     )
-    @example(header="x,concept\n", body="1,2,3,4\n", block=4)
-    @example(header="x,concept\n", body="--1,2\n", block=4)
-    @example(header="x,concept\n", body="1,\n2\n", block=4)
-    @example(header="x,concept\n", body="1,2-3,4\n", block=4)
-    def test_matches_loadtxt(self, tmp_path_factory, header, body, block):
+    @example(header="x,concept\n", body="1,2,3,4\n")
+    @example(header="x,concept\n", body="--1,2\n")
+    @example(header="x,concept\n", body="1,\n2\n")
+    @example(header="x,concept\n", body="1,2-3,4\n")
+    def test_matches_loadtxt(self, tmp_path_factory, header, body):
         path = tmp_path_factory.getbasetemp() / "reader.csv"
         path.write_bytes((header + body).encode())
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pef, "CSV_READ_BLOCK", block)
-            got = _rows_or_error(read_samples_csv, path)
+        got = _rows_or_error(read_samples_csv, path)
         want = _rows_or_error(_loadtxt_samples, path)
         if isinstance(want, tuple):
             assert isinstance(got, tuple) and got == want
@@ -636,22 +628,9 @@ class TestCsvReader:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
 
-    @settings(max_examples=100, deadline=None)
-    @given(body=_csv_bodies(_CANONICAL_FIELDS), block=st.integers(1, 8))
-    def test_canonical_file_is_read_in_blocks(self, tmp_path_factory, body, block):
-        path = tmp_path_factory.getbasetemp() / "canonical.csv"
-        path.write_bytes(("x,concept\n" + body).encode())
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pef, "CSV_READ_BLOCK", block)
-            with open(path, "rb") as fh:
-                rows = _canonical_rows(fh, "x,concept")
-        want = _loadtxt_samples(path)
-        assert rows is not None and rows.dtype == want.dtype and rows.shape == want.shape
-        assert np.array_equal(rows, want)
-
     def test_stream_that_cannot_seek_is_read_by_loadtxt(self, tmp_path):
-        # A non-canonical file in a pipe: the block reader would consume it,
-        # and np.loadtxt could not read it again from its start.
+        # The header check would consume a pipe, so np.loadtxt could not
+        # read it again from its start; it is read line by line instead.
         fifo = tmp_path / "s.csv"
         os.mkfifo(fifo)
         rows = []
@@ -661,3 +640,10 @@ class TestCsvReader:
         reader.join(timeout=10)
         assert not reader.is_alive()
         assert rows[0].tolist() == [[1, 2], [3, 4]]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+    def test_plain_file_with_a_compressed_name_is_read(self, tmp_path, suffix):
+        # np.loadtxt given such a path decompresses it, and fails.
+        path = tmp_path / f"s.csv{suffix}"
+        path.write_text("x,concept\n1,2\n3,4\n")
+        assert read_samples_csv(path).tolist() == [[1, 2], [3, 4]]
