@@ -10,10 +10,16 @@ couples every group onto the chosen Q in a third, so none builds a dense
 mass matrix. ``greedy_fill`` is a heap that builds one dense coupling:
 ``objective_j`` for the one Q of each GP-UCB round, ``greedy_mec`` (the
 ``mec`` command) and PGD. ``row_searchsorted`` draws every stochastic
-erasure. All take and return plain arrays, not ``Categorical`` or
-``Coupling`` values, so hot callers skip the validation those types do on
-construction, and this module imports nothing from pefkit, so every other
-module can use it without an import cycle.
+erasure. ``symbol_codes`` gives each symbol id its dense code and
+``symbol_counts`` counts the ids, for every per-row lookup: ``apply``'s row
+of each sample, the labels and cells of ``evaluate``'s joint counts, the
+groups of Algorithm 1 and the owner check of ``erase --dists``. Where the
+ids span no more than the rows being coded, both index a table by
+``id - min`` (O(n), no sort); otherwise they sort or search as
+``np.unique`` and ``np.searchsorted`` do. All take and return plain
+arrays, not ``Categorical`` or ``Coupling`` values, so hot callers skip the
+validation those types do on construction, and this module imports nothing
+from pefkit, so every other module can use it without an import cycle.
 """
 
 from __future__ import annotations
@@ -152,3 +158,71 @@ def row_searchsorted(
         lo = np.where(right, mid + 1, lo)
         hi = np.where(right, hi, mid)
     return lo
+
+
+def _table_fits(lo: int, hi: int, n: int) -> bool:
+    """The one rule for a table indexed by ``id - lo``: ids ``lo..hi`` span at most ``n``."""
+    return hi - lo < n
+
+
+def symbol_codes(
+    values: np.ndarray, ids: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dense code of each of the int64 ``values``: ``(ids, codes)``.
+
+    With ``ids`` None the ids are the distinct values ascending, and the
+    result equals ``np.unique(values, return_inverse=True)``. Given ``ids``
+    (ascending and distinct), ``codes[i]`` is the index of ``values[i]`` in
+    them, or -1 where it is absent.
+
+    One rule picks the path. When the ids span (largest minus smallest,
+    plus one) is at most ``len(values)``, a table indexed by ``id - min``
+    holds each id's code, and coding is one gather: O(n), and the table is
+    never larger than the column being coded. Otherwise ``np.unique`` or
+    ``np.searchsorted`` sort or search, as before. The span is taken in
+    Python ints and only in-range values are offset, so ids near the int64
+    limits cannot wrap around.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    if ids is None:
+        if not values.size:
+            return values.copy(), np.zeros(0, dtype=np.intp)
+        lo, hi = int(values.min()), int(values.max())
+        if not _table_fits(lo, hi, values.size):
+            ids, codes = np.unique(values, return_inverse=True)
+            return ids, codes.reshape(-1)
+        offset = values - lo
+        seen = np.zeros(hi - lo + 1, dtype=bool)
+        seen[offset] = True
+        table = np.cumsum(seen, dtype=np.intp) - 1
+        return np.flatnonzero(seen) + lo, table[offset]
+    ids = np.asarray(ids, dtype=np.int64)
+    if not ids.size:
+        return ids, np.full(values.shape, -1, dtype=np.intp)
+    lo, hi = int(ids[0]), int(ids[-1])
+    if not _table_fits(lo, hi, values.size):
+        pos = np.searchsorted(ids, values)
+        found = ids[np.minimum(pos, len(ids) - 1)] == values
+        return ids, np.where(found, pos, -1)
+    table = np.full(hi - lo + 1, -1, dtype=np.intp)
+    table[ids - lo] = np.arange(len(ids))
+    codes = table[np.clip(values, lo, hi) - lo]
+    codes[(values < lo) | (values > hi)] = -1
+    return ids, codes
+
+
+def symbol_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_counts=True)`` of int64 ``values``.
+
+    Under ``symbol_codes``' rule: one ``bincount`` over ``value - min``
+    where the values span at most ``len(values)``, else the sort.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    if not values.size:
+        return values.copy(), np.zeros(0, dtype=np.intp)
+    lo, hi = int(values.min()), int(values.max())
+    if not _table_fits(lo, hi, values.size):
+        return np.unique(values, return_counts=True)
+    counts = np.bincount(values - lo, minlength=hi - lo + 1)
+    seen = np.flatnonzero(counts)
+    return seen + lo, counts[seen]

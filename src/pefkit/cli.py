@@ -83,6 +83,7 @@ def cmd_erase(args) -> int:
             "the samples",
             "--dists",
         )
+        pef.check_sample_concepts(g, samples)
         tol = args.tol if args.tol is not None else 1e-9
         f, report = pef.build_pef(g, tol, bo)
     else:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import entropy_bits
+from ._kernels import entropy_bits, symbol_codes
 
 #: Sum-to-one must hold this tightly after renormalization.
 NORM_TOL = 1e-9
@@ -223,13 +223,16 @@ class GroupedData:
         return max(s for _, d in self.groups for s in d.support)
 
     def marginal_x(self) -> Categorical:
-        """Mixture distribution of X, merging mass on shared symbols."""
-        mass: dict[int, float] = {}
-        for prior, (_, d) in zip(self.priors, self.groups):
-            for s, p in zip(d.support, d.probs):
-                mass[s] = mass.get(s, 0.0) + float(prior) * float(p)
-        symbols = sorted(mass)
-        return Categorical(tuple(symbols), np.array([mass[s] for s in symbols]))
+        """Mixture distribution of X, merging mass on shared symbols.
+
+        ``bincount`` adds each symbol's ``prior * p`` terms in group order,
+        left to right from 0.0.
+        """
+        support = np.concatenate([np.asarray(d.support, dtype=np.int64) for d in self.dists])
+        terms = np.concatenate([prior * d.probs for prior, d in zip(self.priors, self.dists)])
+        symbols, code = symbol_codes(support)
+        mass = np.bincount(code, weights=terms, minlength=len(symbols))
+        return Categorical(tuple(symbols.tolist()), mass)
 
     def to_json(self) -> dict:
         return {

@@ -24,7 +24,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.typing import ArrayLike
 
-from ._kernels import entropy_bits, greedy_fill_batch, live_cells, row_searchsorted, zero_padded
+from ._kernels import (
+    entropy_bits,
+    greedy_fill_batch,
+    live_cells,
+    row_searchsorted,
+    symbol_codes,
+    symbol_counts,
+    zero_padded,
+)
 from .coupling import conditional_rows
 from .dist import (
     MALFORMED_JSON,
@@ -357,23 +365,56 @@ def grouped_from_samples(samples: ArrayLike) -> GroupedData:
     if not len(rows):
         raise DataConstraintError("empty sample set")
     x, concept = rows[:, 0], rows[:, 1]
-    concepts, counts = np.unique(concept, return_counts=True)
+    concepts, a = symbol_codes(concept)
     if len(concepts) < 2:
         raise DataConstraintError("need samples from at least two concepts")
-    # Each row against the concept of the first row holding its symbol.
-    _, first, inverse = np.unique(x, return_index=True, return_inverse=True)
-    owner = concept[first][inverse]
-    clash = np.flatnonzero(owner != concept)
-    if clash.size:
-        i = clash[0]
+    symbols, code = symbol_codes(x)
+    # Some concept of each symbol; a symbol under two concepts fails the
+    # comparison on the rows of whichever one the table does not hold.
+    owner = np.zeros(len(symbols), dtype=np.intp)
+    owner[code] = a
+    if np.any(owner[code] != a):
+        # Each row against the concept of the first row holding its symbol.
+        _, first, inverse = np.unique(x, return_index=True, return_inverse=True)
+        held = concept[first][inverse]
+        i = np.argmax(held != concept)
         raise DataConstraintError(
-            f"symbol {x[i]} appears under concepts {owner[i]} and {concept[i]} "
+            f"symbol {x[i]} appears under concepts {held[i]} and {concept[i]} "
             "(disjoint-support assumption violated)"
         )
-    concepts = concepts.tolist()
-    dists = [estimate_distribution(rows, c) for c in concepts]
-    priors = counts.astype(np.float64) / len(rows)
-    return GroupedData(tuple(zip(concepts, dists)), priors)
+    counts = np.bincount(code, minlength=len(symbols))
+    dists = []
+    for k in range(len(concepts)):
+        mine = owner == k
+        dists.append(
+            Categorical(tuple(symbols[mine].tolist()), counts[mine] / counts[mine].sum())
+        )
+    priors = np.bincount(a).astype(np.float64) / len(rows)
+    return GroupedData(tuple(zip(concepts.tolist(), dists)), priors)
+
+
+def check_sample_concepts(g: GroupedData, samples: ArrayLike) -> None:
+    """Raise DataConstraintError unless each sample's symbol lies in its own concept's group.
+
+    The owner of each symbol of ``g`` is looked up by ``symbol_codes``; a
+    symbol outside every support is left to ``check_symbols_known``.
+    """
+    if not g.supports_disjoint:
+        raise DataConstraintError("group supports must be pairwise disjoint")
+    rows = as_samples(samples)
+    ids = np.concatenate([np.asarray(d.support, dtype=np.int64) for d in g.dists])
+    owners = np.repeat(g.concepts, [len(d) for d in g.dists])
+    order = np.argsort(ids)
+    x, concept = rows[:, 0], rows[:, 1]
+    code = symbol_codes(x, ids[order])[1]
+    owner = owners[order][code]
+    wrong = (code >= 0) & (owner != concept)
+    if wrong.any():
+        i = np.argmax(wrong)
+        raise DataConstraintError(
+            f"symbol {x[i]} appears under concept {concept[i]} but belongs to concept "
+            f"{owner[i]} (disjoint-support assumption violated)"
+        )
 
 
 def build_pef(
@@ -410,15 +451,16 @@ def run_algorithm1(
     rows = as_samples(samples)
     g = grouped_from_samples(rows)
     if tol is None:
-        n_min = int(np.unique(rows[:, 1], return_counts=True)[1].min())
+        n_min = int(symbol_counts(rows[:, 1])[1].min())
         tol = default_tol(n_min)
     return build_pef(g, tol, bo)
 
 
-def _positions(ids: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _positions(ids: np.ndarray, x: ArrayLike) -> np.ndarray:
     """Index of each symbol of ``x`` in the sorted ``ids``; KeyError if absent."""
-    pos = np.searchsorted(ids, x)
-    unknown = ids[np.minimum(pos, len(ids) - 1)] != x
+    x = np.asarray(x, dtype=np.int64)
+    pos = symbol_codes(x, ids)[1]
+    unknown = pos < 0
     if unknown.any():
         raise KeyError(f"unknown symbol {x[np.argmax(unknown)]}")
     return pos
@@ -427,12 +469,12 @@ def _positions(ids: np.ndarray, x: np.ndarray) -> np.ndarray:
 def apply(f: ErasureFunction, samples: ArrayLike, seed: int) -> np.ndarray:
     """Erase samples, preserving order; returns an (n, 2) array of (z, concept).
 
-    Each symbol's row is found among the sorted input ids and drawn from by
-    inverse CDF: row i uses the i-th double of ``Generator(Philox(key=seed))``,
-    so every draw is a function of (seed, i) alone and a prefix of the
-    samples erases to a prefix of the output. A function whose rows are all
-    single cells (every deterministic one) draws nothing and ignores
-    ``seed``. Unknown symbols raise KeyError.
+    Each symbol's row is looked up among the sorted input ids by
+    ``symbol_codes`` and drawn from by inverse CDF: row i uses the i-th
+    double of ``Generator(Philox(key=seed))``, so every draw is a function of
+    (seed, i) alone and a prefix of the samples erases to a prefix of the
+    output. A function whose rows are all single cells (every deterministic
+    one) draws nothing and ignores ``seed``. Unknown symbols raise KeyError.
     """
     rows = as_samples(samples)
     pos = _positions(f.ids, rows[:, 0])

@@ -143,6 +143,25 @@ class TestErase:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "first 9999" in err
 
+    @pytest.mark.parametrize("dists", [True, False], ids=["dists", "estimated"])
+    def test_sample_under_another_concept_is_data_error(self, tmp_path, capsys, dists):
+        # 20 concept-0 rows relabelled as concept 1: their symbols belong to
+        # group 0, on the --dists path as on the estimating one.
+        out = gen(tmp_path, setting="unequal", support=5, samples=50, seed=1)
+        lines = (out / "samples.csv").read_text().splitlines()
+        moved = 0
+        for i, line in enumerate(lines[1:], start=1):
+            x, concept = line.split(",")
+            if concept == "0" and moved < 20:
+                lines[i], moved = f"{x},1", moved + 1
+        (out / "samples.csv").write_text("\n".join(lines) + "\n")
+        argv = ["erase", "--samples", out / "samples.csv", "--out-dir", tmp_path / "erased"]
+        code = run(argv + (["--dists", out / "true_dists.json"] if dists else []))
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "appears under concept" in err
+        assert not (tmp_path / "erased").exists()
+
     @pytest.mark.parametrize(
         "flag,message",
         [

@@ -163,6 +163,41 @@ class TestGroupedMeasures:
             assert conditional_entropy_x_given_a(g) <= entropy(g.marginal_x()) + 1e-9
 
 
+def marginal_x_by_dict(g: GroupedData) -> Categorical:
+    """The per-symbol dict sum of ``prior * p``, kept as the oracle for ``marginal_x``."""
+    mass: dict[int, float] = {}
+    for prior, (_, d) in zip(g.priors, g.groups):
+        for s, p in zip(d.support, d.probs):
+            mass[s] = mass.get(s, 0.0) + float(prior) * float(p)
+    symbols = sorted(mass)
+    return Categorical(tuple(symbols), np.array([mass[s] for s in symbols]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 12), st.floats(0.01, 1.0)), min_size=1, max_size=8),
+        min_size=1,
+        max_size=5,
+    ),
+    st.lists(st.floats(0.1, 1.0), min_size=5, max_size=5),
+)
+def test_marginal_x_matches_dict_sum(groups, priors):
+    # Supports may share symbols, so some masses sum several groups' terms.
+    dists = []
+    for cells in groups:
+        support = sorted(dict(cells))
+        w = np.array([dict(cells)[x] for x in support])
+        dists.append(cat(support, w / w.sum()))
+    pr = np.array(priors[: len(dists)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = GroupedData(tuple(enumerate(dists)), pr / pr.sum())
+    got, want = g.marginal_x(), marginal_x_by_dict(g)
+    assert got.support == want.support
+    assert got.probs.tolist() == want.probs.tolist()
+
+
 class TestFunnel:
     def test_endpoints_and_midpoint(self):
         g = two_groups([0.25] * 4, [0.25] * 4)

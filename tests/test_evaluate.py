@@ -220,6 +220,94 @@ class TestEvaluateRun:
         assert len(obj["points"]) == 2
 
 
+def from_pairs_by_sorting(pairs) -> JointCounts:
+    """The three-``np.unique`` count, kept as the oracle for ``from_pairs``."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    rows, ri = np.unique(pairs[:, 0], return_inverse=True)
+    cols, ci = np.unique(pairs[:, 1], return_inverse=True)
+    codes, counts = np.unique(ri * len(cols) + ci, return_counts=True)
+    cells = np.column_stack(np.divmod(codes, len(cols)))
+    return JointCounts(tuple(rows.tolist()), tuple(cols.tolist()), cells, counts)
+
+
+def _pairs(spread):
+    return st.lists(
+        st.tuples(st.integers(-spread, spread), st.integers(-spread, spread)),
+        min_size=1,
+        max_size=120,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_pairs(3), _pairs(40), _pairs(2**62)))
+def test_from_pairs_matches_sorting(pairs):
+    got, want = JointCounts.from_pairs(pairs), from_pairs_by_sorting(pairs)
+    assert got.rows == want.rows and got.cols == want.cols and got.n == want.n
+    np.testing.assert_array_equal(got.cells, want.cells)
+    np.testing.assert_array_equal(got.counts, want.counts)
+
+
+@st.composite
+def evaluate_inputs(draw):
+    """Distributions, a function built on them, and samples erased by it.
+
+    Concepts are drawn per row from 0..n_groups, so a concept of the
+    distributions may have no rows and concept n_groups is absent from them.
+    """
+    n_groups = draw(st.integers(2, 4))
+    # Up to 12 symbols per group: a TV sum of 8 or more terms rounds
+    # differently unless it is taken left to right.
+    sizes = draw(st.lists(st.integers(1, 12), min_size=n_groups, max_size=n_groups))
+    weights = st.floats(0.05, 1.0)
+    groups, base = [], draw(st.integers(0, 50))
+    for c, k in enumerate(sizes):
+        p = np.array(draw(st.lists(weights, min_size=k, max_size=k)))
+        groups.append((c, Categorical(tuple(range(base, base + k)), p / p.sum())))
+        base += k + draw(st.integers(0, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = GroupedData(tuple(groups), np.full(n_groups, 1.0 / n_groups))
+    f, _ = build_pef(g, tol=draw(st.sampled_from([1e-9, 1.0])))
+    n = draw(st.integers(1, 200))
+    x = draw(st.lists(st.sampled_from(f.ids.tolist()), min_size=n, max_size=n))
+    concept = draw(st.lists(st.integers(0, n_groups), min_size=n, max_size=n))
+    samples = np.column_stack([x, concept])
+    return g, f, apply(f, samples, seed=draw(st.integers(0, 3))), samples
+
+
+def assert_evaluate_run_matches_sorting(g, f, erased, samples):
+    """``evaluate_run``'s plug-in point and TVs equal (==) the sorting way's."""
+    points, tvs, _ = evaluate_run(g, f, erased, samples)
+    z, concept = erased[:, 0], erased[:, 1]
+    za = from_pairs_by_sorting(erased)
+    zx = from_pairs_by_sorting(np.column_stack([z, samples[:, 0]]))
+    assert points[1] == TradeoffPoint(plugin_mi(zx), plugin_mi(za), "pef", "plugin")
+    pooled = empirical_dist(z)
+    want = []
+    for c in g.concepts:
+        zs = z[concept == c]
+        want.append(tv_distance(empirical_dist(zs), pooled) if zs.size else 1.0)
+    assert tvs == want
+    return tvs
+
+
+@settings(max_examples=150, deadline=None)
+@given(evaluate_inputs())
+def test_evaluate_run_matches_sorting_reference(inputs):
+    assert_evaluate_run_matches_sorting(*inputs)
+
+
+def test_evaluate_run_concept_without_rows_and_concept_outside_dists():
+    # Concept 1 of the distributions has no rows; concept 7 has rows but no group.
+    rng = np.random.default_rng(4)
+    g = grouped(rng.dirichlet(np.ones(40)), rng.dirichlet(np.ones(30)))
+    f, _ = build_pef(g, tol=1e-9)
+    x = rng.choice(f.ids, size=3000)
+    samples = np.column_stack([x, np.where(rng.random(3000) < 0.5, 0, 7)])
+    tvs = assert_evaluate_run_matches_sorting(g, f, apply(f, samples, seed=2), samples)
+    assert tvs[1] == 1.0 and 0.0 < tvs[0] < 1.0
+
+
 def test_tradeoff_point_clamps_but_keeps_raw():
     p = TradeoffPoint(-0.01, -0.002, "pef", "plugin")
     assert p.utility_bits == 0.0 and p.privacy_bits == 0.0

@@ -1,5 +1,6 @@
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pefkit._kernels import (
@@ -8,7 +9,10 @@ from pefkit._kernels import (
     greedy_fill,
     greedy_fill_batch,
     row_searchsorted,
+    symbol_codes,
+    symbol_counts,
 )
+from pefkit.pef import _positions
 
 
 def greedy_fill_reference(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -161,3 +165,90 @@ def test_row_searchsorted_exact_at_cdf_values():
         got = row_searchsorted(cdfs, lo, lo + len(row) - 1, u)
         want = lo + np.minimum(np.searchsorted(row, u, side="right"), len(row) - 1)
         np.testing.assert_array_equal(got, want)
+
+
+INT64_MIN, INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
+@st.composite
+def id_columns(draw, max_size=60):
+    """An int64 column: its values span ``spread`` above a base anywhere in int64.
+
+    A small spread with enough values takes ``symbol_codes``' table path;
+    a spread above the length forces the sort/search fallback.
+    """
+    n = draw(st.integers(0, max_size))
+    spread = draw(st.sampled_from([0, 1, 3, 10, 50, 10**6, 2**62, 2**64 - 1]))
+    base = draw(st.integers(INT64_MIN, INT64_MAX - spread))
+    offsets = draw(st.lists(st.integers(0, spread), min_size=n, max_size=n))
+    return np.array([base + o for o in offsets], dtype=np.int64)
+
+
+def _lookup_reference(ids: np.ndarray, values: np.ndarray) -> np.ndarray:
+    pos = np.searchsorted(ids, values)
+    found = ids[np.minimum(pos, len(ids) - 1)] == values if len(ids) else pos < 0
+    return np.where(found, pos, -1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(id_columns())
+@example(np.array([INT64_MIN, INT64_MAX, INT64_MIN], dtype=np.int64))
+@example(np.array([INT64_MAX - 1, INT64_MAX, INT64_MAX], dtype=np.int64))
+@example(np.array([INT64_MIN, INT64_MIN + 1, INT64_MIN], dtype=np.int64))
+@example(np.array([-3, -1, -3, -2], dtype=np.int64))
+@example(np.zeros(0, dtype=np.int64))
+def test_symbol_codes_match_unique(values):
+    ids, codes = symbol_codes(values)
+    want_ids, want_codes = np.unique(values, return_inverse=True)
+    np.testing.assert_array_equal(ids, want_ids)
+    np.testing.assert_array_equal(codes, want_codes.reshape(-1))
+    assert ids.dtype == np.int64 and codes.shape == values.shape
+    labels, counts = symbol_counts(values)
+    want_labels, want_counts = np.unique(values, return_counts=True)
+    np.testing.assert_array_equal(labels, want_labels)
+    np.testing.assert_array_equal(counts, want_counts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(id_columns(max_size=20), id_columns())
+@example(
+    np.array([INT64_MIN + 1, INT64_MIN + 3], dtype=np.int64),
+    np.array([INT64_MAX, INT64_MIN, INT64_MIN + 3, INT64_MIN + 1], dtype=np.int64),
+)
+@example(
+    np.array([INT64_MAX - 2, INT64_MAX], dtype=np.int64),
+    np.array([INT64_MIN, INT64_MAX, INT64_MAX - 1, INT64_MAX - 2], dtype=np.int64),
+)
+@example(np.zeros(0, dtype=np.int64), np.array([4, -4], dtype=np.int64))
+@example(np.array([-2, 5], dtype=np.int64), np.zeros(0, dtype=np.int64))
+def test_symbol_codes_against_ids_match_searchsorted(ids, values):
+    ids = np.unique(ids)
+    # Half of the values drawn from the ids, so both found and absent occur.
+    values = np.concatenate([values, ids[::2]])
+    got = symbol_codes(values, ids)[1]
+    np.testing.assert_array_equal(got, _lookup_reference(ids, values))
+    want = _lookup_reference(ids, values)
+    if (want < 0).any():
+        with pytest.raises(KeyError) as err:
+            _positions(ids, values)
+        # The first unknown symbol in row order, as the sorted search names it.
+        assert err.value.args[0] == f"unknown symbol {values[np.argmax(want < 0)]}"
+    else:
+        np.testing.assert_array_equal(_positions(ids, values), want)
+
+
+def test_dense_ids_take_no_sort_or_search(monkeypatch):
+    # 200 values over 8 ids: the table paths alone, never a sort or search.
+    def refuse(*args, **kwargs):
+        raise AssertionError("sorted or searched")
+
+    values = np.random.default_rng(3).integers(-4, 4, size=200)
+    ids = np.arange(-4, 4)
+    for name in ("unique", "searchsorted", "sort", "argsort"):
+        monkeypatch.setattr(np, name, refuse)
+    assert symbol_codes(values)[1].tolist() == (values + 4).tolist()
+    assert symbol_codes(values, ids)[1].tolist() == (values + 4).tolist()
+    assert symbol_counts(values)[0].tolist() == list(range(-4, 4))
+    # A wide span falls back to the sort.
+    with pytest.raises(AssertionError, match="sorted or searched"):
+        symbol_codes(np.array([0, 1000]))

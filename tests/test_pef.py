@@ -63,6 +63,31 @@ def grouped(p1, p2, priors=(0.5, 0.5)):
         )
 
 
+def grouped_by_sorting(rows: np.ndarray) -> GroupedData:
+    """``grouped_from_samples`` by ``np.unique`` sorts, kept as its oracle."""
+    if not len(rows):
+        raise DataConstraintError("empty sample set")
+    x, concept = rows[:, 0], rows[:, 1]
+    concepts, counts = np.unique(concept, return_counts=True)
+    if len(concepts) < 2:
+        raise DataConstraintError("need samples from at least two concepts")
+    _, first, inverse = np.unique(x, return_index=True, return_inverse=True)
+    owner = concept[first][inverse]
+    clash = np.flatnonzero(owner != concept)
+    if clash.size:
+        i = clash[0]
+        raise DataConstraintError(
+            f"symbol {x[i]} appears under concepts {owner[i]} and {concept[i]} "
+            "(disjoint-support assumption violated)"
+        )
+    dists = [estimate_distribution(rows, c) for c in concepts.tolist()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return GroupedData(
+            tuple(zip(concepts.tolist(), dists)), counts.astype(np.float64) / len(rows)
+        )
+
+
 class TestEstimation:
     def test_estimate_distribution_counts(self):
         samples = [Sample(0, 0), Sample(0, 0), Sample(1, 0), Sample(5, 1)]
@@ -87,6 +112,29 @@ class TestEstimation:
     def test_grouped_rejects_single_concept(self):
         with pytest.raises(DataConstraintError):
             grouped_from_samples([Sample(0, 0), Sample(1, 0)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-3, 40), st.integers(0, 3)), min_size=1, max_size=60),
+        st.sampled_from([1, 2**40]),
+    )
+    def test_grouped_from_samples_matches_sorting(self, pairs, scale):
+        # Symbols spread by ``scale`` take the table path or the sort.
+        rows = np.array(pairs, dtype=np.int64) * np.array([scale, 1])
+        try:
+            want = grouped_by_sorting(rows)
+        except DistError as exc:  # a clash, one concept, or a negative symbol
+            with pytest.raises(type(exc)) as got:
+                grouped_from_samples(rows)
+            assert str(got.value) == str(exc)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            g = grouped_from_samples(rows)
+        assert g.concepts == want.concepts
+        assert g.priors.tolist() == want.priors.tolist()
+        for d, w in zip(g.dists, want.dists):
+            assert d.support == w.support and d.probs.tolist() == w.probs.tolist()
 
     def test_default_tol_value(self):
         # 2 * sqrt(ln(200) / 2000) at n_min=1000, delta=0.01
