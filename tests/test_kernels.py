@@ -223,11 +223,10 @@ def test_symbol_codes_match_unique(values):
 @example(np.array([-2, 5], dtype=np.int64), np.zeros(0, dtype=np.int64))
 def test_symbol_codes_against_ids_match_searchsorted(ids, values):
     ids = np.unique(ids)
-    # Half of the values drawn from the ids, so both found and absent occur.
+    # Every other id is looked up too, so found and absent values both occur.
     values = np.concatenate([values, ids[::2]])
-    got = symbol_codes(values, ids)[1]
-    np.testing.assert_array_equal(got, _lookup_reference(ids, values))
     want = _lookup_reference(ids, values)
+    np.testing.assert_array_equal(symbol_codes(values, ids)[1], want)
     if (want < 0).any():
         with pytest.raises(KeyError) as err:
             _positions(ids, values)
