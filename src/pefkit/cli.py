@@ -83,9 +83,10 @@ def cmd_erase(args) -> int:
             "the samples",
             "--dists",
         )
-        pef.check_sample_concepts(g, samples)
         tol = args.tol if args.tol is not None else 1e-9
         f, report = pef.build_pef(g, tol, bo)
+        # After the build, which rejects --dists files it cannot map.
+        pef.check_sample_concepts(g, samples)
     else:
         f, report = pef.run_algorithm1(samples, args.tol, bo)
     erased = pef.apply(f, samples, args.seed)

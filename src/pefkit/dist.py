@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import entropy_bits, symbol_codes
+from ._kernels import entropy_bits
 
 #: Sum-to-one must hold this tightly after renormalization.
 NORM_TOL = 1e-9
@@ -226,12 +226,12 @@ class GroupedData:
         """Mixture distribution of X, merging mass on shared symbols.
 
         ``bincount`` adds each symbol's ``prior * p`` terms in group order,
-        left to right from 0.0.
+        left to right from 0.0. The ids are coded by ``np.unique`` of a
+        list, which also sorts ids past int64 (as Python ints).
         """
-        support = np.concatenate([np.asarray(d.support, dtype=np.int64) for d in self.dists])
+        symbols, code = np.unique([s for d in self.dists for s in d.support], return_inverse=True)
         terms = np.concatenate([prior * d.probs for prior, d in zip(self.priors, self.dists)])
-        symbols, code = symbol_codes(support)
-        mass = np.bincount(code, weights=terms, minlength=len(symbols))
+        mass = np.bincount(code.reshape(-1), weights=terms, minlength=len(symbols))
         return Categorical(tuple(symbols.tolist()), mass)
 
     def to_json(self) -> dict:

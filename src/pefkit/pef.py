@@ -396,8 +396,10 @@ def grouped_from_samples(samples: ArrayLike) -> GroupedData:
 def check_sample_concepts(g: GroupedData, samples: ArrayLike) -> None:
     """Raise DataConstraintError unless each sample's symbol lies in its own concept's group.
 
-    The owner of each symbol of ``g`` is looked up by ``symbol_codes``; a
-    symbol outside every support is left to ``check_symbols_known``.
+    The owner of each symbol of ``g`` is looked up by ``symbol_codes``, so
+    the ids must fit int64, as they do in any ``g`` that ``build_pef``
+    accepts; a symbol outside every support is left to
+    ``check_symbols_known``.
     """
     if not g.supports_disjoint:
         raise DataConstraintError("group supports must be pairwise disjoint")

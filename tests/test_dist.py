@@ -198,6 +198,13 @@ def test_marginal_x_matches_dict_sum(groups, priors):
     assert got.probs.tolist() == want.probs.tolist()
 
 
+def test_marginal_x_takes_ids_past_int64():
+    big = 2**70
+    g = GroupedData(((0, cat((3, big), [0.25, 0.75])), (1, cat((5,), [1.0]))), np.array([0.5, 0.5]))
+    m = g.marginal_x()
+    assert m.support == (3, 5, big) and m.probs.tolist() == [0.125, 0.5, 0.375]
+
+
 class TestFunnel:
     def test_endpoints_and_midpoint(self):
         g = two_groups([0.25] * 4, [0.25] * 4)
