@@ -79,7 +79,7 @@ def cmd_erase(args) -> int:
         g = load_grouped_json(args.dists)
         ev.check_symbols_known(
             samples[:, 0],
-            [x for d in g.dists for x in d.support],
+            g.symbols,
             "the samples",
             "--dists",
         )

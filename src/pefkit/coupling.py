@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import entropy_bits, greedy_fill
-from .dist import RENORM_TOL, TRIM_EPS, Categorical, DistError, GroupedData
+from .dist import RENORM_TOL, TRIM_EPS, Categorical, DistError, _column
 
 MARGINAL_TOL = 1e-8
 _LN2 = float(np.log(2.0))
@@ -47,24 +47,28 @@ class InstanceTooLarge(CouplingError):
 
 @dataclass(frozen=True, eq=False)
 class Coupling:
-    """A joint distribution matrix with fixed row and column marginals."""
+    """A joint distribution matrix with fixed row and column marginals,
+    over read-only int64 row and column supports."""
 
-    row_support: tuple[int, ...]
-    col_support: tuple[int, ...]
+    row_support: np.ndarray
+    col_support: np.ndarray
     mass: np.ndarray
 
     def __post_init__(self):
+        rows = _column(self.row_support, "row_support")
+        cols = _column(self.col_support, "col_support")
         mass = np.asarray(self.mass, dtype=np.float64)
-        if mass.shape != (len(self.row_support), len(self.col_support)):
+        if mass.shape != (len(rows), len(cols)):
             raise CouplingError("mass shape must match supports")
         if np.any(mass < -MARGINAL_TOL):
             raise CouplingError("coupling mass must be non-negative")
         if abs(mass.sum() - 1.0) > MARGINAL_TOL:
             raise CouplingError("total coupling mass must be 1")
         mass = np.maximum(mass, 0.0)
-        mass.setflags(write=False)
-        object.__setattr__(self, "row_support", tuple(int(s) for s in self.row_support))
-        object.__setattr__(self, "col_support", tuple(int(s) for s in self.col_support))
+        for a in (rows, cols, mass):
+            a.setflags(write=False)
+        object.__setattr__(self, "row_support", rows)
+        object.__setattr__(self, "col_support", cols)
         object.__setattr__(self, "mass", mass)
 
     @property
@@ -387,7 +391,7 @@ def pgd_solve(
     mats = split(best_x)
     q_probs = np.mean([m.sum(axis=0) for m in mats], axis=0)
     q_probs = q_probs / q_probs.sum()
-    out_support = tuple(range(nz))
+    out_support = np.arange(nz)
     couplings = [
         Coupling(d.support, out_support, m * (1.0 / m.sum())) for d, m in zip(dists, mats)
     ]

@@ -13,13 +13,12 @@ immutable values and safe to call concurrently.
 from __future__ import annotations
 
 import json
-import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import entropy_bits
+from ._kernels import entropy_bits, symbol_codes
 
 #: Sum-to-one must hold this tightly after renormalization.
 NORM_TOL = 1e-9
@@ -39,30 +38,15 @@ class DataConstraintError(DistError):
 
 #: What indexing or iterating a malformed JSON object raises; ``from_json``
 #: turns each into DistError.
-MALFORMED_JSON = (KeyError, TypeError, AttributeError, OverflowError)
-
-
-def int_ids(values, what: str = "symbol ids") -> tuple[int, ...]:
-    """``values`` as a tuple of ints; DistError if one is not an integer.
-
-    ``int`` would truncate an id of 1.4 to 1 and parse one of "1";
-    ``operator.index`` accepts Python and numpy integers only, and of
-    those the bools are turned away here, so a JSON ``true`` is no id 1.
-    """
-    values = tuple(values)
-    try:
-        if bool in map(type, values):
-            raise TypeError("a bool is not an id")
-        return tuple(map(operator.index, values))
-    except TypeError as exc:
-        raise DistError(f"{what} must be integers ({exc})") from None
+MALFORMED_JSON = (KeyError, TypeError, AttributeError)
 
 
 def _column(a, name: str, dtype=np.int64) -> np.ndarray:
     """``a`` as a 1-d ``dtype`` array; DistError unless it is a flat list of
     numbers that cast to ``dtype`` safely, so an id of 1.4 is never truncated
-    to 1 (as ``int_ids``), neither "0.5" nor ``true`` reads as a number, and
-    a nested list fails here, not deep in numpy.
+    to 1, an id past int64 is never wrapped or read as a float, neither "0.5"
+    nor ``true`` reads as a number, and a nested list fails here, not deep in
+    numpy.
     """
     try:
         arr = np.asarray(a)
@@ -71,10 +55,17 @@ def _column(a, name: str, dtype=np.int64) -> np.ndarray:
     if arr.ndim != 1:
         raise DistError(f"{name} must be a flat list, got {arr.ndim} dimensions")
     # numpy reads [1, true] as ints and [0.5, true] as floats.
-    bools = arr.dtype.kind == "b" or isinstance(a, list) and bool in map(type, a)
+    seq = isinstance(a, (list, tuple))
+    bools = arr.dtype.kind == "b" or seq and bool in map(type, a)
     if arr.size and (bools or not np.can_cast(arr.dtype, dtype)):
         kind = "integers" if dtype is np.int64 else "numbers"
-        got = "bool" if bools else f"dtype {arr.dtype}"
+        if bools:
+            got = "bool"
+        elif dtype is np.int64 and seq and all(isinstance(v, (int, np.integer)) for v in a):
+            # numpy reads Python ints past int64 as float64 or object.
+            kind, got = "integers from -2**63 to 2**63 - 1", max(a, key=abs)
+        else:
+            got = f"dtype {arr.dtype}"
         raise DistError(f"{name} must be {kind}, got {got}")
     return arr.astype(dtype)
 
@@ -83,22 +74,22 @@ def _column(a, name: str, dtype=np.int64) -> np.ndarray:
 class Categorical:
     """A probability distribution over an ordered finite support of symbol ids.
 
-    The support is canonicalized to ascending symbol id; zero-mass entries
-    are trimmed; mass off by at most ``RENORM_TOL`` is renormalized with a
-    warning, anything worse is rejected.
+    The support is a read-only int64 array, canonicalized to ascending
+    symbol id; zero-mass entries are trimmed; mass off by at most
+    ``RENORM_TOL`` is renormalized with a warning, anything worse is rejected.
     """
 
-    support: tuple[int, ...]
+    support: np.ndarray
     probs: np.ndarray
 
     def __post_init__(self):
-        support = int_ids(self.support)
+        support = _column(self.support, "symbol ids")
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 1 or len(support) != probs.size:
             raise DistError("support and probs must be 1-d and the same length")
-        if len(set(support)) != len(support):
+        if len(symbol_codes(support)[0]) != len(support):
             raise DistError("symbol ids must be unique within a support")
-        if any(s < 0 for s in support):
+        if np.any(support < 0):
             raise DistError("symbol ids must be non-negative")
         if not np.all(np.isfinite(probs)) or np.any(probs < -TRIM_EPS):
             raise DistError("probabilities must be finite and non-negative")
@@ -116,13 +107,12 @@ class Categorical:
         keep = probs > TRIM_EPS
         if not np.any(keep):
             raise DistError("distribution has no positive-mass support")
-        support = tuple(s for s, k in zip(support, keep) if k)
-        probs = probs[keep]
+        support, probs = support[keep], probs[keep]
         if abs(float(probs.sum()) - 1.0) > NORM_TOL:
             probs = probs / probs.sum()
         order = np.argsort(support, kind="stable")
-        support = tuple(support[i] for i in order)
-        probs = probs[order]
+        support, probs = support[order], probs[order]
+        support.setflags(write=False)
         probs.setflags(write=False)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
@@ -133,27 +123,26 @@ class Categorical:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Categorical):
             return NotImplemented
-        return self.support == other.support and np.array_equal(
+        return np.array_equal(self.support, other.support) and np.array_equal(
             self.probs, other.probs
         )
 
     def __hash__(self) -> int:
-        return hash((self.support, self.probs.tobytes()))
+        return hash((self.support.tobytes(), self.probs.tobytes()))
 
     def to_json(self) -> dict:
-        return {"support": list(self.support), "probs": [float(p) for p in self.probs]}
+        return {"support": self.support.tolist(), "probs": [float(p) for p in self.probs]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Categorical":
         """Parse ``to_json`` output; a malformed object raises DistError."""
         try:
-            return cls(tuple(obj["support"]), _column(obj["probs"], "probs", np.float64))
+            return cls(obj["support"], _column(obj["probs"], "probs", np.float64))
         except MALFORMED_JSON as exc:
             raise DistError(f"malformed distribution JSON: {exc!r}") from None
 
     @classmethod
     def uniform(cls, support) -> "Categorical":
-        support = tuple(support)
         return cls(support, np.full(len(support), 1.0 / len(support)))
 
 
@@ -164,21 +153,25 @@ class GroupedData:
     The erasure pipeline requires pairwise-disjoint supports (A4) and
     ``|X| > |A|`` (A5); those are enforced by the pipeline entry points.
     Construction only warns, because the PIC/feasibility diagnostics are
-    explicitly allowed to inspect violating instances.
+    explicitly allowed to inspect violating instances. ``concepts`` and
+    ``symbols`` (every support, concatenated in group order) are read-only
+    int64 arrays.
     """
 
     groups: tuple[tuple[int, Categorical], ...]
     priors: np.ndarray
+    concepts: np.ndarray = field(init=False, repr=False)
+    symbols: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        concepts = int_ids((c for c, _ in self.groups), "concept ids")
+        concepts = _column([c for c, _ in self.groups], "concept ids")
         groups = tuple(zip(concepts, (d for _, d in self.groups)))
         priors = np.asarray(self.priors, dtype=np.float64)
         if priors.ndim != 1 or priors.size != len(groups):
             raise DistError("priors must be 1-d and match the number of groups")
         if len(groups) == 0:
             raise DistError("need at least one group")
-        if len({c for c, _ in groups}) != len(groups):
+        if len(symbol_codes(concepts)[0]) != len(groups):
             raise DistError("concept ids must be unique")
         if not np.all(np.isfinite(priors)) or np.any(priors < -TRIM_EPS):
             raise DistError("priors must be finite and non-negative")
@@ -188,17 +181,17 @@ class GroupedData:
         if abs(total - 1.0) > NORM_TOL:
             warnings.warn(f"renormalizing priors with total mass {total}", stacklevel=3)
         priors = np.maximum(priors, 0.0) / total
-        priors.setflags(write=False)
+        symbols = np.concatenate([d.support for _, d in groups])
+        for a in (priors, concepts, symbols):
+            a.setflags(write=False)
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "priors", priors)
+        object.__setattr__(self, "concepts", concepts)
+        object.__setattr__(self, "symbols", symbols)
         if not self.supports_disjoint:
             warnings.warn("group supports are not pairwise disjoint (A4 violated)")
         if self.n_symbols <= len(groups):
             warnings.warn("|X| <= |A|: perfect erasure may be infeasible (A5 violated)")
-
-    @property
-    def concepts(self) -> tuple[int, ...]:
-        return tuple(c for c, _ in self.groups)
 
     @property
     def dists(self) -> tuple[Categorical, ...]:
@@ -206,38 +199,35 @@ class GroupedData:
 
     @property
     def supports_disjoint(self) -> bool:
-        seen: set[int] = set()
-        for _, d in self.groups:
-            s = set(d.support)
-            if seen & s:
-                return False
-            seen |= s
-        return True
+        # Each support is distinct within itself.
+        return self.n_symbols == len(self.symbols)
 
     @property
     def n_symbols(self) -> int:
-        return len({s for _, d in self.groups for s in d.support})
+        return len(symbol_codes(self.symbols)[0])
 
     @property
     def max_symbol_id(self) -> int:
-        return max(s for _, d in self.groups for s in d.support)
+        return int(self.symbols.max())
 
     def marginal_x(self) -> Categorical:
         """Mixture distribution of X, merging mass on shared symbols.
 
         ``bincount`` adds each symbol's ``prior * p`` terms in group order,
-        left to right from 0.0. The ids are coded by ``np.unique`` of a
-        list, which also sorts ids past int64 (as Python ints).
+        left to right from 0.0.
         """
-        symbols, code = np.unique([s for d in self.dists for s in d.support], return_inverse=True)
+        symbols, code = symbol_codes(self.symbols)
         terms = np.concatenate([prior * d.probs for prior, d in zip(self.priors, self.dists)])
-        mass = np.bincount(code.reshape(-1), weights=terms, minlength=len(symbols))
-        return Categorical(tuple(symbols.tolist()), mass)
+        mass = np.bincount(code, weights=terms, minlength=len(symbols))
+        return Categorical(symbols, mass)
 
     def to_json(self) -> dict:
         return {
             "priors": [float(p) for p in self.priors],
-            "groups": [{"concept": c, "dist": d.to_json()} for c, d in self.groups],
+            "groups": [
+                {"concept": c, "dist": d.to_json()}
+                for c, d in zip(self.concepts.tolist(), self.dists)
+            ],
         }
 
     @classmethod
@@ -320,12 +310,10 @@ def conditional_entropy_x_given_a(g: GroupedData) -> float:
 
 def _joint_xa(g: GroupedData) -> np.ndarray:
     """P(X=x, A=a) with a row per symbol, ascending, and a column per group."""
-    symbols = sorted({s for d in g.dists for s in d.support})
-    idx = {s: k for k, s in enumerate(symbols)}
+    symbols, code = symbol_codes(g.symbols)
+    group = np.repeat(np.arange(len(g.groups)), [len(d) for d in g.dists])
     joint = np.zeros((len(symbols), len(g.groups)))
-    for a, (pr, d) in enumerate(zip(g.priors, g.dists)):
-        for s, p in zip(d.support, d.probs):
-            joint[idx[s], a] = pr * p
+    joint[code, group] = np.concatenate([pr * d.probs for pr, d in zip(g.priors, g.dists)])
     return joint
 
 
@@ -357,13 +345,13 @@ def funnel_bounds(g: GroupedData, n_points: int) -> FunnelCurve:
     return FunnelCurve(u, lower, upper, h_xa, h_x, i_ax)
 
 
-def sorted_symbols(p: Categorical) -> list[int]:
+def sorted_symbols(p: Categorical) -> np.ndarray:
     """Symbols by descending probability, ties by ascending id.
 
     The support is in ascending-id order, so a stable sort on the negated
     probabilities keeps equal-probability symbols in id order.
     """
-    return [p.support[i] for i in np.argsort(-p.probs, kind="stable")]
+    return p.support[np.argsort(-p.probs, kind="stable")]
 
 
 def check_permutation_equal(p: Categorical, q: Categorical, tol: float) -> bool:

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from ._kernels import symbol_codes, symbol_counts
-from .dist import Categorical, FunnelCurve, GroupedData, write_json
+from .dist import Categorical, FunnelCurve, GroupedData, _column, write_json
 from .pef import ErasureFunction, ErasureReport, analyze, as_samples
 
 _LN2 = float(np.log(2.0))
@@ -49,34 +49,38 @@ class JointCounts:
     """The non-zero cells of a contingency table.
 
     ``cells`` holds one (row index, col index) pair per cell into the
-    sorted labels ``rows`` and ``cols``, and ``counts`` the count of each
-    cell, so a table built from n pairs stores at most n cells however
-    many labels it has.
+    sorted labels ``rows`` and ``cols`` (read-only int64 arrays), in
+    ascending row-major order, and ``counts`` the count of each cell, so a
+    table built from n pairs stores at most n cells however many labels it
+    has.
     """
 
-    rows: tuple[int, ...]
-    cols: tuple[int, ...]
+    rows: np.ndarray
+    cols: np.ndarray
     cells: np.ndarray
     counts: np.ndarray
     n: int = field(init=False)
 
     def __post_init__(self):
+        rows, cols = _column(self.rows, "rows"), _column(self.cols, "cols")
         cells = np.asarray(self.cells, dtype=np.int64).reshape(-1, 2)
         counts = np.asarray(self.counts, dtype=np.int64)
         if counts.shape != (len(cells),):
             raise ValueError("need one count per cell")
         r, c = cells[:, 0], cells[:, 1]
-        if np.any((r < 0) | (r >= len(self.rows)) | (c < 0) | (c >= len(self.cols))):
+        if np.any((r < 0) | (r >= len(rows)) | (c < 0) | (c >= len(cols))):
             raise ValueError("cell indices must fall inside the row/col labels")
-        if len(np.unique(r * len(self.cols) + c)) != len(cells):
-            raise ValueError("cells must be distinct")
+        if np.any(np.diff(r * len(cols) + c) <= 0):
+            raise ValueError("cells must be distinct and in ascending row-major order")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
         total = int(counts.sum())
         if total == 0:
             raise ValueError("total count must be positive")
-        for a in (cells, counts):
+        for a in (rows, cols, cells, counts):
             a.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "n", total)
@@ -95,7 +99,7 @@ class JointCounts:
         cols, ci = symbol_codes(pairs[:, 1])
         codes, counts = symbol_counts(ri * len(cols) + ci)
         cells = np.column_stack(np.divmod(codes, len(cols)))
-        return cls(tuple(rows.tolist()), tuple(cols.tolist()), cells, counts)
+        return cls(rows, cols, cells, counts)
 
 
 @dataclass(frozen=True)
@@ -147,7 +151,7 @@ def tv_distance(p: Categorical, q: Categorical) -> float:
 
 def empirical_dist(values: ArrayLike) -> Categorical:
     symbols, counts = np.unique(np.asarray(values, dtype=np.int64), return_counts=True)
-    return Categorical(tuple(symbols.tolist()), counts / counts.sum())
+    return Categorical(symbols, counts / counts.sum())
 
 
 def evaluate_run(
@@ -169,7 +173,7 @@ def evaluate_run(
     if not np.array_equal(concept, original[:, 1]):
         raise AlignmentError("concept labels of erased/original rows differ")
     check_symbols_known(
-        [s for d in true_dists.dists for s in d.support],
+        true_dists.symbols,
         f.input_symbols(),
         "the distributions",
         "the erasure function",
@@ -190,7 +194,7 @@ def evaluate_run(
     return points, _group_tvs(za, true_dists.concepts), report
 
 
-def _group_tvs(za: JointCounts, concepts: Sequence[int]) -> list[float]:
+def _group_tvs(za: JointCounts, concepts: np.ndarray) -> list[float]:
     """Each concept's ``tv_distance(empirical_dist(z | concept), empirical_dist(z))``.
 
     Read off the (z, concept) counts with the same values: each probability
@@ -200,13 +204,12 @@ def _group_tvs(za: JointCounts, concepts: Sequence[int]) -> list[float]:
     """
     r, c = za.cells[:, 0], za.cells[:, 1]
     pooled = np.bincount(r, weights=za.counts, minlength=len(za.rows)) / za.n
-    col = {label: k for k, label in enumerate(za.cols)}
     tvs = []
-    for a in concepts:
-        if a not in col:
+    for k in symbol_codes(concepts, za.cols)[1]:
+        if k < 0:
             tvs.append(1.0)
             continue
-        mine = c == col[a]
+        mine = c == k
         p = np.zeros(len(za.rows))
         p[r[mine]] = za.counts[mine] / za.counts[mine].sum()
         tvs.append(0.5 * sum(np.abs(p - pooled).tolist()))

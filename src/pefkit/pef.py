@@ -47,7 +47,6 @@ from .dist import (
     check_permutation_equal,
     conditional_entropy_x_given_a,
     entropy,
-    int_ids,
     sorted_symbols,
     write_json,
 )
@@ -98,15 +97,16 @@ class ErasureFunction:
     Both variants are one validated table of sparse rows: the sorted input
     ``ids``, ``bounds`` (row r is cells ``bounds[r]:bounds[r + 1]``), each
     cell's output symbol ``out`` (ascending within a row) and ``probs``,
-    given with rows and cells in any order. A deterministic table has one
-    cell per row. ``group_maps`` (per-group bijections) is an alternative
-    constructor input for a deterministic function, compiled into the table
-    and not kept. A malformed table raises DistError. The disjoint input
+    given with rows and cells in any order, over the ascending
+    ``output_support``; the id arrays are read-only int64. A deterministic
+    table has one cell per row. ``group_maps`` (per-group bijections) is an
+    alternative constructor input for a deterministic function, compiled
+    into the table and not kept. A malformed table raises DistError. The disjoint input
     supports make the function one of the symbol alone, not of the concept.
     """
 
     variant: str  # "deterministic" | "stochastic"
-    output_support: tuple[int, ...]
+    output_support: np.ndarray
     q: Categorical
     group_maps: InitVar[dict[int, Permutation] | None] = None
     ids: np.ndarray | None = None
@@ -128,8 +128,8 @@ class ErasureFunction:
                 "need variant 'deterministic' or 'stochastic' with ids, bounds, out and "
                 f"probs, or 'deterministic' with group_maps alone, got {self.variant!r}"
             )
-        object.__setattr__(self, "output_support", int_ids(self.output_support))
-        compiled = _compile_rows(np.array(self.output_support, dtype=np.int64), *table)
+        support = _column(self.output_support, "output_support")
+        compiled = _compile_rows(support, *table)
         ids, bounds = compiled[:2]
         if self.variant == "deterministic" and len(bounds) - 1 != bounds[-1]:
             r = np.argmax(np.diff(bounds) > 1)
@@ -137,10 +137,10 @@ class ErasureFunction:
                 f"row of symbol {ids[r]} has {bounds[r + 1] - bounds[r]} cells, "
                 "but a deterministic row has one"
             )
-        outside = np.setdiff1d(self.q.support, self.output_support)
+        outside = np.setdiff1d(self.q.support, support)
         if outside.size:
             raise DistError(f"q has symbol {outside[0]} outside output_support")
-        for name, a in zip((*_TABLE, "cdfs"), compiled):
+        for name, a in zip(("output_support", *_TABLE, "cdfs"), (support, *compiled)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
 
@@ -158,7 +158,7 @@ class ErasureFunction:
         """P(Z|X=x) for either variant (a point mass when deterministic)."""
         r = _positions(self.ids, [x])[0]
         cells = slice(self.bounds[r], self.bounds[r + 1])
-        return Categorical(tuple(self.out[cells].tolist()), self.probs[cells])
+        return Categorical(self.out[cells], self.probs[cells])
 
     def induced_output(self, d: Categorical) -> np.ndarray:
         """Pushforward of a group distribution, as probs over output_support."""
@@ -171,7 +171,7 @@ class ErasureFunction:
     def to_json(self) -> dict:
         return {
             "variant": self.variant,
-            "output_support": list(self.output_support),
+            "output_support": self.output_support.tolist(),
             "q": self.q.to_json(),
             **{name: getattr(self, name).tolist() for name in _TABLE},
         }
@@ -180,7 +180,7 @@ class ErasureFunction:
     def from_json(cls, obj: dict) -> "ErasureFunction":
         """Parse ``to_json`` output; a malformed object raises DistError."""
         try:
-            head = (obj["variant"], tuple(obj["output_support"]), Categorical.from_json(obj["q"]))
+            head = (obj["variant"], obj["output_support"], Categorical.from_json(obj["q"]))
             return cls(*head, **{name: obj[name] for name in _TABLE})
         except MALFORMED_JSON as exc:
             raise DistError(f"malformed function JSON: {exc!r}") from None
@@ -250,7 +250,7 @@ def estimate_distribution(samples: ArrayLike, concept: int) -> Categorical:
     symbols, counts = np.unique(rows[rows[:, 1] == concept, 0], return_counts=True)
     if not symbols.size:
         raise DataConstraintError(f"no samples for concept {concept}")
-    return Categorical(tuple(symbols.tolist()), counts / counts.sum())
+    return Categorical(symbols, counts / counts.sum())
 
 
 def build_deterministic_pef(g: GroupedData, tol: float = 1e-9) -> ErasureFunction:
@@ -305,7 +305,7 @@ def build_stochastic_pef(g: GroupedData, q: QCandidate) -> ErasureFunction:
         q.dist,
         ids=ids,
         bounds=np.concatenate([[0], np.cumsum(sizes)]),
-        out=np.array(support, dtype=np.int64)[cols],
+        out=support[cols],
         probs=probs,
     )
 
@@ -386,29 +386,24 @@ def grouped_from_samples(samples: ArrayLike) -> GroupedData:
     dists = []
     for k in range(len(concepts)):
         mine = owner == k
-        dists.append(
-            Categorical(tuple(symbols[mine].tolist()), counts[mine] / counts[mine].sum())
-        )
+        dists.append(Categorical(symbols[mine], counts[mine] / counts[mine].sum()))
     priors = np.bincount(a).astype(np.float64) / len(rows)
-    return GroupedData(tuple(zip(concepts.tolist(), dists)), priors)
+    return GroupedData(tuple(zip(concepts, dists)), priors)
 
 
 def check_sample_concepts(g: GroupedData, samples: ArrayLike) -> None:
     """Raise DataConstraintError unless each sample's symbol lies in its own concept's group.
 
-    The owner of each symbol of ``g`` is looked up by ``symbol_codes``, so
-    the ids must fit int64, as they do in any ``g`` that ``build_pef``
-    accepts; a symbol outside every support is left to
-    ``check_symbols_known``.
+    The owner of each symbol of ``g`` is looked up by ``symbol_codes``; a
+    symbol outside every support is left to ``check_symbols_known``.
     """
     if not g.supports_disjoint:
         raise DataConstraintError("group supports must be pairwise disjoint")
     rows = as_samples(samples)
-    ids = np.concatenate([np.asarray(d.support, dtype=np.int64) for d in g.dists])
     owners = np.repeat(g.concepts, [len(d) for d in g.dists])
-    order = np.argsort(ids)
+    order = np.argsort(g.symbols)
     x, concept = rows[:, 0], rows[:, 1]
-    code = symbol_codes(x, ids[order])[1]
+    code = symbol_codes(x, g.symbols[order])[1]
     owner = owners[order][code]
     wrong = (code >= 0) & (owner != concept)
     if wrong.any():

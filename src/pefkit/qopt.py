@@ -53,10 +53,15 @@ class BoConfig:
         return dataclasses.asdict(self)
 
 
-def output_support(g: GroupedData, out_size: int) -> tuple[int, ...]:
-    """Fresh output symbol ids, disjoint from every input id."""
+def output_support(g: GroupedData, out_size: int) -> np.ndarray:
+    """Fresh output symbol ids, disjoint from every input id: the ``out_size``
+    ids after the largest input id. DistError if they pass int64."""
     base = g.max_symbol_id + 1
-    return tuple(range(base, base + out_size))
+    if base + out_size - 1 > np.iinfo(np.int64).max:
+        raise DistError(
+            f"output ids {base}..{base + out_size - 1} pass the int64 limit 2**63 - 1"
+        )
+    return np.arange(base, base + out_size, dtype=np.int64)
 
 
 def default_out_size(g: GroupedData) -> int:
@@ -114,16 +119,15 @@ def scan_stationary(g: GroupedData, out_size: int) -> list[QCandidate]:
     ]
 
 
-def _softmax_dist(theta: np.ndarray, support: tuple[int, ...]) -> Categorical:
+def _softmax_dist(theta: np.ndarray, support: np.ndarray) -> Categorical:
     z = theta - theta.max()
     w = np.exp(z)
     return Categorical(support, w / w.sum())
 
 
-def _embed_theta(dist: Categorical, support: tuple[int, ...]) -> np.ndarray:
+def _embed_theta(dist: Categorical, support: np.ndarray) -> np.ndarray:
     probs = np.full(len(support), 1e-12)
-    for s, p in zip(dist.support, dist.probs):
-        probs[support.index(s)] = p
+    probs[np.searchsorted(support, dist.support)] = dist.probs
     return np.log(probs)
 
 

@@ -64,7 +64,7 @@ def generate(cfg: SynthConfig) -> tuple[GroupedData, np.ndarray]:
     groups = []
     samples = []
     for gi in range(cfg.n_groups):
-        support = tuple(range(gi * k, (gi + 1) * k))
+        support = np.arange(gi * k, (gi + 1) * k)
         rng = np.random.default_rng([cfg.seed, gi])
         if cfg.setting == "equal_uniform":
             probs = np.full(k, 1.0 / k)

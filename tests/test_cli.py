@@ -261,6 +261,13 @@ def _drop_first_dist(obj):
     return obj
 
 
+def _add_group_at_int64_limit(obj):
+    """A third group, unsampled, whose one symbol is the largest int64."""
+    obj["groups"].append({"concept": 2, "dist": {"support": [2**63 - 1], "probs": [1.0]}})
+    obj["priors"].append(0.0)
+    return obj
+
+
 class TestMalformedDists:
     # The subcommand that reads the file, the edit that breaks a valid
     # true_dists.json (for mec, the first group's dist as --p), and the error.
@@ -296,6 +303,18 @@ class TestMalformedDists:
             "funnel", _set_in_group(0, "dist", "probs", 0, value=math.nan), "must be finite"
         ),
         "nan_priors": ("funnel", lambda obj: {**obj, "priors": [math.nan, 1.0]}, "must be finite"),
+        # An id past int64 once crashed erase with an OverflowError (exit 1),
+        # while funnel and pic accepted it.
+        **{
+            f"id_past_int64_{command}": (
+                command,
+                _set_in_group(0, "dist", "support", -1, value=2**63),
+                "symbol ids must be integers from -2**63 to 2**63 - 1, got 9223372036854775808",
+            )
+            for command in ("erase", "funnel", "pic")
+        },
+        # Valid, but the fresh output ids after it would pass int64.
+        "id_at_int64_limit": ("erase", _add_group_at_int64_limit, "pass the int64 limit"),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -510,7 +529,7 @@ class TestMalformedFunction:
         "fractional_row_output": ("unequal", _shift_first_output, "must be integers"),
         "fractional_map_value": ("equal_uniform", _shift_first_output, "must be integers"),
         # It once escaped as a raw OverflowError with a traceback.
-        "output_support_past_int64": ("unequal", _overflow_output_support, "OverflowError"),
+        "output_support_past_int64": ("unequal", _overflow_output_support, "2**63 - 1"),
         "deterministic_two_cell_row": (
             "equal_uniform",
             _set_first_row(lambda obj: obj["output_support"][:2], [0.5, 0.5]),

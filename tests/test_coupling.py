@@ -148,7 +148,7 @@ def assert_rows_match_reference(c: Coupling, p: Categorical) -> None:
     assert len(bounds) == len(reference) + 1
     support = np.array(c.col_support)
     for row, a, b in zip(reference, bounds[:-1], bounds[1:]):
-        assert row.support == tuple(support[cols[a:b]].tolist())
+        assert row.support.tolist() == support[cols[a:b]].tolist()
         assert row.probs.tobytes() == probs[a:b].tobytes()
 
 

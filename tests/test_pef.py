@@ -15,6 +15,7 @@ from pefkit import (
     ErasureFunction,
     ErasureReport,
     GroupedData,
+    JointCounts,
     Sample,
     SynthConfig,
     analyze,
@@ -92,7 +93,7 @@ class TestEstimation:
     def test_estimate_distribution_counts(self):
         samples = [Sample(0, 0), Sample(0, 0), Sample(1, 0), Sample(5, 1)]
         d = estimate_distribution(samples, 0)
-        assert d.support == (0, 1)
+        assert d.support.tolist() == [0, 1]
         np.testing.assert_allclose(d.probs, [2 / 3, 1 / 3])
 
     def test_estimate_missing_concept(self):
@@ -131,10 +132,10 @@ class TestEstimation:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             g = grouped_from_samples(rows)
-        assert g.concepts == want.concepts
+        assert g.concepts.tolist() == want.concepts.tolist()
         assert g.priors.tolist() == want.priors.tolist()
         for d, w in zip(g.dists, want.dists):
-            assert d.support == w.support and d.probs.tolist() == w.probs.tolist()
+            assert d.support.tolist() == w.support.tolist() and d.probs.tolist() == w.probs.tolist()
 
     def test_default_tol_value(self):
         # 2 * sqrt(ln(200) / 2000) at n_min=1000, delta=0.01
@@ -148,7 +149,7 @@ class TestDeterministicBranch:
         g = grouped([0.5, 0.3, 0.2], [0.2, 0.5, 0.3])
         f = build_deterministic_pef(g)
         assert f.variant == "deterministic"
-        assert f.output_support == (6, 7, 8)
+        assert f.output_support.tolist() == [6, 7, 8]
         # group 0 sorted: 0(.5), 1(.3), 2(.2); group 1 sorted: 4(.5), 5(.3), 3(.2)
         assert f.map_symbol(0) == 6 and f.map_symbol(4) == 6
         assert f.map_symbol(1) == 7 and f.map_symbol(5) == 7
@@ -569,7 +570,7 @@ class TestSerialization:
         ]
         f2 = load_function_json(path)
         assert f2.variant == f.variant
-        assert f2.output_support == f.output_support
+        assert f2.output_support.tolist() == f.output_support.tolist()
         samples = [Sample(int(x), int(x > 1)) for x in [0, 1, 2, 3]]
         np.testing.assert_array_equal(apply(f2, samples, seed=5), apply(f, samples, seed=5))
         save_function_json(f2, tmp_path / "f2.json")
@@ -695,3 +696,28 @@ class TestCsvReader:
         path = tmp_path / f"s.csv{suffix}"
         path.write_text("x,concept\n1,2\n3,4\n")
         assert read_samples_csv(path).tolist() == [[1, 2], [3, 4]]
+
+
+def test_ids_are_read_only_int64_arrays():
+    # One id representation in every value type, whatever form the ids came in.
+    g, samples = generate(
+        SynthConfig(n_groups=2, support_per_group=4, n_samples_per_group=200,
+                    setting="unequal", seed=1)
+    )
+    f, _ = build_pef(g, tol=1e-9)
+    c = greedy_mec(g.dists[0], Categorical.uniform([7, 8]))
+    j = JointCounts((0, 1), [5, 6], [[0, 0], [1, 1]], [1, 1])
+    ids = {
+        "Categorical.support": Categorical((3, 1), [0.5, 0.5]).support,
+        "GroupedData.symbols": g.symbols,
+        "GroupedData.concepts": g.concepts,
+        "ErasureFunction.output_support": f.output_support,
+        "JointCounts.rows": j.rows,
+        "JointCounts.cols": j.cols,
+        "JointCounts.from_pairs rows": JointCounts.from_pairs(samples).rows,
+        "Coupling.row_support": c.row_support,
+        "Coupling.col_support": c.col_support,
+    }
+    for name, a in ids.items():
+        assert isinstance(a, np.ndarray) and a.dtype == np.int64, name
+        assert not a.flags.writeable, name

@@ -237,7 +237,7 @@ def test_default_out_size_is_max_group_support():
 
 def test_output_support_fresh_ids():
     g = grouped([0.5, 0.5], [0.6, 0.4])
-    assert output_support(g, 3) == (4, 5, 6)
+    assert output_support(g, 3).tolist() == [4, 5, 6]
 
 
 def test_bo_config_round_trip():

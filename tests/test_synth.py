@@ -57,8 +57,8 @@ class TestGenerate:
         g, _ = generate(cfg(n_groups=3))
         assert g.supports_disjoint
         np.testing.assert_allclose(g.priors, [1 / 3] * 3)
-        assert g.dists[0].support == (0, 1, 2, 3)
-        assert g.dists[2].support == (8, 9, 10, 11)
+        assert g.dists[0].support.tolist() == [0, 1, 2, 3]
+        assert g.dists[2].support.tolist() == [8, 9, 10, 11]
 
     def test_equal_settings_are_permutation_equal(self):
         for setting in ("equal_uniform", "equal_gaussian"):
