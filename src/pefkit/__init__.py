@@ -25,7 +25,6 @@ from .coupling import (
     Coupling,
     CouplingError,
     InstanceTooLarge,
-    PgdProblem,
     PgdResult,
     conditional_rows,
     coupling_entropy,

@@ -21,7 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import entropy_bits, greedy_fill
-from .dist import RENORM_TOL, TRIM_EPS, Categorical, DistError, _column
+from .dist import TRIM_EPS, Categorical, GroupedData, _column
+from .qopt import output_support, select_q
 
 MARGINAL_TOL = 1e-8
 _LN2 = float(np.log(2.0))
@@ -212,46 +213,14 @@ def mec_oracle(p: Categorical, q: Categorical, max_cells: int = 20) -> Coupling:
 # Mirror ascent on the joint coupling objective.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class PgdProblem:
-    """Joint optimization over per-group couplings with a shared column marginal."""
-
-    group_dists: tuple[Categorical, ...]
-    priors: np.ndarray
-    out_size: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "group_dists", tuple(self.group_dists))
-        priors = np.asarray(self.priors, dtype=np.float64)
-        if priors.shape != (len(self.group_dists),):
-            raise DistError("need one prior per group")
-        if not np.all(np.isfinite(priors) & (priors >= 0.0)):
-            raise DistError("priors must be finite and non-negative")
-        if abs(float(priors.sum()) - 1.0) > RENORM_TOL:
-            raise DistError(f"priors sum to {priors.sum()}, outside tolerance {RENORM_TOL}")
-        object.__setattr__(self, "priors", priors)
-        if self.out_size < 1:
-            raise DistError("out_size must be >= 1")
-        for d in self.group_dists:
-            if len(d) > 16 or self.out_size > 16:
-                warnings.warn(
-                    "pgd_solve is intended for supports <= 16; larger instances "
-                    "may be slow"
-                )
-                break
-
-
 @dataclass(frozen=True)
 class PgdResult:
-    """The best point pgd_solve saw; ``n_iters`` is the step of its start at
-    which it was reached (0: the greedy couplings), ``constraint_residual``
-    the largest row-sum error or column-sum spread across groups."""
+    """The best point pgd_solve saw; ``constraint_residual`` is the largest
+    row-sum error or column-sum spread across groups."""
 
     couplings: list[Coupling]
     q: Categorical
     objective: float
-    converged: bool
-    n_iters: int
     constraint_residual: float
 
 
@@ -301,46 +270,30 @@ def _scale_to_marginals(
     return None
 
 
-def pgd_solve(
-    problem: PgdProblem,
-    rng_seed: int,
-    init_q: np.ndarray | None = None,
-) -> PgdResult:
-    """Entropic mirror ascent on the joint coupling objective.
+def pgd_solve(g: GroupedData, out_size: int, rng_seed: int) -> PgdResult:
+    """Entropic mirror ascent on the joint coupling objective over ``out_size``
+    fresh output ids (``output_support``).
 
     Each step multiplies every coupling by ``2 ** (step * gradient)`` and
     scales the product back onto the constraint set
     (``_scale_to_marginals``), so every iterate is feasible. A step that
     lowers the objective by more than 1e-6, or whose scaling does not
     settle, is rejected and the step halved. There are two starts: the
-    greedy couplings against ``init_q`` (default: the padded average of
-    the sorted group distributions), then against a seeded Dirichlet draw.
-    A multiplicative step cannot revive a zero cell, so each start's
-    greedy couplings are blended with the independent coupling before the
-    ascent; the unblended greedy couplings are scored first, and the
-    result is the best point seen, never below them.
+    greedy couplings against the scan's best Q (``select_q``, which checks
+    ``out_size``), then against a seeded Dirichlet draw. A multiplicative
+    step cannot revive a zero cell, so each start's greedy couplings are
+    blended with the independent coupling before the ascent; the unblended
+    greedy couplings are scored first, and the result is the best point
+    seen, never below the scan.
     """
-    dists = problem.group_dists
-    nz = problem.out_size
-    if any(len(d) > nz for d in dists):
-        raise DistError("out_size must be >= every group support size")
+    scan_q = select_q(g, out_size).dist
+    if out_size > 16:
+        warnings.warn("pgd_solve is intended for supports <= 16; larger instances may be slow")
+    dists = g.dists
     rng = np.random.default_rng(rng_seed)
-
-    def padded_sorted(d: Categorical) -> np.ndarray:
-        v = np.zeros(nz)
-        v[: len(d)] = np.sort(d.probs)[::-1]
-        return v
-
-    if init_q is None:
-        q0 = np.mean([padded_sorted(d) for d in dists], axis=0)
-    else:
-        q0 = np.asarray(init_q, dtype=np.float64)
-        if q0.size != nz:
-            raise DistError("init_q must have length out_size")
-        if not (np.all(np.isfinite(q0) & (q0 >= 0.0)) and q0.sum() > 0.0):
-            raise DistError("init_q must be finite and non-negative with a positive sum")
-        q0 = q0 / q0.sum()
-    starts = [q0, rng.dirichlet(np.ones(nz))]
+    q0 = np.zeros(out_size)
+    q0[: len(scan_q)] = scan_q.probs
+    starts = [q0 / q0.sum(), rng.dirichlet(np.ones(out_size))]
 
     p = np.concatenate([d.probs for d in dists])
     bounds = np.cumsum([0] + [len(d) for d in dists])
@@ -350,23 +303,22 @@ def pgd_solve(
         return np.split(x, bounds[1:-1])
 
     def score(x: np.ndarray) -> float:
-        return _pgd_objective(split(x), problem.priors)
+        return _pgd_objective(split(x), g.priors)
 
     best_x = None
     best_obj = -np.inf
-    best_iters = 0
     converged = False
     for start_q in starts:
         greedy = np.vstack([greedy_fill(d.probs, start_q) for d in dists])
         obj = score(greedy)
         if obj > best_obj:
-            best_x, best_obj, best_iters = greedy, obj, 0
+            best_x, best_obj = greedy, obj
         x = (1.0 - _PGD_BLEND) * greedy + _PGD_BLEND * np.outer(p, start_q)
         obj = score(x)
         step = _PGD_STEP
         stalled = 0
-        for it in range(1, _PGD_ITERS + 1):
-            grad = np.vstack(_pgd_gradient(split(x), problem.priors))
+        for _ in range(_PGD_ITERS):
+            grad = np.vstack(_pgd_gradient(split(x), g.priors))
             # A zero cell stays zero; its factor could overflow, so skip it.
             cand = x * np.exp2(step * grad, out=np.zeros_like(x), where=x > 0.0)
             cand = _scale_to_marginals(cand, p, bounds, group)
@@ -378,7 +330,7 @@ def pgd_solve(
                     stalled = 0
                 x, obj = cand, cand_obj
                 if obj > best_obj:
-                    best_x, best_obj, best_iters = x, obj, it
+                    best_x, best_obj = x, obj
             else:
                 step *= 0.5
                 stalled += 1
@@ -391,7 +343,7 @@ def pgd_solve(
     mats = split(best_x)
     q_probs = np.mean([m.sum(axis=0) for m in mats], axis=0)
     q_probs = q_probs / q_probs.sum()
-    out_support = np.arange(nz)
+    out_support = output_support(g, out_size)
     couplings = [
         Coupling(d.support, out_support, m * (1.0 / m.sum())) for d, m in zip(dists, mats)
     ]
@@ -401,7 +353,5 @@ def pgd_solve(
         couplings=couplings,
         q=Categorical(out_support, q_probs),
         objective=float(best_obj),
-        converged=converged,
-        n_iters=best_iters,
         constraint_residual=float(residual),
     )

@@ -10,7 +10,7 @@ table fits the rows, and the per-group TV checks are read off the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -235,16 +235,6 @@ def write_report_json(
     obj = {
         "report": report.to_json(),
         "tv_per_group": [float(t) for t in tvs],
-        "points": [
-            {
-                "method": p.method,
-                "mode": p.mode,
-                "utility_bits": p.utility_bits,
-                "privacy_bits": p.privacy_bits,
-                "raw_utility_bits": p.raw_utility_bits,
-                "raw_privacy_bits": p.raw_privacy_bits,
-            }
-            for p in points
-        ],
+        "points": [asdict(p) for p in points],
     }
     write_json(obj, path)

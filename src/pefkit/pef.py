@@ -137,9 +137,9 @@ class ErasureFunction:
                 f"row of symbol {ids[r]} has {bounds[r + 1] - bounds[r]} cells, "
                 "but a deterministic row has one"
             )
-        outside = np.setdiff1d(self.q.support, support)
+        outside = self.q.support[symbol_codes(self.q.support, support)[1] < 0]
         if outside.size:
-            raise DistError(f"q has symbol {outside[0]} outside output_support")
+            raise DistError(f"q has symbol {outside.min()} outside output_support")
         for name, a in zip(("output_support", *_TABLE, "cdfs"), (support, *compiled)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)

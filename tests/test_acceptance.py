@@ -31,7 +31,6 @@ from pefkit import (
     select_q,
 )
 from pefkit._kernels import entropy_bits
-from pefkit.coupling import PgdProblem
 from pefkit.synth import SynthConfig, bell_profile
 from conftest import random_grouped
 
@@ -228,11 +227,7 @@ def test_criterion_8_pgd_solver(capsys):
             k = int(r.integers(2, 5))
             g = random_grouped(r, n_groups=2, support_per_group=k)
             sel = select_q(g, k)
-            init = np.zeros(k)
-            init[: len(sel.dist)] = np.sort(sel.dist.probs)[::-1]
-            res = pgd_solve(
-                PgdProblem(g.dists, g.priors, out_size=k), rng_seed=0, init_q=init
-            )
+            res = pgd_solve(g, k, rng_seed=0)
             assert res.constraint_residual <= 1e-6
             assert res.objective >= sel.j_value - 0.05
             # The greedy couplings onto the scan's Q are PGD's first

@@ -10,13 +10,14 @@ from pefkit import (
     Coupling,
     CouplingError,
     DistError,
+    GroupedData,
     InstanceTooLarge,
-    PgdProblem,
     conditional_rows,
     coupling_entropy,
     entropy,
     greedy_mec,
     mec_oracle,
+    output_support,
     pgd_solve,
 )
 from pefkit.coupling import _basis_weights
@@ -228,15 +229,14 @@ class TestPgd:
     def test_identical_uniform_groups_reach_zero(self):
         d1 = Categorical.uniform([0, 1])
         d2 = Categorical.uniform([2, 3])
-        res = pgd_solve(
-            PgdProblem((d1, d2), np.array([0.5, 0.5]), out_size=2), rng_seed=0
-        )
+        g = GroupedData(((0, d1), (1, d2)), np.array([0.5, 0.5]))
+        res = pgd_solve(g, 2, rng_seed=0)
         assert res.objective == pytest.approx(0.0, abs=1e-6)
         assert res.constraint_residual <= 1e-6
 
     def test_single_group_reduces_to_self_coupling(self):
         d = cat([0, 1], [0.5, 0.5])
-        res = pgd_solve(PgdProblem((d,), np.array([1.0]), out_size=2), rng_seed=0)
+        res = pgd_solve(GroupedData(((0, d),), np.array([1.0])), 2, rng_seed=0)
         assert res.objective == pytest.approx(0.0, abs=1e-6)
         assert coupling_entropy(res.couplings[0]) == pytest.approx(1.0, abs=1e-6)
 
@@ -247,13 +247,7 @@ class TestPgd:
         for _ in range(5):
             g = random_grouped(rng, n_groups=2, support_per_group=3)
             sel = select_q(g, 3)
-            init = np.zeros(3)
-            init[: len(sel.dist)] = np.sort(sel.dist.probs)[::-1]
-            res = pgd_solve(
-                PgdProblem(g.dists, g.priors, out_size=3),
-                rng_seed=0,
-                init_q=init,
-            )
+            res = pgd_solve(g, 3, rng_seed=0)
             assert res.constraint_residual <= 1e-6
             assert res.objective >= sel.j_value - 0.05
 
@@ -261,38 +255,32 @@ class TestPgd:
         from conftest import random_grouped
 
         g = random_grouped(rng, n_groups=2, support_per_group=4)
-        res = pgd_solve(PgdProblem(g.dists, g.priors, out_size=4), rng_seed=1)
+        res = pgd_solve(g, 4, rng_seed=1)
         for d, c in zip(g.dists, res.couplings):
             np.testing.assert_allclose(c.row_marginal, d.probs, atol=1e-6)
         np.testing.assert_allclose(
             res.couplings[0].col_marginal, res.couplings[1].col_marginal, atol=1e-6
         )
 
-    @pytest.mark.parametrize("priors, match", [
-        ([0.2, 0.3, 0.5], "one prior per group"),
-        ([2.0, -1.0], "finite and non-negative"),
-        ([np.nan, 1.0], "finite and non-negative"),
-        ([0.5, 0.4], "outside tolerance"),
-    ])
-    def test_rejects_bad_priors(self, priors, match):
-        dists = (Categorical.uniform([0, 1]), Categorical.uniform([2, 3]))
-        with pytest.raises(DistError, match=match):
-            PgdProblem(dists, np.array(priors), out_size=2)
-
-    @pytest.mark.parametrize("init_q, match", [
-        ([0.0, 0.0], "positive sum"),
-        ([-1.0, 2.0], "non-negative"),
-        ([np.nan, 1.0], "finite"),
-        ([0.5, 0.25, 0.25], "length out_size"),
-    ])
-    def test_rejects_bad_init_q(self, init_q, match):
-        problem = PgdProblem(
-            (Categorical.uniform([0, 1]), Categorical.uniform([2, 3])),
+    def test_outputs_use_fresh_output_ids(self):
+        g = GroupedData(
+            ((0, cat([0, 1, 2], [0.5, 0.3, 0.2])), (1, cat([3, 4], [0.6, 0.4]))),
             np.array([0.5, 0.5]),
-            out_size=2,
         )
-        with pytest.raises(DistError, match=match):
-            pgd_solve(problem, rng_seed=0, init_q=np.array(init_q))
+        res = pgd_solve(g, 3, rng_seed=0)
+        support = output_support(g, 3)
+        np.testing.assert_array_equal(support, [5, 6, 7])
+        np.testing.assert_array_equal(res.q.support, support)
+        for c in res.couplings:
+            np.testing.assert_array_equal(c.col_support, support)
+
+    def test_rejects_out_size_below_largest_support(self):
+        g = GroupedData(
+            ((0, cat([0, 1, 2], [0.5, 0.3, 0.2])), (1, cat([3, 4], [0.6, 0.4]))),
+            np.array([0.5, 0.5]),
+        )
+        with pytest.raises(DistError, match="out_size must be >= the largest group support"):
+            pgd_solve(g, 2, rng_seed=0)
 
 
 def test_coupling_write_csv(tmp_path):

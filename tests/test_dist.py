@@ -123,6 +123,16 @@ class TestGroupedMeasures:
         with pytest.raises(DistError, match="priors must be finite and non-negative"):
             two_groups([0.5, 0.5], [0.5, 0.5], priors=(bad, 1.0))
 
+    @pytest.mark.parametrize("priors, match", [
+        ([0.2, 0.3, 0.5], "match the number of groups"),
+        ([2.0, -1.0], "finite and non-negative"),
+        ([np.nan, 1.0], "finite and non-negative"),
+        ([0.5, 0.4], "outside tolerance"),
+    ])
+    def test_rejects_bad_priors(self, priors, match):
+        with pytest.raises(DistError, match=match):
+            two_groups([0.5, 0.5], [0.5, 0.5], priors=priors)
+
     def test_cond_entropy_equal_uniform(self):
         g = two_groups([0.25] * 4, [0.25] * 4)
         assert conditional_entropy_x_given_a(g) == pytest.approx(2.0, abs=1e-12)

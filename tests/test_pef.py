@@ -347,6 +347,29 @@ def test_q_outside_output_support_is_rejected():
         )
 
 
+def test_load_function_json_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique checks np.ma.is_masked on numpy 2.4, importing numpy.ma (10-15 ms)
+    # in every fresh erase or evaluate process; the load must not call it.
+    import subprocess
+    import sys
+
+    import pefkit
+
+    f, _ = build_pef(grouped([0.5, 0.5], [0.6, 0.4]), tol=1e-9)
+    path = tmp_path / "function.json"
+    save_function_json(f, path)
+    script = (
+        "import sys\n"
+        "from pefkit import load_function_json\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        f"load_function_json({str(path)!r})\n"
+        "assert ('numpy.ma' in sys.modules) == before, before\n"
+    )
+    src = os.path.dirname(os.path.dirname(pefkit.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", script], check=True, env=env)
+
+
 @pytest.mark.parametrize(
     "ids,out",
     [([0.4, 1.7], [10, 11]), ([0, 1], [10.6, 11.2]), ([0.4, 1.7], [10.6, 11.2])],
