@@ -34,10 +34,10 @@ def check_symbols_known(
 
     The message counts the distinct missing symbols and names the smallest.
     """
-    symbols = np.asarray(symbols)
-    missing = ~np.isin(symbols, known)
-    if missing.any():
-        missing = np.unique(symbols[missing])
+    symbols = np.asarray(symbols, dtype=np.int64)
+    codes = symbol_codes(symbols, symbol_codes(known)[0])[1]
+    if (codes < 0).any():
+        missing = symbol_codes(symbols[codes < 0])[0]
         raise AlignmentError(
             f"{len(missing)} symbol(s) of {what} missing from {where}, "
             f"first {missing[0]}"

@@ -483,7 +483,7 @@ def apply(f: ErasureFunction, samples: ArrayLike, seed: int) -> np.ndarray:
     return np.column_stack([z, rows[:, 1]])
 
 
-#: Rows formatted per write; bounds the Python ints alive at once.
+#: Rows formatted per write; bounds the arrays ``_format_pairs`` holds at once.
 CSV_WRITE_CHUNK = 1 << 14
 
 
@@ -534,13 +534,48 @@ def _loadtxt_pairs(fh, header: str, kind: str) -> np.ndarray:
     ))
 
 
+def _format_pairs(chunk: np.ndarray) -> bytes:
+    """``b"%d,%d\\n"`` of every row of a non-empty int64 ``(n, 2)`` array.
+
+    Each id gets one column of a byte matrix: a sign slot, ``width`` digit
+    slots and a separator. The matrix is column-major, so each digit
+    position is one contiguous write, and every byte is written, with 0 in
+    the unused sign and leading-digit slots. ``translate`` deletes those 0
+    bytes in one pass.
+    """
+    v = chunk.ravel()
+    neg = v < 0
+    u = v.view(np.uint64)
+    # Two's complement magnitude, exact for -2**63.
+    rest = np.where(neg, ~u + np.uint64(1), u)
+    width = len(str(int(rest.max())))
+    if width <= 9:
+        rest = rest.astype(np.uint32)
+    ten = rest.dtype.type(10)
+    out = np.empty((width + 2, v.size), np.uint8)
+    out[0] = neg * np.uint8(ord("-"))
+    out[-1] = np.tile(np.frombuffer(b",\n", np.uint8), len(chunk))
+    for d in range(width):
+        nxt = rest // ten
+        digit = rest - nxt * ten
+        if d:
+            # A higher digit only while the magnitude has digits left, so
+            # leading positions stay 0.
+            digit += np.uint8(ord("0")) * (rest > 0)
+        else:
+            digit += rest.dtype.type(ord("0"))
+        out[width - d] = digit
+        rest = nxt
+    return out.T.tobytes().translate(None, b"\0")
+
+
 def _write_pairs_csv(rows: ArrayLike, path, header: str) -> None:
+    """Header, then ``%d,%d`` per row with ``\\n`` line ends on every platform."""
     rows = as_samples(rows)
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for start in range(0, len(rows), CSV_WRITE_CHUNK):
-            chunk = rows[start:start + CSV_WRITE_CHUNK]
-            fh.write(("%d,%d\n" * len(chunk)) % tuple(chunk.ravel().tolist()))
+            fh.write(_format_pairs(rows[start:start + CSV_WRITE_CHUNK]))
 
 
 def write_samples_csv(samples: ArrayLike, path) -> None:

@@ -22,7 +22,7 @@ from pefkit import (
     plugin_mi,
     tv_distance,
 )
-from pefkit.evaluate import write_report_json
+from pefkit.evaluate import check_symbols_known, write_report_json
 
 
 def grouped(p1, p2, priors=(0.5, 0.5)):
@@ -310,6 +310,18 @@ def test_evaluate_run_concept_without_rows_and_concept_outside_dists():
     samples = np.column_stack([x, np.where(rng.random(3000) < 0.5, 0, 7)])
     tvs = assert_evaluate_run_matches_sorting(g, f, apply(f, samples, seed=2), samples)
     assert tvs[1] == 1.0 and 0.0 < tvs[0] < 1.0
+
+
+@pytest.mark.parametrize("known", [[5, 7, 5, 7], [5, 7, 10**15]])
+def test_check_symbols_known_counts_distinct_missing(known):
+    # Repeated missing ids count once, a repeated known id does not break the
+    # check, and the message names the smallest missing id (table and search
+    # paths of symbol_codes).
+    symbols = np.array([9, 5, 3, 9, 12, 3, 7, 12, 3])
+    with pytest.raises(AlignmentError) as exc:
+        check_symbols_known(symbols, known, "the samples", "--dists")
+    assert str(exc.value) == "3 symbol(s) of the samples missing from --dists, first 3"
+    check_symbols_known(symbols[[1, 6]], known, "the samples", "--dists")
 
 
 def test_tradeoff_point_clamps_but_keeps_raw():

@@ -673,6 +673,55 @@ _NEAR_CANONICAL_FIELDS = st.one_of(
 )
 
 
+def _percent_d_body(rows) -> bytes:
+    """The reference CSV body: ``%d,%d`` per row, formatted by Python."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+    return (("%d,%d\n" * len(rows)) % tuple(rows.ravel().tolist())).encode()
+
+
+#: int64 extremes, 0 and -1, and 10**k - 1, 10**k and 10**k + 1 in both signs.
+_EDGE_IDS = [-2**63, 2**63 - 1, 0, -1] + [
+    sign * (10**k + step) for k in range(19) for step in (-1, 0, 1) for sign in (1, -1)
+]
+_WRITERS = [(write_samples_csv, b"x,concept\n"), (write_erased_csv, b"z,concept\n")]
+
+
+class TestCsvWriter:
+    """The CSV writers against ``%d`` formatting, byte for byte."""
+
+    @staticmethod
+    def _assert_writes(tmp_dir, rows):
+        for write, header in _WRITERS:
+            path = tmp_dir / "w.csv"
+            write(rows, path)
+            data = path.read_bytes()
+            assert b"\r" not in data
+            assert data == header + _percent_d_body(rows)
+
+    @pytest.mark.parametrize("rows", [
+        np.column_stack([_EDGE_IDS, _EDGE_IDS[::-1]]),
+        -np.arange(1, 2001).reshape(-1, 2) * 99991,
+        [[-7, 3]],
+        np.zeros((0, 2), dtype=np.int64),
+    ], ids=["edges", "all_negative", "one_row", "no_rows"])
+    def test_matches_percent_d(self, tmp_path, rows):
+        self._assert_writes(tmp_path, rows)
+
+    def test_chunks_of_different_widths(self, tmp_path):
+        # One chunk of 1-digit ids, then one of 19-digit ids.
+        small = np.arange(CSV_WRITE_CHUNK * 2).reshape(-1, 2) % 10
+        large = np.full((CSV_WRITE_CHUNK // 2, 2), -(10**18) * 9) - np.arange(CSV_WRITE_CHUNK // 2)[:, None]
+        self._assert_writes(tmp_path, np.concatenate([small, large]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.tuples(*[st.one_of(st.integers(-99, 99), st.integers(-2**63, 2**63 - 1))] * 2),
+        max_size=30,
+    ))
+    def test_random_int64_rows(self, tmp_path_factory, rows):
+        self._assert_writes(tmp_path_factory.getbasetemp(), np.array(rows, dtype=np.int64).reshape(-1, 2))
+
+
 class TestCsvReader:
     """The CSV reader against the line-by-line np.loadtxt read it falls back to."""
 
