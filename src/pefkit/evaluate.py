@@ -35,9 +35,9 @@ def check_symbols_known(
     The message counts the distinct missing symbols and names the smallest.
     """
     symbols = np.asarray(symbols, dtype=np.int64)
-    codes = symbol_codes(symbols, symbol_codes(known)[0])[1]
-    if (codes < 0).any():
-        missing = symbol_codes(symbols[codes < 0])[0]
+    missing = symbol_codes(symbols, symbol_codes(known)[0])[1] < 0
+    if missing.any():
+        missing = symbol_codes(symbols[missing])[0]
         raise AlignmentError(
             f"{len(missing)} symbol(s) of {what} missing from {where}, "
             f"first {missing[0]}"

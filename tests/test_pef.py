@@ -710,7 +710,7 @@ class TestCsvWriter:
     def test_chunks_of_different_widths(self, tmp_path):
         # One chunk of 1-digit ids, then one of 19-digit ids.
         small = np.arange(CSV_WRITE_CHUNK * 2).reshape(-1, 2) % 10
-        large = np.full((CSV_WRITE_CHUNK // 2, 2), -(10**18) * 9) - np.arange(CSV_WRITE_CHUNK // 2)[:, None]
+        large = -9 * 10**18 - np.arange(CSV_WRITE_CHUNK).reshape(-1, 2)
         self._assert_writes(tmp_path, np.concatenate([small, large]))
 
     @settings(max_examples=200, deadline=None)
@@ -719,7 +719,8 @@ class TestCsvWriter:
         max_size=30,
     ))
     def test_random_int64_rows(self, tmp_path_factory, rows):
-        self._assert_writes(tmp_path_factory.getbasetemp(), np.array(rows, dtype=np.int64).reshape(-1, 2))
+        rows = np.array(rows, dtype=np.int64).reshape(-1, 2)
+        self._assert_writes(tmp_path_factory.getbasetemp(), rows)
 
 
 class TestCsvReader:
