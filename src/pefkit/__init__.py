@@ -53,7 +53,6 @@ from .pef import (
     build_pef,
     build_stochastic_pef,
     default_tol,
-    estimate_distribution,
     grouped_from_samples,
     load_function_json,
     read_erased_csv,

@@ -2,24 +2,24 @@
 
 ``entropy_bits`` is summed by dist, coupling and qopt. Greedy couplings
 come from one of two kernels, chosen by how many the caller needs at once.
-``greedy_fill_batch`` steps many couplings in lockstep and returns their
-cells, which ``live_cells`` splits per problem in row-major order: qopt
-scores every (candidate, group) pair of the stationary Q scan in one call
-and of GP-UCB's Dirichlet design in another, and ``build_stochastic_pef``
-couples every group onto the chosen Q in a third, so none builds a dense
-mass matrix. ``greedy_fill`` is a heap that builds one dense coupling:
-``objective_j`` for the one Q of each GP-UCB round, ``greedy_mec`` (the
-``mec`` command) and PGD. ``row_searchsorted`` draws every stochastic
-erasure. ``symbol_codes`` gives each symbol id its dense code and
-``symbol_counts`` counts the ids, for every per-row lookup: ``apply``'s row
-of each sample, the labels and cells of ``evaluate``'s joint counts, the
-groups of Algorithm 1 and the owner check of ``erase --dists``. Where the
-ids span no more than the rows being coded, both index a table by
-``id - min`` (O(n), no sort); otherwise they sort or search as
-``np.unique`` and ``np.searchsorted`` do. All take and return plain
-arrays, not ``Categorical`` or ``Coupling`` values, so hot callers skip the
-validation those types do on construction, and this module imports nothing
-from pefkit, so every other module can use it without an import cycle.
+``greedy_cells`` steps many couplings in lockstep and returns each one's
+cells in row-major order: qopt scores every (candidate, group) pair of the
+stationary Q scan in one call and of GP-UCB's Dirichlet design in another,
+and ``build_stochastic_pef`` couples every group onto the chosen Q in a
+third, so none builds a dense mass matrix. ``greedy_fill`` is a heap that
+builds one dense coupling: ``objective_j`` for the one Q of each GP-UCB
+round, ``greedy_mec`` (the ``mec`` command) and PGD. ``row_searchsorted``
+draws every stochastic erasure. ``symbol_codes`` gives each symbol id its
+dense code and ``symbol_counts`` counts the ids, for every per-row lookup:
+``apply``'s row of each sample, the labels and cells of ``evaluate``'s
+joint counts, the groups of Algorithm 1 and the owner check of
+``erase --dists``. Where the ids span no more than the rows being coded,
+both index a table by ``id - min`` (O(n), no sort); otherwise they sort or
+search as ``np.unique`` and ``np.searchsorted`` do. All take and return
+plain arrays, not ``Categorical`` or ``Coupling`` values, so hot callers
+skip the validation those types do on construction, and this module
+imports nothing from pefkit, so every other module can use it without an
+import cycle.
 """
 
 from __future__ import annotations
@@ -65,36 +65,43 @@ def greedy_fill(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return mass
 
 
-def greedy_fill_batch(
-    p: np.ndarray, q: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Greedy couplings of B problems at once, stepped in lockstep.
+def greedy_cells(
+    ps: list[np.ndarray], qs: list[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Greedy couplings of each ``ps[b]`` onto ``qs[b]``, stepped in lockstep.
 
-    ``p`` (B, m) and ``q`` (B, n) hold one problem per row, zero-padded on
-    the right. Each step takes the first maximum of every residual row with
+    The 1-d inputs are copied into two zero-padded matrices, one problem
+    per row. Each step takes the first maximum of every residual row with
     ``argmax``, pairs them with their minimum and subtracts it from both,
     until every problem's minimum is at most ``RESIDUAL_EPS``; a finished
     problem records and subtracts 0. This is the argmax form of
     ``greedy_fill`` run across problems: the same tie rule (lowest index),
-    stop rule and subtraction, so problem b's cells with mass > 0 are
-    exactly the nonzero cells of ``greedy_fill(p[b], q[b])``, bit for bit,
-    and padding is never paired while mass remains. Returns ``(rows, cols,
-    mass)``, each of shape (steps, B); no cell appears twice in a problem.
+    stop rule and subtraction, so padding is never paired while mass
+    remains. Returns one ``(rows, cols, mass)`` per problem, holding its
+    cells with mass > 0 sorted by row and then by column: exactly the
+    nonzero cells of ``greedy_fill(ps[b], qs[b])``, bit for bit, in the
+    order of ``np.nonzero`` on that dense mass, so sums over them round as
+    sums over ``mass[mass > 0]`` do.
 
-    A step scans whole rows, O(B (m + n)) per step against the heap's
-    O(log(m + n)), so it pays off over several problems at once: the
-    stationary scan's ``n_groups**2`` couplings and the erasure function's
-    ``n_groups`` (one per group onto Q), both dominant on the
+    A step over B problems scans whole rows, O(B (m + n)), against the
+    heap's O(log(m + n)) per problem, so it pays off over several at once:
+    the stationary scan's ``n_groups**2`` couplings and the erasure
+    function's ``n_groups`` (one per group onto Q), both dominant on the
     ``wide_unequal`` workload, and GP-UCB's Dirichlet design, up to
     ``out_size * n_groups`` couplings. The ``n_groups`` couplings of the
     single Q that each later GP-UCB round scores stay on ``greedy_fill``:
-    at 2 groups x 50 symbols one Q takes about 0.5 ms there against 1.8 ms
-    here (one thread of a 2-vCPU VM).
+    at 2 groups x 50 symbols one Q takes about 0.25 ms there against
+    1.2 ms here (median of five random Q, each the best of 5 x 200 calls,
+    one thread of a 2-vCPU Xeon VM).
     """
-    # order="C": a broadcast input would otherwise keep its strides.
-    rp = np.array(p, dtype=np.float64, order="C")
-    rq = np.array(q, dtype=np.float64, order="C")
-    b = np.arange(rp.shape[0])
+    if not ps:
+        return []
+    rp = np.zeros((len(ps), max(p.size for p in ps)))
+    rq = np.zeros((len(qs), max(q.size for q in qs)))
+    for k, (p, q) in enumerate(zip(ps, qs, strict=True)):
+        rp[k, : p.size] = p
+        rq[k, : q.size] = q
+    b = np.arange(len(ps))
     steps = rp.shape[1] + rq.shape[1]
     rows = np.zeros((steps, b.size), dtype=np.intp)
     cols = np.zeros((steps, b.size), dtype=np.intp)
@@ -111,31 +118,10 @@ def greedy_fill_batch(
         rq[b, j] -= m
         rows[t], cols[t], mass[t] = i, j, m
         t += 1
-    return rows[:t], cols[:t], mass[:t]
-
-
-def zero_padded(rows: list[np.ndarray]) -> np.ndarray:
-    """Stack 1-d arrays of any lengths as the rows of one matrix, zero-filled on the right."""
-    out = np.zeros((len(rows), max(r.size for r in rows)))
-    for k, r in enumerate(rows):
-        out[k, : r.size] = r
-    return out
-
-
-def live_cells(
-    rows: np.ndarray, cols: np.ndarray, mass: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Each problem's cells of a ``greedy_fill_batch`` result, in row-major order.
-
-    Returns one ``(rows, cols, mass)`` per problem, holding only its cells
-    with mass > 0, sorted by row and then by column: the order of
-    ``np.nonzero`` on that problem's dense ``greedy_fill`` mass, so sums
-    over them round as sums over ``mass[mass > 0]`` do.
-    """
     out = []
-    for b in range(mass.shape[1]):
-        live = mass[:, b] > 0.0
-        r, c, m = rows[live, b], cols[live, b], mass[live, b]
+    for r, c, m in zip(rows[:t].T, cols[:t].T, mass[:t].T):
+        live = m > 0.0
+        r, c, m = r[live], c[live], m[live]
         order = np.lexsort((c, r))
         out.append((r[order], c[order], m[order]))
     return out

@@ -66,7 +66,6 @@ def cmd_generate(args) -> int:
 def _bo_config(args) -> BoConfig:
     return BoConfig(
         budget=args.bo_budget,
-        kappa=args.bo_kappa,
         n_acq_candidates=args.bo_acq_candidates,
         seed=args.bo_seed,
     )
@@ -229,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_erase.add_argument("--use-bo", action="store_true")
     p_erase.add_argument("--bo-budget", type=int, default=100)
-    p_erase.add_argument("--bo-kappa", type=float, default=2.5)
     p_erase.add_argument("--bo-acq-candidates", type=int, default=1024)
     p_erase.add_argument("--bo-seed", type=int, default=0)
     p_erase.add_argument("--seed", type=int, default=0)

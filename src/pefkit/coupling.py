@@ -113,7 +113,7 @@ def conditional_rows(
 
     Cell t has mass ``mass[t]`` at row ``rows[t]``, an index into
     ``p.support``, and column ``cols[t]``; cells come in row-major order,
-    none twice, as ``_kernels.live_cells`` returns them. Returns the cells
+    none twice, as ``_kernels.greedy_cells`` returns them. Returns the cells
     as ``(bounds, cols, probs)``: row k holds ``cols[bounds[k]:bounds[k + 1]]``.
     Each row is normalized by its mass summed over its cells in order; as
     in Categorical, cells of ``TRIM_EPS`` or less after that are dropped.

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from ._kernels import symbol_codes, symbol_counts
-from .dist import Categorical, FunnelCurve, GroupedData, _column, write_json
+from .dist import Categorical, DataConstraintError, FunnelCurve, GroupedData, _column, write_json
 from .pef import ErasureFunction, ErasureReport, analyze, as_samples
 
 _LN2 = float(np.log(2.0))
@@ -162,19 +162,22 @@ def evaluate_run(
 ) -> tuple[list[TradeoffPoint], list[float], ErasureReport]:
     """Analytic and plug-in tradeoff points plus per-group TV erasure checks.
 
-    ``erased`` holds (z, concept) rows and ``original`` (x, concept) rows.
+    ``erased`` holds (z, concept) rows and ``original`` (x, concept) rows;
+    DataConstraintError if they hold none.
     """
     erased, original = as_samples(erased), as_samples(original)
     if len(erased) != len(original):
         raise AlignmentError(
             f"{len(erased)} erased vs {len(original)} original samples"
         )
+    if not len(erased):
+        raise DataConstraintError("empty sample set")
     z, concept = erased[:, 0], erased[:, 1]
     if not np.array_equal(concept, original[:, 1]):
         raise AlignmentError("concept labels of erased/original rows differ")
     check_symbols_known(
         true_dists.symbols,
-        f.input_symbols(),
+        f.ids,
         "the distributions",
         "the erasure function",
     )

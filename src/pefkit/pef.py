@@ -24,15 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.typing import ArrayLike
 
-from ._kernels import (
-    entropy_bits,
-    greedy_fill_batch,
-    live_cells,
-    row_searchsorted,
-    symbol_codes,
-    symbol_counts,
-    zero_padded,
-)
+from ._kernels import entropy_bits, greedy_cells, row_searchsorted, symbol_codes, symbol_counts
 from .coupling import conditional_rows
 from .dist import (
     MALFORMED_JSON,
@@ -150,16 +142,6 @@ class ErasureFunction:
             raise ValueError("map_symbol is only defined for deterministic functions")
         return int(self.out[self.bounds[_positions(self.ids, [x])[0]]])
 
-    def input_symbols(self) -> np.ndarray:
-        """Every symbol the function has a row for, ascending."""
-        return self.ids
-
-    def row_for(self, x: int) -> Categorical:
-        """P(Z|X=x) for either variant (a point mass when deterministic)."""
-        r = _positions(self.ids, [x])[0]
-        cells = slice(self.bounds[r], self.bounds[r + 1])
-        return Categorical(self.out[cells], self.probs[cells])
-
     def induced_output(self, d: Categorical) -> np.ndarray:
         """Pushforward of a group distribution, as probs over output_support."""
         weight = np.zeros(len(self.ids))
@@ -244,15 +226,6 @@ def _compile_rows(support, ids, bounds, out, probs):
     return ids, bounds, out, probs, cdfs
 
 
-def estimate_distribution(samples: ArrayLike, concept: int) -> Categorical:
-    """Empirical frequencies of the symbols observed for one concept."""
-    rows = as_samples(samples)
-    symbols, counts = np.unique(rows[rows[:, 1] == concept, 0], return_counts=True)
-    if not symbols.size:
-        raise DataConstraintError(f"no samples for concept {concept}")
-    return Categorical(symbols, counts / counts.sum())
-
-
 def build_deterministic_pef(g: GroupedData, tol: float = 1e-9) -> ErasureFunction:
     """Bijective erasure function for permutation-equal group distributions.
 
@@ -286,14 +259,12 @@ def build_stochastic_pef(g: GroupedData, q: QCandidate) -> ErasureFunction:
 
     The conditional rows of each coupling give P(Z|X=x); the column-marginal
     identity makes every group's induced output distribution equal Q. All
-    groups are coupled in one ``greedy_fill_batch`` call, whose cells
-    (at most |X_i| + |Q| - 1 per group) become the rows directly, so no
-    dense |X_i| x |Q| mass matrix is built.
+    groups are coupled in one ``greedy_cells`` call, whose cells (at most
+    |X_i| + |Q| - 1 per group) become the rows directly, so no dense
+    |X_i| x |Q| mass matrix is built.
     """
     support = q.dist.support
-    p = zero_padded([d.probs for d in g.dists])
-    q_rows = np.broadcast_to(q.dist.probs, (len(p), len(support)))
-    cells = live_cells(*greedy_fill_batch(p, q_rows))
+    cells = greedy_cells([d.probs for d in g.dists], [q.dist.probs] * len(g.dists))
     parts = []
     for d, (rows, cols, mass) in zip(g.dists, cells):
         bounds, cols, probs = conditional_rows(rows, cols, mass, d)

@@ -6,12 +6,12 @@ greedy coupling approximation. Candidates come from a stationary-point scan
 over the input distributions and, when a ``BoConfig`` is given,
 Gaussian-process UCB Bayesian optimization on the simplex seeded with that
 scan. ``_j_values`` scores many Q at once, all their couplings in one
-``greedy_fill_batch`` pass: the scan's candidates in one call and GP-UCB's
-Dirichlet design in another. ``objective_j`` scores one Q on the heap
-kernel ``greedy_fill``, as each GP-UCB round does after the design; both
-give the same J bit for bit. A round's GP posterior runs on matrix
-products: one inverse of the Cholesky factor replaces the triangular
-solves, which numpy lacks.
+``greedy_cells`` call: the scan's candidates in one and GP-UCB's Dirichlet
+design in another. ``objective_j`` scores one Q on the heap kernel
+``greedy_fill``, as each GP-UCB round does after the design; both give the
+same J bit for bit. The UCB weight is the constant ``UCB_KAPPA``. A
+round's GP posterior runs on matrix products: one inverse of the Cholesky
+factor replaces the triangular solves, which numpy lacks.
 """
 
 from __future__ import annotations
@@ -21,8 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import entropy_bits, greedy_fill, greedy_fill_batch, live_cells, zero_padded
+from ._kernels import entropy_bits, greedy_cells, greedy_fill
 from .dist import Categorical, DistError, GroupedData, entropy
+
+
+# The GP-UCB exploration weight; 2.5 matches the reference setup.
+UCB_KAPPA = 2.5
 
 
 @dataclass(frozen=True)
@@ -34,18 +38,15 @@ class QCandidate:
 
 @dataclass(frozen=True)
 class BoConfig:
-    """Gaussian-process UCB configuration. kappa=2.5 matches the reference setup."""
+    """Gaussian-process UCB configuration; the UCB weight is ``UCB_KAPPA``."""
 
     budget: int = 100
-    kappa: float = 2.5
     n_acq_candidates: int = 1024
     seed: int = 0
 
     def __post_init__(self):
         if self.budget < 1:
             raise DistError("budget must be >= 1")
-        if not 0 < self.kappa < np.inf:
-            raise DistError("kappa must be finite and > 0")
         if self.n_acq_candidates < 1:
             raise DistError("n_acq_candidates must be >= 1")
 
@@ -87,19 +88,18 @@ def _j_value(q: Categorical, g: GroupedData, coupling_entropies) -> float:
 
 
 def _j_values(qs: list[Categorical], g: GroupedData) -> list[float]:
-    """J of every Q in ``qs``, its couplings from one ``greedy_fill_batch`` call.
+    """J of every Q in ``qs``, its couplings from one ``greedy_cells`` call.
 
     Problem c * n_groups + i couples group i onto ``qs[c]``. Each
     coupling's entropy is summed over its cells in row-major order, the
     order of ``greedy_fill``'s dense mass, so every J equals
     ``objective_j``'s bit for bit.
     """
-    if not qs:
-        return []
     n_groups = len(g.dists)
-    p = np.tile(zero_padded([d.probs for d in g.dists]), (len(qs), 1))
-    q = np.repeat(zero_padded([q.probs for q in qs]), n_groups, axis=0)
-    h = [entropy_bits(mass) for _, _, mass in live_cells(*greedy_fill_batch(p, q))]
+    cells = greedy_cells(
+        [d.probs for d in g.dists] * len(qs), [q.probs for q in qs for _ in range(n_groups)]
+    )
+    h = [entropy_bits(mass) for _, _, mass in cells]
     return [_j_value(dist, g, h[c * n_groups : (c + 1) * n_groups]) for c, dist in enumerate(qs)]
 
 
@@ -237,7 +237,7 @@ def bayes_opt_q(g: GroupedData, out_size: int, cfg: BoConfig) -> QCandidate:
             anchor + 0.25 * rng.standard_normal((cfg.n_acq_candidates - half, out_size)),
         ])
         mean, std = _gp_posterior(x_obs, y_obs, x_new, ls, d2_obs)
-        theta = x_new[int(np.argmax(mean + cfg.kappa * std))]
+        theta = x_new[int(np.argmax(mean + UCB_KAPPA * std))]
         dist = _softmax_dist(theta, support)
         record(theta, dist, objective_j(dist, g))
 

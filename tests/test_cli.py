@@ -167,17 +167,13 @@ class TestErase:
         [
             ("--bo-acq-candidates", "n_acq_candidates must be >= 1"),
             ("--bo-budget", "budget"),
-            ("--bo-kappa=nan", "kappa must be finite"),
-            ("--bo-kappa=inf", "kappa must be finite"),
         ],
     )
     def test_zero_bo_setting_is_config_error(self, tmp_path, capsys, flag, message):
-        # A flag without "=value" is set to 0.
-        setting = [flag] if "=" in flag else [flag, 0]
         out = gen(tmp_path, setting="unequal")
         argv = ["--samples", out / "samples.csv", "--dists", out / "true_dists.json"]
         capsys.readouterr()
-        code = run(["erase", *argv, "--use-bo", *setting, "--out-dir", tmp_path / "erased"])
+        code = run(["erase", *argv, "--use-bo", flag, 0, "--out-dir", tmp_path / "erased"])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
@@ -211,6 +207,7 @@ class TestErase:
             assert outputs[0][name] == outputs[1][name], f"{name} differs between identical runs"
         config = json.loads(outputs[0]["run_config.json"])["config"]
         assert config["use_bo"] is True and config["bo"]["budget"] == 20
+        assert config["bo"].keys() == {"budget", "n_acq_candidates", "seed"}
 
     @pytest.mark.parametrize(
         "support",
@@ -696,6 +693,25 @@ class TestEvaluate:
         assert code == EXIT_ALIGN
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "output_support" in err and "999999" in err
+        assert not (tmp_path / "eval").exists()
+
+    def test_header_only_run_is_data_error(self, tmp_path, capsys):
+        # erase --dists accepts a header-only sample file; evaluate rejects
+        # that run as a data error, before the joint counts see zero rows.
+        out = gen(tmp_path, setting="unequal", support=6, samples=50)
+        empty = tmp_path / "empty.csv"
+        empty.write_text("x,concept\n")
+        erased = tmp_path / "erased"
+        code = run(["erase", "--samples", empty, "--dists", out / "true_dists.json",
+                    "--out-dir", erased])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        code = run(["evaluate", "--dists", out / "true_dists.json", "--function",
+                    erased / "function.json", "--erased", erased / "erased.csv",
+                    "--samples", empty, "--out-dir", tmp_path / "eval"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "empty sample set" in err
         assert not (tmp_path / "eval").exists()
 
 

@@ -7,7 +7,7 @@ from pefkit._kernels import (
     RESIDUAL_EPS,
     entropy_bits,
     greedy_fill,
-    greedy_fill_batch,
+    greedy_cells,
     row_searchsorted,
     symbol_codes,
     symbol_counts,
@@ -93,23 +93,17 @@ def test_greedy_fill_property(a, b):
 
 
 def assert_batch_matches_reference(ps: list, qs: list) -> None:
-    """Stack the problems zero-padded, run the batch kernel once, and compare
-    every problem's cells with the argmax reference, bit for bit."""
-    p = np.zeros((len(ps), max(a.size for a in ps)))
-    q = np.zeros((len(qs), max(a.size for a in qs)))
-    for b, (a, c) in enumerate(zip(ps, qs)):
-        p[b, : a.size] = a
-        q[b, : c.size] = c
-    rows, cols, mass = greedy_fill_batch(p, q)
-    assert mass.shape[0] <= p.shape[1] + q.shape[1]
-    for b, (a, c) in enumerate(zip(ps, qs)):
-        live = mass[:, b] > 0
-        cells = list(zip(rows[live, b].tolist(), cols[live, b].tolist()))
-        assert len(set(cells)) == len(cells)
-        # A cell in the padding would fall outside the problem's own shape.
-        dense = np.zeros((a.size, c.size))
-        dense[rows[live, b], cols[live, b]] = mass[live, b]
-        np.testing.assert_array_equal(dense, greedy_fill_reference(a, c))
+    """Run the lockstep kernel once on all problems and compare every
+    problem's cells with the argmax reference, bit for bit and in order."""
+    cells = greedy_cells(ps, qs)
+    assert len(cells) == len(ps)
+    for a, c, got in zip(ps, qs, cells):
+        # Each nonzero cell of the reference once, in np.nonzero's row-major
+        # order; a cell in the padding would fall outside it.
+        reference = greedy_fill_reference(a, c)
+        want = (*np.nonzero(reference), reference[reference > 0])
+        for got_part, want_part in zip(got, want, strict=True):
+            np.testing.assert_array_equal(got_part, want_part)
 
 
 _problem = st.tuples(_weights, _weights, st.booleans(), st.booleans())
@@ -137,12 +131,15 @@ def test_greedy_fill_batch_wide_stack():
 
 
 def test_greedy_fill_batch_leaves_inputs_alone():
-    p = np.broadcast_to(np.array([0.5, 0.3, 0.2]), (2, 3))
-    q = np.array([[0.6, 0.4, 0.0], [1.0, 0.0, 0.0]])
-    before = q.copy()
-    rows, cols, mass = greedy_fill_batch(p, q)
-    np.testing.assert_array_equal(q, before)
-    np.testing.assert_array_equal(mass.sum(axis=0), [1.0, 1.0])
+    p = np.array([0.5, 0.3, 0.2])
+    qs = [np.array([0.6, 0.4]), np.array([1.0])]
+    before = [q.copy() for q in qs]
+    cells = greedy_cells([p, p], qs)
+    np.testing.assert_array_equal(p, [0.5, 0.3, 0.2])
+    for q, b in zip(qs, before):
+        np.testing.assert_array_equal(q, b)
+    assert [mass.sum() for _, _, mass in cells] == [1.0, 1.0]
+    assert greedy_cells([], []) == []
 
 
 def test_row_searchsorted_exact_at_cdf_values():

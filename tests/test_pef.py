@@ -25,7 +25,6 @@ from pefkit import (
     build_stochastic_pef,
     default_tol,
     entropy,
-    estimate_distribution,
     generate,
     greedy_mec,
     grouped_from_samples,
@@ -64,6 +63,20 @@ def grouped(p1, p2, priors=(0.5, 0.5)):
         )
 
 
+def estimate_distribution(rows: np.ndarray, concept: int) -> Categorical:
+    """Empirical frequencies of the symbols observed for one concept, by sorting."""
+    symbols, counts = np.unique(rows[rows[:, 1] == concept, 0], return_counts=True)
+    return Categorical(symbols, counts / counts.sum())
+
+
+def row_of(f: ErasureFunction, x: int) -> Categorical:
+    """P(Z|X=x) read off the table (a point mass when deterministic)."""
+    r = int(np.searchsorted(f.ids, x))
+    assert f.ids[r] == x
+    cells = slice(f.bounds[r], f.bounds[r + 1])
+    return Categorical(f.out[cells], f.probs[cells])
+
+
 def grouped_by_sorting(rows: np.ndarray) -> GroupedData:
     """``grouped_from_samples`` by ``np.unique`` sorts, kept as its oracle."""
     if not len(rows):
@@ -90,16 +103,6 @@ def grouped_by_sorting(rows: np.ndarray) -> GroupedData:
 
 
 class TestEstimation:
-    def test_estimate_distribution_counts(self):
-        samples = [Sample(0, 0), Sample(0, 0), Sample(1, 0), Sample(5, 1)]
-        d = estimate_distribution(samples, 0)
-        assert d.support.tolist() == [0, 1]
-        np.testing.assert_allclose(d.probs, [2 / 3, 1 / 3])
-
-    def test_estimate_missing_concept(self):
-        with pytest.raises(DataConstraintError):
-            estimate_distribution([Sample(0, 0)], 3)
-
     def test_grouped_from_samples_priors(self):
         samples = [Sample(0, 0)] * 3 + [Sample(5, 1)] * 1
         with pytest.warns(UserWarning, match="A5 violated"):
@@ -223,9 +226,8 @@ class TestStochasticBranch:
         g = grouped([0.5, 0.5], [0.6, 0.4])
         q = select_q(g, 2)
         f = build_stochastic_pef(g, q)
-        assert f.input_symbols().tolist() == [0, 1, 2, 3]
-        for x in f.input_symbols().tolist():
-            assert set(f.row_for(x).support) <= set(f.output_support)
+        assert f.ids.tolist() == [0, 1, 2, 3]
+        assert set(f.out.tolist()) <= set(f.output_support.tolist())
 
     def test_utility_identity_randomized(self, rng):
         for _ in range(10):
@@ -416,7 +418,7 @@ def induced_output_reference(f, d):
     out = np.zeros(len(f.output_support))
     idx = {z: k for k, z in enumerate(f.output_support)}
     for s, p in zip(d.support, d.probs):
-        row = f.row_for(s)
+        row = row_of(f, s)
         for z, rp in zip(row.support, row.probs):
             out[idx[z]] += float(p) * float(rp)
     return out
@@ -467,7 +469,7 @@ class TestApply:
         f, _ = build_pef(g, tol=1e-9)
         n = 20000
         erased = apply(f, [Sample(2, 1)] * n, seed=1)
-        row = f.row_for(2)
+        row = row_of(f, 2)
         for z, p in zip(row.support, row.probs):
             freq = np.count_nonzero(erased[:, 0] == z) / n
             assert freq == pytest.approx(float(p), abs=0.02)
@@ -543,7 +545,7 @@ def test_stochastic_apply_is_exact_inverse_cdf(fs, seed, data):
     erased = apply(f, samples, seed)
     u = np.random.Generator(np.random.Philox(key=seed)).random(len(samples))
     for (x, _), z, ui in zip(samples.tolist(), erased[:, 0].tolist(), u):
-        row = f.row_for(x)
+        row = row_of(f, x)
         k = int(np.searchsorted(np.cumsum(row.probs), ui, side="right"))
         assert z == row.support[min(k, len(row) - 1)]
     np.testing.assert_array_equal(erased[:, 1], samples[:, 1])

@@ -241,18 +241,13 @@ def test_output_support_fresh_ids():
 
 
 def test_bo_config_round_trip():
-    cfg = BoConfig(budget=42, kappa=1.5, seed=9)
+    cfg = BoConfig(budget=42, seed=9)
     assert BoConfig(**cfg.to_json()) == cfg
 
 
 def test_bo_config_validation():
     with pytest.raises(ValueError):
         BoConfig(budget=0)
-    with pytest.raises(ValueError):
-        BoConfig(kappa=-1.0)
-    for kappa in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="kappa must be finite"):
-            BoConfig(kappa=kappa)
     with pytest.raises(ValueError, match="n_acq_candidates"):
         BoConfig(n_acq_candidates=0)
 
