@@ -1,25 +1,20 @@
 """The numeric inner loops that every layer shares.
 
-``entropy_bits`` is summed by dist, coupling and qopt. Greedy couplings
-come from one of two kernels, chosen by how many the caller needs at once.
-``greedy_cells`` steps many couplings in lockstep and returns each one's
-cells in row-major order: qopt scores every (candidate, group) pair of the
-stationary Q scan in one call and of GP-UCB's Dirichlet design in another,
-and ``build_stochastic_pef`` couples every group onto the chosen Q in a
-third, so none builds a dense mass matrix. ``greedy_fill`` is a heap that
-builds one dense coupling: ``objective_j`` for the one Q of each GP-UCB
-round, ``greedy_mec`` (the ``mec`` command) and PGD. ``row_searchsorted``
-draws every stochastic erasure. ``symbol_codes`` gives each symbol id its
-dense code and ``symbol_counts`` counts the ids, for every per-row lookup:
-``apply``'s row of each sample, the labels and cells of ``evaluate``'s
-joint counts, the groups of Algorithm 1 and the owner check of
-``erase --dists``. Where the ids span no more than the rows being coded,
-both index a table by ``id - min`` (O(n), no sort); otherwise they sort or
-search as ``np.unique`` and ``np.searchsorted`` do. All take and return
-plain arrays, not ``Categorical`` or ``Coupling`` values, so hot callers
-skip the validation those types do on construction, and this module
-imports nothing from pefkit, so every other module can use it without an
-import cycle.
+``entropy_bits`` is summed by dist, coupling and qopt. Every greedy
+coupling comes from ``greedy_cells``, which runs a heap per coupling below
+``LOCKSTEP_MIN`` couplings and steps them in lockstep from there, with the
+same cells bit for bit; ``greedy_fill`` is its dense view of one coupling.
+``row_searchsorted`` draws every stochastic erasure. ``symbol_codes``
+gives each symbol id its dense code and ``symbol_counts`` counts the ids,
+for every per-row lookup: ``apply``'s row of each sample, the labels and
+cells of ``evaluate``'s joint counts, the groups of Algorithm 1 and the
+owner check of ``erase --dists``. Where the ids span no more than the
+rows being coded, both index a table by ``id - min`` (O(n), no sort);
+otherwise they sort or search as ``np.unique`` and ``np.searchsorted`` do.
+All take and return plain arrays, not ``Categorical`` or ``Coupling``
+values, so hot callers skip the validation those types do on
+construction, and this module imports nothing from pefkit, so every other
+module can use it without an import cycle.
 """
 
 from __future__ import annotations
@@ -30,6 +25,9 @@ import numpy as np
 
 # Residuals below this are treated as exhausted in the greedy loop.
 RESIDUAL_EPS = 1e-12
+
+# greedy_cells steps this many couplings or more in lockstep, fewer on heaps.
+LOCKSTEP_MIN = 16
 
 # There is one numpy path; perfbench/run.py's environment() reads this for
 # its host diagnostics, and nothing else does.
@@ -42,60 +40,73 @@ def entropy_bits(probs: np.ndarray) -> float:
 
 
 def greedy_fill(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Greedy coupling: repeatedly pair the largest residuals.
-
-    Each side's residuals sit in a heap of ``(-residual, index)``, so a
-    step costs O(log(m + n)). Ties resolve to the lowest index, which is
-    the lowest symbol id because supports are kept in ascending-id order.
-    """
-    hp = [(-r, i) for i, r in enumerate(p.tolist())]
-    hq = [(-r, j) for j, r in enumerate(q.tolist())]
-    heapq.heapify(hp)
-    heapq.heapify(hq)
+    """The greedy coupling of ``p`` onto ``q`` as a dense mass matrix."""
+    rows, cols, cell_mass = greedy_cells([p], [q])[0]
     mass = np.zeros((p.size, q.size))
-    for _ in range(p.size + q.size):
-        neg_rp, i = hp[0]
-        neg_rq, j = hq[0]
-        m = min(-neg_rp, -neg_rq)
-        if m <= RESIDUAL_EPS:
-            break
-        mass[i, j] += m
-        heapq.heapreplace(hp, (neg_rp + m, i))
-        heapq.heapreplace(hq, (neg_rq + m, j))
+    mass[rows, cols] = cell_mass
     return mass
 
 
 def greedy_cells(
     ps: list[np.ndarray], qs: list[np.ndarray]
 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Greedy couplings of each ``ps[b]`` onto ``qs[b]``, stepped in lockstep.
+    """Greedy couplings of each ``ps[b]`` onto ``qs[b]``: repeatedly pair
+    the largest residuals, ties to the lowest index (the lowest symbol id,
+    as supports are kept in ascending-id order), until the smaller of the
+    two is at most ``RESIDUAL_EPS``.
 
-    The 1-d inputs are copied into two zero-padded matrices, one problem
-    per row. Each step takes the first maximum of every residual row with
-    ``argmax``, pairs them with their minimum and subtracts it from both,
-    until every problem's minimum is at most ``RESIDUAL_EPS``; a finished
-    problem records and subtracts 0. This is the argmax form of
-    ``greedy_fill`` run across problems: the same tie rule (lowest index),
-    stop rule and subtraction, so padding is never paired while mass
-    remains. Returns one ``(rows, cols, mass)`` per problem, holding its
-    cells with mass > 0 sorted by row and then by column: exactly the
-    nonzero cells of ``greedy_fill(ps[b], qs[b])``, bit for bit, in the
-    order of ``np.nonzero`` on that dense mass, so sums over them round as
-    sums over ``mass[mass > 0]`` do.
-
-    A step over B problems scans whole rows, O(B (m + n)), against the
-    heap's O(log(m + n)) per problem, so it pays off over several at once:
-    the stationary scan's ``n_groups**2`` couplings and the erasure
-    function's ``n_groups`` (one per group onto Q), both dominant on the
-    ``wide_unequal`` workload, and GP-UCB's Dirichlet design, up to
-    ``out_size * n_groups`` couplings. The ``n_groups`` couplings of the
-    single Q that each later GP-UCB round scores stay on ``greedy_fill``:
-    at 2 groups x 50 symbols one Q takes about 0.25 ms there against
-    1.2 ms here (median of five random Q, each the best of 5 x 200 calls,
-    one thread of a 2-vCPU Xeon VM).
+    Below ``LOCKSTEP_MIN`` couplings each runs on its own heap loop; from
+    ``LOCKSTEP_MIN`` up they step in lockstep. Both take the same steps,
+    so they give the same cells bit for bit. Returns one ``(rows, cols,
+    mass)`` per problem, holding its cells with mass > 0 sorted by row and
+    then by column, the order of ``np.nonzero`` on the dense mass, so sums
+    over them round as sums over ``mass[mass > 0]`` do.
     """
-    if not ps:
-        return []
+    if len(ps) < LOCKSTEP_MIN:
+        steps = [_heap_steps(p, q) for p, q in zip(ps, qs, strict=True)]
+    else:
+        steps = _lockstep_steps(ps, qs)
+    out = []
+    for r, c, m in steps:
+        live = m > 0.0
+        r, c, m = r[live], c[live], m[live]
+        order = np.lexsort((c, r))
+        out.append((r[order], c[order], m[order]))
+    return out
+
+
+def _heap_steps(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One greedy coupling's steps: each side's residuals sit in a heap of
+    ``(-residual, index)``, so a step costs O(log(m + n))."""
+    hp = [(-r, i) for i, r in enumerate(p.tolist())]
+    hq = [(-r, j) for j, r in enumerate(q.tolist())]
+    heapq.heapify(hp)
+    heapq.heapify(hq)
+    rows, cols, mass = [], [], []
+    for _ in range(p.size + q.size):
+        neg_rp, i = hp[0]
+        neg_rq, j = hq[0]
+        m = min(-neg_rp, -neg_rq)
+        if m <= RESIDUAL_EPS:
+            break
+        rows.append(i)
+        cols.append(j)
+        mass.append(m)
+        heapq.heapreplace(hp, (neg_rp + m, i))
+        heapq.heapreplace(hq, (neg_rq + m, j))
+    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(mass)
+
+
+def _lockstep_steps(ps: list[np.ndarray], qs: list[np.ndarray]):
+    """Every coupling's steps at once, one problem per row of two
+    zero-padded residual matrices.
+
+    Each step takes the first maximum of every residual row with
+    ``argmax``, pairs them with their minimum and subtracts it from both;
+    a finished problem records and subtracts 0, so padding is never
+    paired while mass remains. A step over B problems scans whole rows,
+    O(B (m + n)), against the heap's O(log(m + n)) per problem.
+    """
     rp = np.zeros((len(ps), max(p.size for p in ps)))
     rq = np.zeros((len(qs), max(q.size for q in qs)))
     for k, (p, q) in enumerate(zip(ps, qs, strict=True)):
@@ -118,13 +129,7 @@ def greedy_cells(
         rq[b, j] -= m
         rows[t], cols[t], mass[t] = i, j, m
         t += 1
-    out = []
-    for r, c, m in zip(rows[:t].T, cols[:t].T, mass[:t].T):
-        live = m > 0.0
-        r, c, m = r[live], c[live], m[live]
-        order = np.lexsort((c, r))
-        out.append((r[order], c[order], m[order]))
-    return out
+    return zip(rows[:t].T, cols[:t].T, mass[:t].T)
 
 
 def row_searchsorted(

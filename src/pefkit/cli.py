@@ -73,6 +73,8 @@ def _bo_config(args) -> BoConfig:
 
 def cmd_erase(args) -> int:
     samples = pef.read_samples_csv(args.samples)
+    if not len(samples):
+        raise DataConstraintError("empty sample set")
     bo = _bo_config(args) if args.use_bo else None
     if args.dists:
         g = load_grouped_json(args.dists)

@@ -5,13 +5,11 @@ vanishes exactly when every coupling is a permutation matrix. H_min uses the
 greedy coupling approximation. Candidates come from a stationary-point scan
 over the input distributions and, when a ``BoConfig`` is given,
 Gaussian-process UCB Bayesian optimization on the simplex seeded with that
-scan. ``_j_values`` scores many Q at once, all their couplings in one
-``greedy_cells`` call: the scan's candidates in one and GP-UCB's Dirichlet
-design in another. ``objective_j`` scores one Q on the heap kernel
-``greedy_fill``, as each GP-UCB round does after the design; both give the
-same J bit for bit. The UCB weight is the constant ``UCB_KAPPA``. A
-round's GP posterior runs on matrix products: one inverse of the Cholesky
-factor replaces the triangular solves, which numpy lacks.
+scan. Every J comes from ``_j_values``, which couples all the Q it scores
+in one ``greedy_cells`` call; ``objective_j`` scores one. The UCB weight
+is the constant ``UCB_KAPPA``. A round's GP posterior runs on matrix
+products: one inverse of the Cholesky factor replaces the triangular
+solves, which numpy lacks.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import entropy_bits, greedy_cells, greedy_fill
+from ._kernels import entropy_bits, greedy_cells
 from .dist import Categorical, DistError, GroupedData, entropy
 
 
@@ -70,37 +68,28 @@ def default_out_size(g: GroupedData) -> int:
 
 
 def objective_j(q: Categorical, g: GroupedData) -> float:
-    """J(Q) in bits; uses the greedy coupling as the H_min surrogate.
-
-    This runs once per BO evaluation, so it takes the coupling mass straight
-    from the kernel instead of building a validated ``Coupling``.
-    """
-    h = [entropy_bits(greedy_fill(d.probs, q.probs).ravel()) for d in g.dists]
-    return _j_value(q, g, h)
-
-
-def _j_value(q: Categorical, g: GroupedData, coupling_entropies) -> float:
-    """H(Q) minus the prior-weighted coupling entropies, subtracted in group order."""
-    val = entropy(q)
-    for prior, h in zip(g.priors, coupling_entropies):
-        val -= float(prior) * h
-    return float(val)
+    """J(Q) in bits; uses the greedy coupling as the H_min surrogate."""
+    return _j_values([q], g)[0]
 
 
 def _j_values(qs: list[Categorical], g: GroupedData) -> list[float]:
     """J of every Q in ``qs``, its couplings from one ``greedy_cells`` call.
 
-    Problem c * n_groups + i couples group i onto ``qs[c]``. Each
-    coupling's entropy is summed over its cells in row-major order, the
-    order of ``greedy_fill``'s dense mass, so every J equals
-    ``objective_j``'s bit for bit.
+    Problem c * n_groups + i couples group i onto ``qs[c]``. J is H(Q)
+    minus the prior-weighted coupling entropies, subtracted in group order.
     """
     n_groups = len(g.dists)
     cells = greedy_cells(
         [d.probs for d in g.dists] * len(qs), [q.probs for q in qs for _ in range(n_groups)]
     )
-    h = [entropy_bits(mass) for _, _, mass in cells]
-    return [_j_value(dist, g, h[c * n_groups : (c + 1) * n_groups]) for c, dist in enumerate(qs)]
+    h = (entropy_bits(mass) for _, _, mass in cells)
+    out = []
+    for q in qs:
+        val = entropy(q)
+        for prior in g.priors:
+            val -= float(prior) * next(h)
+        out.append(float(val))
+    return out
 
 
 def scan_stationary(g: GroupedData, out_size: int) -> list[QCandidate]:

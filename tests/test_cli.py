@@ -33,6 +33,15 @@ def gen(tmp_path, setting="equal_uniform", support=4, samples=500, seed=0, extra
     return out
 
 
+def write_dists(path, supports):
+    """A --dists file with one uniform group per support, concepts 0, 1, ..."""
+    path.write_text(json.dumps({"priors": [1.0 / len(supports)] * len(supports), "groups": [
+        {"concept": c, "dist": {"support": s, "probs": [1.0 / len(s)] * len(s)}}
+        for c, s in enumerate(supports)
+    ]}))
+    return path
+
+
 class TestGenerate:
     def test_outputs_exist(self, tmp_path, capsys):
         out = gen(tmp_path)
@@ -123,6 +132,28 @@ class TestErase:
         bad.write_text("x,concept\n0,0\n0,1\n1,0\n2,1\n")
         code = run(["erase", "--samples", bad, "--out-dir", tmp_path])
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "groups,message",
+        [
+            ([[0, 1], [1, 2]], "group supports must be pairwise disjoint"),
+            ([[0, 1, 2]], "need at least two concept groups"),
+        ],
+    )
+    def test_dists_build_pef_rejects(self, tmp_path, capsys, groups, message):
+        dists = write_dists(tmp_path / "dists.json", groups)
+        samples = tmp_path / "s.csv"
+        samples.write_text("x,concept\n0,0\n1,0\n")
+        argv = ["erase", "--samples", samples, "--dists", dists, "--out-dir", tmp_path / "erased"]
+        if len(groups) > 1:
+            with pytest.warns(UserWarning, match="A4 violated"):
+                code = run(argv)
+        else:
+            code = run(argv)
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "erased").exists()
 
     def test_sample_symbol_outside_dists_is_align_error(self, tmp_path, capsys):
         out = gen(tmp_path)
@@ -351,6 +382,14 @@ class TestMalformedSamples:
             assert self.erase(tmp_path, "x,concept\n") == EXIT_DATA
         assert not caught
         assert capsys.readouterr().err.startswith("data constraint violated")
+
+    @pytest.mark.parametrize("with_dists", [False, True])
+    def test_header_only_erase_writes_nothing(self, tmp_path, capsys, with_dists):
+        extra = ["--dists", write_dists(tmp_path / "d.json", [[0, 1], [2, 3]])] if with_dists else []
+        assert self.erase(tmp_path, "x,concept\n", *extra) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "empty sample set" in err
+        assert not (tmp_path / "erased").exists()
 
     def test_blank_line_is_skipped(self, tmp_path):
         head, tail = self.VALID.split("1,0\n")
@@ -696,19 +735,20 @@ class TestEvaluate:
         assert not (tmp_path / "eval").exists()
 
     def test_header_only_run_is_data_error(self, tmp_path, capsys):
-        # erase --dists accepts a header-only sample file; evaluate rejects
-        # that run as a data error, before the joint counts see zero rows.
+        # evaluate rejects a header-only erased/samples pair as a data error,
+        # before the joint counts see zero rows.
         out = gen(tmp_path, setting="unequal", support=6, samples=50)
-        empty = tmp_path / "empty.csv"
-        empty.write_text("x,concept\n")
         erased = tmp_path / "erased"
-        code = run(["erase", "--samples", empty, "--dists", out / "true_dists.json",
-                    "--out-dir", erased])
+        code = run(["erase", "--samples", out / "samples.csv", "--dists",
+                    out / "true_dists.json", "--out-dir", erased])
         assert code == EXIT_OK
+        empty_erased, empty_samples = tmp_path / "erased.csv", tmp_path / "samples.csv"
+        empty_erased.write_text("z,concept\n")
+        empty_samples.write_text("x,concept\n")
         capsys.readouterr()
         code = run(["evaluate", "--dists", out / "true_dists.json", "--function",
-                    erased / "function.json", "--erased", erased / "erased.csv",
-                    "--samples", empty, "--out-dir", tmp_path / "eval"])
+                    erased / "function.json", "--erased", empty_erased,
+                    "--samples", empty_samples, "--out-dir", tmp_path / "eval"])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "empty sample set" in err

@@ -20,6 +20,8 @@ from pefkit import (
     mutual_information_ax,
     pic_spectrum,
 )
+from pefkit._kernels import entropy_bits
+from pefkit.dist import _joint_xa
 from conftest import random_grouped
 
 
@@ -168,6 +170,20 @@ class TestGroupedMeasures:
         expected = -(0.9 * math.log2(0.9) + 0.1 * math.log2(0.1))
         assert mutual_information_ax(g) == pytest.approx(expected, abs=1e-9)
         assert expected == pytest.approx(0.46900, abs=1e-5)
+
+    def test_mi_shared_support(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            g = GroupedData(
+                ((0, cat([0, 1, 2], [0.5, 0.3, 0.2])), (1, cat([1, 2, 3], [0.1, 0.6, 0.3]))),
+                np.array([0.7, 0.3]),
+            )
+        joint = _joint_xa(g)
+        expected = (
+            entropy_bits(joint.sum(axis=0)) + entropy_bits(joint.sum(axis=1)) - entropy_bits(joint)
+        )
+        assert mutual_information_ax(g) == pytest.approx(expected, abs=1e-12)
+        assert mutual_information_ax(g) < entropy_bits(g.priors) - 0.1
 
     def test_conditioning_reduces_entropy(self, rng):
         for _ in range(25):

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pefkit import _kernels
 from pefkit._kernels import (
+    LOCKSTEP_MIN,
     RESIDUAL_EPS,
     entropy_bits,
     greedy_fill,
@@ -93,7 +95,7 @@ def test_greedy_fill_property(a, b):
 
 
 def assert_batch_matches_reference(ps: list, qs: list) -> None:
-    """Run the lockstep kernel once on all problems and compare every
+    """Run ``greedy_cells`` once on all problems and compare every
     problem's cells with the argmax reference, bit for bit and in order."""
     cells = greedy_cells(ps, qs)
     assert len(cells) == len(ps)
@@ -109,16 +111,51 @@ def assert_batch_matches_reference(ps: list, qs: list) -> None:
 _problem = st.tuples(_weights, _weights, st.booleans(), st.booleans())
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_problem, min_size=1, max_size=6))
-def test_greedy_fill_batch_property(problems):
-    # Mixed support sizes, so shorter problems run on zero padding, and
-    # uniform sides, so every step meets ties.
+def _batch(problems) -> tuple[list, list]:
     ps, qs = [], []
     for a, b, uniform_p, uniform_q in problems:
         ps.append(np.full(len(a), 1.0 / len(a)) if uniform_p else np.array(a) / sum(a))
         qs.append(np.full(len(b), 1.0 / len(b)) if uniform_q else np.array(b) / sum(b))
-    assert_batch_matches_reference(ps, qs)
+    return ps, qs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 2 * LOCKSTEP_MIN).flatmap(lambda n: st.lists(_problem, min_size=n, max_size=n))
+)
+def test_greedy_fill_batch_property(problems):
+    # Batches on both sides of LOCKSTEP_MIN, mixed support sizes, so
+    # shorter problems run on zero padding in lockstep, and uniform sides,
+    # so every step meets ties.
+    assert_batch_matches_reference(*_batch(problems))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_problem, min_size=LOCKSTEP_MIN, max_size=LOCKSTEP_MIN))
+def test_heap_and_lockstep_give_the_same_cells(problems):
+    # LOCKSTEP_MIN - 1 problems run on heaps, LOCKSTEP_MIN in lockstep.
+    ps, qs = _batch(problems)
+    heap = greedy_cells(ps[:-1], qs[:-1])
+    lockstep = greedy_cells(ps, qs)
+    heap.append(greedy_cells(ps[-1:], qs[-1:])[0])
+    for got, want in zip(lockstep, heap, strict=True):
+        for got_part, want_part in zip(got, want, strict=True):
+            assert got_part.dtype == want_part.dtype
+            np.testing.assert_array_equal(got_part, want_part)
+
+
+def test_batch_size_picks_the_kernel(monkeypatch):
+    calls = []
+    heap, lockstep = _kernels._heap_steps, _kernels._lockstep_steps
+    monkeypatch.setattr(_kernels, "_heap_steps", lambda *a: calls.append("heap") or heap(*a))
+    monkeypatch.setattr(
+        _kernels, "_lockstep_steps", lambda *a: calls.append("lockstep") or lockstep(*a)
+    )
+    p = np.array([0.5, 0.5])
+    for n, want in ((LOCKSTEP_MIN - 1, ["heap"] * (LOCKSTEP_MIN - 1)), (LOCKSTEP_MIN, ["lockstep"])):
+        calls.clear()
+        greedy_cells([p] * n, [p] * n)
+        assert calls == want
 
 
 def test_greedy_fill_batch_wide_stack():

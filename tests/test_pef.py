@@ -601,6 +601,16 @@ class TestSerialization:
         save_function_json(f2, tmp_path / "f2.json")
         assert (tmp_path / "f2.json").read_bytes() == path.read_bytes()
 
+    def test_slightly_off_row_is_renormalized_on_load(self):
+        f, _ = build_pef(grouped([0.5, 0.3, 0.2], [0.6, 0.3, 0.1]), tol=1e-9)
+        obj = f.to_json()
+        obj["probs"][0] += 1e-8
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            f2 = ErasureFunction.from_json(obj)
+        assert [str(w.message) for w in caught] == ["renormalizing 1 row(s)"]
+        assert np.add.reduceat(f2.probs, f2.bounds[:-1]) == pytest.approx(1.0, abs=1e-15)
+
     def test_deterministic_json_round_trip(self, tmp_path):
         g = grouped([0.5, 0.3, 0.2], [0.2, 0.5, 0.3])
         f = build_deterministic_pef(g)

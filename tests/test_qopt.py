@@ -159,11 +159,10 @@ class TestBayesOpt:
 
     @staticmethod
     def count_scored_candidates(monkeypatch):
-        # The scan and the Dirichlet design score their candidates in
-        # _j_values batches, GP-UCB rounds one objective_j call at a time;
-        # all count.
+        # Every J goes through _j_values: the scan and the Dirichlet design
+        # in batches, each GP-UCB round's one Q through objective_j.
         scored, scans = [], []
-        scan, batch, objective = qopt.scan_stationary, qopt._j_values, qopt.objective_j
+        scan, batch = qopt.scan_stationary, qopt._j_values
 
         def counted_scan(*args, **kwargs):
             scans.append(1)
@@ -173,13 +172,8 @@ class TestBayesOpt:
             scored.extend(qs)
             return batch(qs, g)
 
-        def counted_objective(*args, **kwargs):
-            scored.append(1)
-            return objective(*args, **kwargs)
-
         monkeypatch.setattr(qopt, "scan_stationary", counted_scan)
         monkeypatch.setattr(qopt, "_j_values", counted_batch)
-        monkeypatch.setattr(qopt, "objective_j", counted_objective)
         return scored, scans
 
     @pytest.mark.parametrize("n_groups,budget", [(2, 2), (2, 9), (4, 4), (4, 10)])
