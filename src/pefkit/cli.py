@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands wire the pipeline end to end: generate -> erase -> evaluate,
-plus funnel/mec/pic utilities. Every run writes a resolved-config JSON
-next to its outputs so any result directory can be regenerated from its
-flags alone.
+plus funnel/mec/pic utilities. Each subcommand returns the config its run
+records, and ``main`` writes it as ``run_config.json`` next to the outputs,
+so any result directory can be regenerated from its flags alone.
 
 Exit codes: 0 ok, 2 config error, 3 data-constraint violation,
 4 misaligned inputs, 5 I/O failure.
@@ -40,12 +40,12 @@ EXIT_ALIGN = 4
 EXIT_IO = 5
 
 
-def _write_config_sidecar(out_dir: str, subcommand: str, cfg: dict) -> None:
-    path = os.path.join(out_dir, "run_config.json")
-    write_json({"subcommand": subcommand, "config": cfg}, path)
+def _flags(args) -> dict:
+    """Every parsed flag but ``--out-dir``."""
+    return {k: v for k, v in vars(args).items() if k not in ("command", "func", "out_dir")}
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> dict:
     cfg = synth.SynthConfig(
         n_groups=args.groups,
         support_per_group=args.support,
@@ -58,9 +58,8 @@ def cmd_generate(args) -> int:
     g, samples = synth.generate(cfg)
     pef.write_samples_csv(samples, os.path.join(args.out_dir, "samples.csv"))
     write_json(g.to_json(), os.path.join(args.out_dir, "true_dists.json"))
-    _write_config_sidecar(args.out_dir, "generate", cfg.to_json())
     print(f"wrote {len(samples)} samples for {cfg.n_groups} groups to {args.out_dir}")
-    return EXIT_OK
+    return cfg.to_json()
 
 
 def _bo_config(args) -> BoConfig:
@@ -71,7 +70,11 @@ def _bo_config(args) -> BoConfig:
     )
 
 
-def cmd_erase(args) -> int:
+def cmd_erase(args) -> dict:
+    # Philox's key range; checked here so the equal branch, which draws
+    # nothing, rejects the seeds the unequal branch cannot take.
+    if not 0 <= args.seed < 2**128:
+        raise DistError(f"seed must be in [0, 2**128), got {args.seed}")
     samples = pef.read_samples_csv(args.samples)
     if not len(samples):
         raise DataConstraintError("empty sample set")
@@ -95,26 +98,15 @@ def cmd_erase(args) -> int:
     pef.write_erased_csv(erased, os.path.join(args.out_dir, "erased.csv"))
     pef.save_function_json(f, os.path.join(args.out_dir, "function.json"))
     write_json(report.to_json(), os.path.join(args.out_dir, "report.json"))
-    _write_config_sidecar(
-        args.out_dir,
-        "erase",
-        {
-            "samples": args.samples,
-            "dists": args.dists,
-            "tol": args.tol,
-            "use_bo": args.use_bo,
-            "seed": args.seed,
-            "bo": bo.to_json() if bo else None,
-        },
-    )
     print(
         f"branch={report.branch} I(Z;A)={report.i_za_analytic:.6g} "
         f"I(Z;X)={report.i_zx_analytic:.6g} bits"
     )
-    return EXIT_OK
+    config = {k: v for k, v in _flags(args).items() if not k.startswith("bo_")}
+    return {**config, "bo": bo.to_json() if bo else None}
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> dict:
     g = load_grouped_json(args.dists)
     f = pef.load_function_json(args.function)
     erased = pef.read_erased_csv(args.erased)
@@ -125,38 +117,24 @@ def cmd_evaluate(args) -> int:
     ev.emit_tradeoff_csv(points, curve, args.out_dir)
     ev.write_report_json(points=points, tvs=tvs, report=report,
                          path=os.path.join(args.out_dir, "report.json"))
-    _write_config_sidecar(
-        args.out_dir,
-        "evaluate",
-        {
-            "dists": args.dists,
-            "function": args.function,
-            "erased": args.erased,
-            "samples": args.samples,
-            "funnel_points": args.funnel_points,
-        },
-    )
     for p in points:
         print(
             f"{p.method}/{p.mode}: utility={p.utility_bits:.4f} "
             f"privacy={p.privacy_bits:.4f} bits"
         )
-    return EXIT_OK
+    return _flags(args)
 
 
-def cmd_funnel(args) -> int:
+def cmd_funnel(args) -> dict:
     g = load_grouped_json(args.dists)
     curve = funnel_bounds(g, args.points)
     os.makedirs(args.out_dir, exist_ok=True)
     curve.write_csv(os.path.join(args.out_dir, "funnel.csv"))
-    _write_config_sidecar(
-        args.out_dir, "funnel", {"dists": args.dists, "points": args.points}
-    )
     print(
         f"H(X)={curve.h_x:.4f} H(X|A)={curve.h_x_given_a:.4f} "
         f"I(A;X)={curve.i_ax:.4f} bits"
     )
-    return EXIT_OK
+    return _flags(args)
 
 
 def _load_categorical(path: str) -> Categorical:
@@ -164,22 +142,17 @@ def _load_categorical(path: str) -> Categorical:
         return Categorical.from_json(json.load(fh))
 
 
-def cmd_mec(args) -> int:
+def cmd_mec(args) -> dict:
     p = _load_categorical(args.p)
     q = _load_categorical(args.q)
     c = mec_oracle(p, q, args.max_cells) if args.oracle else greedy_mec(p, q)
     os.makedirs(args.out_dir, exist_ok=True)
     c.write_csv(os.path.join(args.out_dir, "coupling.csv"))
-    _write_config_sidecar(
-        args.out_dir,
-        "mec",
-        {"p": args.p, "q": args.q, "oracle": args.oracle, "max_cells": args.max_cells},
-    )
     print(f"coupling entropy {coupling_entropy(c):.5f} bits")
-    return EXIT_OK
+    return _flags(args)
 
 
-def cmd_pic(args) -> int:
+def cmd_pic(args) -> dict:
     g = load_grouped_json(args.dists)
     spec = pic_spectrum(g)
     verdict = erasure_feasible(g)
@@ -193,9 +166,8 @@ def cmd_pic(args) -> int:
         "reason": verdict.reason,
     }
     write_json(obj, os.path.join(args.out_dir, "pic.json"))
-    _write_config_sidecar(args.out_dir, "pic", {"dists": args.dists})
     print(f"pics={np.round(spec.pics, 6).tolist()} feasible={verdict.feasible} ({verdict.reason})")
-    return EXIT_OK
+    return _flags(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,7 +243,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        config = args.func(args)
+        record = {"subcommand": args.command, "config": config}
+        write_json(record, os.path.join(args.out_dir, "run_config.json"))
+        return EXIT_OK
     except DataConstraintError as exc:
         print(f"data constraint violated: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -224,26 +224,22 @@ class PgdResult:
     constraint_residual: float
 
 
-def _pgd_objective(mats: list[np.ndarray], priors: np.ndarray) -> float:
-    """H(mean column marginal) - sum_i p(a_i) H_joint(Gamma_i), in bits."""
-    qbar = np.mean([m.sum(axis=0) for m in mats], axis=0)
-    val = entropy_bits(np.ascontiguousarray(qbar))
-    for pr, m in zip(priors, mats):
-        val -= pr * entropy_bits(m.ravel())
+def _pgd_objective(x: np.ndarray, bounds: np.ndarray, priors: np.ndarray) -> float:
+    """H(mean column marginal) - sum_i p(a_i) H_joint(Gamma_i), in bits, where
+    Gamma_i is rows ``bounds[i]:bounds[i + 1]`` of the stacked couplings ``x``."""
+    qbar = np.add.reduceat(x, bounds[:-1], axis=0).mean(axis=0)
+    val = entropy_bits(qbar)
+    for pr, lo, hi in zip(priors, bounds[:-1], bounds[1:]):
+        val -= pr * entropy_bits(x[lo:hi].ravel())
     return float(val)
 
 
-def _pgd_gradient(mats: list[np.ndarray], priors: np.ndarray) -> list[np.ndarray]:
-    qbar = np.mean([m.sum(axis=0) for m in mats], axis=0)
-    n_g = len(mats)
+def _pgd_gradient(x: np.ndarray, bounds: np.ndarray, priors: np.ndarray) -> np.ndarray:
+    qbar = np.add.reduceat(x, bounds[:-1], axis=0).mean(axis=0)
     c = 1.0 / _LN2
-    dq = (-np.log2(np.maximum(qbar, 1e-300)) - c) / n_g
-    grads = []
-    for pr, m in zip(priors, mats):
-        g = np.broadcast_to(dq, m.shape).copy()
-        g += pr * (np.log2(np.maximum(m, 1e-300)) + c)
-        grads.append(g)
-    return grads
+    dq = (-np.log2(np.maximum(qbar, 1e-300)) - c) / len(priors)
+    row_priors = np.repeat(priors, np.diff(bounds))[:, None]
+    return dq + row_priors * (np.log2(np.maximum(x, 1e-300)) + c)
 
 
 def _scale_to_marginals(
@@ -280,11 +276,12 @@ def pgd_solve(g: GroupedData, out_size: int, rng_seed: int) -> PgdResult:
     lowers the objective by more than 1e-6, or whose scaling does not
     settle, is rejected and the step halved. There are two starts: the
     greedy couplings against the scan's best Q (``select_q``, which checks
-    ``out_size``), then against a seeded Dirichlet draw. A multiplicative
-    step cannot revive a zero cell, so each start's greedy couplings are
-    blended with the independent coupling before the ascent; the unblended
-    greedy couplings are scored first, and the result is the best point
-    seen, never below the scan.
+    ``out_size``), then against a seeded Dirichlet draw over all
+    ``out_size`` ids. A multiplicative step cannot revive a zero cell, so
+    only the second start can use ids past the scan's Q, and each start's
+    greedy couplings are blended with the independent coupling before the
+    ascent; the unblended greedy couplings are scored first, and the result
+    is the best point seen, never below the scan.
     """
     scan_q = select_q(g, out_size).dist
     if out_size > 16:
@@ -299,30 +296,24 @@ def pgd_solve(g: GroupedData, out_size: int, rng_seed: int) -> PgdResult:
     bounds = np.cumsum([0] + [len(d) for d in dists])
     group = np.repeat(np.arange(len(dists)), np.diff(bounds))
 
-    def split(x: np.ndarray) -> list[np.ndarray]:
-        return np.split(x, bounds[1:-1])
-
-    def score(x: np.ndarray) -> float:
-        return _pgd_objective(split(x), g.priors)
-
     best_x = None
     best_obj = -np.inf
     converged = False
     for start_q in starts:
         greedy = np.vstack([greedy_fill(d.probs, start_q) for d in dists])
-        obj = score(greedy)
+        obj = _pgd_objective(greedy, bounds, g.priors)
         if obj > best_obj:
             best_x, best_obj = greedy, obj
         x = (1.0 - _PGD_BLEND) * greedy + _PGD_BLEND * np.outer(p, start_q)
-        obj = score(x)
+        obj = _pgd_objective(x, bounds, g.priors)
         step = _PGD_STEP
         stalled = 0
         for _ in range(_PGD_ITERS):
-            grad = np.vstack(_pgd_gradient(split(x), g.priors))
+            grad = _pgd_gradient(x, bounds, g.priors)
             # A zero cell stays zero; its factor could overflow, so skip it.
             cand = x * np.exp2(step * grad, out=np.zeros_like(x), where=x > 0.0)
             cand = _scale_to_marginals(cand, p, bounds, group)
-            cand_obj = -np.inf if cand is None else score(cand)
+            cand_obj = -np.inf if cand is None else _pgd_objective(cand, bounds, g.priors)
             if cand_obj >= obj - 1e-6:
                 if abs(cand_obj - obj) < 1e-10:
                     stalled += 1
@@ -340,14 +331,14 @@ def pgd_solve(g: GroupedData, out_size: int, rng_seed: int) -> PgdResult:
     if not converged:
         warnings.warn("pgd_solve did not converge within its iteration cap; returning best iterate")
 
-    mats = split(best_x)
-    q_probs = np.mean([m.sum(axis=0) for m in mats], axis=0)
+    cols = np.add.reduceat(best_x, bounds[:-1], axis=0)
+    q_probs = cols.mean(axis=0)
     q_probs = q_probs / q_probs.sum()
     out_support = output_support(g, out_size)
     couplings = [
-        Coupling(d.support, out_support, m * (1.0 / m.sum())) for d, m in zip(dists, mats)
+        Coupling(d.support, out_support, m * (1.0 / m.sum()))
+        for d, m in zip(dists, np.split(best_x, bounds[1:-1]))
     ]
-    cols = np.add.reduceat(best_x, bounds[:-1], axis=0)
     residual = max(np.max(np.abs(best_x.sum(axis=1) - p)), np.max(np.ptp(cols, axis=0)))
     return PgdResult(
         couplings=couplings,

@@ -432,10 +432,19 @@ class TestMalformedSamples:
         text = self.VALID.replace("x,concept", "z,concept")
         assert self.erase(tmp_path, text) == EXIT_CONFIG
 
-    def test_negative_seed_is_config_error(self, tmp_path):
-        # --tol 0 forces the stochastic branch, the one that draws uniforms.
-        assert self.erase(tmp_path, self.VALID, "--tol", 0) == EXIT_OK
-        assert self.erase(tmp_path, self.VALID, "--tol", 0, "--seed", -1) == EXIT_CONFIG
+    @pytest.mark.parametrize("seed", [-1, 2**128], ids=["minus_one", "two_to_128"])
+    @pytest.mark.parametrize("tol,branch", [(None, "equal"), (0, "unequal")], ids=["equal", "unequal"])
+    def test_seed_out_of_range_is_config_error(self, tmp_path, capsys, tol, branch, seed):
+        # Only the unequal branch draws uniforms (from Philox, keyed by the
+        # seed), yet both reject a seed outside Philox's key range.
+        extra = [] if tol is None else ["--tol", tol]
+        (tmp_path / "ok").mkdir()
+        assert self.erase(tmp_path / "ok", self.VALID, *extra, "--seed", 2**128 - 1) == EXIT_OK
+        assert f"branch={branch}" in capsys.readouterr().out
+        assert self.erase(tmp_path, self.VALID, *extra, "--seed", seed) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"seed must be in [0, 2**128), got {seed}" in err
+        assert not (tmp_path / "erased").exists()
 
 
 def _first_row(obj):
@@ -819,3 +828,56 @@ class TestUtilities:
         assert obj["feasible"] is True
         assert obj["singular_values"][0] == pytest.approx(1.0, abs=1e-9)
         assert "feasible=True" in capsys.readouterr().out
+
+
+class TestRunConfig:
+    """Each subcommand's run_config.json, byte for byte: every flag but
+    --out-dir, erase's --bo-* as one "bo" block, generate its SynthConfig."""
+
+    GEN = ["generate", "--setting", "unequal", "--support", 4, "--samples", 200, "--seed", 3]
+    DISTS = "gen/true_dists.json"
+    SAMPLES = "gen/samples.csv"
+    ERASE = {"samples": SAMPLES, "dists": None, "tol": 0.0, "use_bo": False, "seed": 7, "bo": None}
+    CASES = {
+        "generate": (GEN, {
+            "n_groups": 2, "support_per_group": 4, "n_samples_per_group": 200,
+            "setting": "unequal", "seed": 3, "dirichlet_alpha": 1.0,
+        }),
+        "erase_dists": (
+            ["erase", "--samples", SAMPLES, "--dists", DISTS],
+            {**ERASE, "dists": DISTS, "tol": None, "seed": 0},
+        ),
+        "erase_alg1": (["erase", "--samples", SAMPLES, "--tol", 0, "--seed", 7], ERASE),
+        "erase_alg1_bo": (
+            ["erase", "--samples", SAMPLES, "--tol", 0, "--seed", 7, "--use-bo",
+             "--bo-budget", 8, "--bo-seed", 2],
+            {**ERASE, "use_bo": True, "bo": {"budget": 8, "n_acq_candidates": 1024, "seed": 2}},
+        ),
+        "evaluate": (
+            ["evaluate", "--dists", DISTS, "--function", "erased/function.json",
+             "--erased", "erased/erased.csv", "--samples", SAMPLES, "--funnel-points", 11],
+            {"dists": DISTS, "function": "erased/function.json", "erased": "erased/erased.csv",
+             "samples": SAMPLES, "funnel_points": 11},
+        ),
+        "funnel": (["funnel", "--dists", DISTS], {"dists": DISTS, "points": 101}),
+        "mec_oracle": (
+            ["mec", "--p", "p.json", "--q", "q.json", "--oracle"],
+            {"p": "p.json", "q": "q.json", "oracle": True, "max_cells": 20},
+        ),
+        "pic": (["pic", "--dists", DISTS], {"dists": DISTS}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_record(self, tmp_path, monkeypatch, case):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.json").write_text(json.dumps({"support": [0, 1], "probs": [0.6, 0.4]}))
+        (tmp_path / "q.json").write_text(json.dumps({"support": [2, 3], "probs": [0.5, 0.5]}))
+        assert run([*self.GEN, "--out-dir", "gen"]) == EXIT_OK
+        erase = ["erase", "--samples", self.SAMPLES, "--dists", self.DISTS, "--out-dir", "erased"]
+        assert run(erase) == EXIT_OK
+        argv, config = self.CASES[case]
+        assert run([*argv, "--out-dir", "run"]) == EXIT_OK
+        expected = {"subcommand": argv[0], "config": config}
+        assert (tmp_path / "run" / "run_config.json").read_text() == (
+            json.dumps(expected, sort_keys=True) + "\n"
+        )

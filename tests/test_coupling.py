@@ -262,6 +262,22 @@ class TestPgd:
             res.couplings[0].col_marginal, res.couplings[1].col_marginal, atol=1e-6
         )
 
+    def test_dirichlet_start_uses_ids_past_the_largest_support(self):
+        # The scan's Q leaves the third output id empty and a multiplicative
+        # step never revives a zero cell, so only the seeded Dirichlet start
+        # can reach the common refinement of the two CDFs, Q = (0.3, 0.6, 0.1)
+        # with J = 0. With rng_seed=1 it stays at the scan's J, hence seed 0.
+        from pefkit import select_q
+
+        g = GroupedData(
+            ((0, cat([0, 1], [0.6, 0.4])), (1, cat([2, 3], [0.7, 0.3]))), np.array([0.5, 0.5])
+        )
+        res = pgd_solve(g, 3, rng_seed=0)
+        assert res.objective >= -1e-9
+        assert res.objective >= select_q(g, 3).j_value + 0.1
+        assert res.constraint_residual <= 1e-6
+        np.testing.assert_allclose(np.sort(res.q.probs), [0.1, 0.3, 0.6], atol=1e-6)
+
     def test_outputs_use_fresh_output_ids(self):
         g = GroupedData(
             ((0, cat([0, 1, 2], [0.5, 0.3, 0.2])), (1, cat([3, 4], [0.6, 0.4]))),
