@@ -22,6 +22,7 @@ from . import evaluate as ev
 from . import pef, synth
 from .coupling import CouplingError, greedy_mec, mec_oracle, coupling_entropy
 from .dist import (
+    EXACT_TOL,
     Categorical,
     DataConstraintError,
     DistError,
@@ -87,7 +88,7 @@ def cmd_erase(args) -> dict:
             "the samples",
             "--dists",
         )
-        tol = args.tol if args.tol is not None else 1e-9
+        tol = args.tol if args.tol is not None else EXACT_TOL
         f, report = pef.build_pef(g, tol, bo)
         # After the build, which rejects --dists files it cannot map.
         pef.check_sample_concepts(g, samples)

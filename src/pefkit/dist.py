@@ -2,9 +2,11 @@
 
 Provides the core value types (Categorical, GroupedData, and Permutation,
 kept only as an input to ErasureFunction), entropy / mutual information in
-bits, permutation-equivalence testing,
-the erasure-funnel envelope, and the principal-inertia-component
-feasibility diagnostics.
+bits, permutation-equivalence testing, the erasure-funnel envelope, and the
+principal-inertia-component feasibility diagnostics. Two group forms are
+derived only here: ``ranked(p)``, a group's symbols and probabilities by
+descending probability (ties by ascending id), and
+``GroupedData.joint_mass()``, P(X=x, A=a_i) for each entry of ``symbols``.
 
 All quantities are in bits. Everything here is a pure function on
 immutable values and safe to call concurrently.
@@ -26,6 +28,8 @@ NORM_TOL = 1e-9
 RENORM_TOL = 1e-6
 #: Support entries with less mass than this are trimmed on construction.
 TRIM_EPS = 1e-12
+#: Permutation-test tolerance for exactly given (not estimated) distributions.
+EXACT_TOL = 1e-9
 
 
 class DistError(ValueError):
@@ -210,15 +214,18 @@ class GroupedData:
     def max_symbol_id(self) -> int:
         return int(self.symbols.max())
 
+    def joint_mass(self) -> np.ndarray:
+        """P(X=x, A=a_i) = p(a_i) P_i(x) for each entry of ``symbols``."""
+        return np.concatenate([prior * d.probs for prior, d in zip(self.priors, self.dists)])
+
     def marginal_x(self) -> Categorical:
         """Mixture distribution of X, merging mass on shared symbols.
 
-        ``bincount`` adds each symbol's ``prior * p`` terms in group order,
+        ``bincount`` adds each symbol's ``joint_mass`` terms in group order,
         left to right from 0.0.
         """
         symbols, code = symbol_codes(self.symbols)
-        terms = np.concatenate([prior * d.probs for prior, d in zip(self.priors, self.dists)])
-        mass = np.bincount(code, weights=terms, minlength=len(symbols))
+        mass = np.bincount(code, weights=self.joint_mass(), minlength=len(symbols))
         return Categorical(symbols, mass)
 
     def to_json(self) -> dict:
@@ -313,23 +320,15 @@ def _joint_xa(g: GroupedData) -> np.ndarray:
     symbols, code = symbol_codes(g.symbols)
     group = np.repeat(np.arange(len(g.groups)), [len(d) for d in g.dists])
     joint = np.zeros((len(symbols), len(g.groups)))
-    joint[code, group] = np.concatenate([pr * d.probs for pr, d in zip(g.priors, g.dists)])
+    joint[code, group] = g.joint_mass()
     return joint
 
 
 def mutual_information_ax(g: GroupedData) -> float:
-    """I(A;X) in bits; equals H(A) exactly under disjoint supports."""
-    h_a = entropy_bits(g.priors)
+    """I(A;X) = H(A) + H(X) - H(X, A) in bits; exactly H(A) under disjoint supports."""
     if g.supports_disjoint:
-        return h_a
-    # H(A|X) from the joint over shared symbols.
-    joint = _joint_xa(g)
-    p_x = joint.sum(axis=1)
-    h_a_given_x = 0.0
-    for row, px in zip(joint, p_x):
-        if px > 0:
-            h_a_given_x += px * entropy_bits(row / px)
-    return float(h_a - h_a_given_x)
+        return entropy_bits(g.priors)
+    return entropy_bits(g.priors) + entropy(g.marginal_x()) - entropy_bits(g.joint_mass())
 
 
 def funnel_bounds(g: GroupedData, n_points: int) -> FunnelCurve:
@@ -345,22 +344,23 @@ def funnel_bounds(g: GroupedData, n_points: int) -> FunnelCurve:
     return FunnelCurve(u, lower, upper, h_xa, h_x, i_ax)
 
 
-def sorted_symbols(p: Categorical) -> np.ndarray:
-    """Symbols by descending probability, ties by ascending id.
+def ranked(p: Categorical) -> tuple[np.ndarray, np.ndarray]:
+    """``p``'s symbols and probabilities by descending probability, ties by ascending id.
 
     The support is in ascending-id order, so a stable sort on the negated
     probabilities keeps equal-probability symbols in id order.
     """
-    return p.support[np.argsort(-p.probs, kind="stable")]
+    order = np.argsort(-p.probs, kind="stable")
+    return p.support[order], p.probs[order]
 
 
 def check_permutation_equal(p: Categorical, q: Categorical, tol: float) -> bool:
-    """Whether the sorted probability vectors of ``p`` and ``q`` match
+    """Whether the ranked probability vectors of ``p`` and ``q`` match
     elementwise within ``tol``: whether some bijection carries ``p`` onto ``q``.
     """
     if not 0 <= tol < np.inf:
         raise DistError("tol must be finite and >= 0")
-    return len(p) == len(q) and not np.any(np.abs(np.sort(p.probs) - np.sort(q.probs)) > tol)
+    return len(p) == len(q) and not np.any(np.abs(ranked(p)[1] - ranked(q)[1]) > tol)
 
 
 def pic_spectrum(g: GroupedData) -> PicSpectrum:

@@ -27,6 +27,7 @@ from numpy.typing import ArrayLike
 from ._kernels import entropy_bits, greedy_cells, row_searchsorted, symbol_codes, symbol_counts
 from .coupling import conditional_rows
 from .dist import (
+    EXACT_TOL,
     MALFORMED_JSON,
     NORM_TOL,
     RENORM_TOL,
@@ -39,7 +40,7 @@ from .dist import (
     check_permutation_equal,
     conditional_entropy_x_given_a,
     entropy,
-    sorted_symbols,
+    ranked,
     write_json,
 )
 from .qopt import BoConfig, QCandidate, default_out_size, output_support, select_q
@@ -226,13 +227,13 @@ def _compile_rows(support, ids, bounds, out, probs):
     return ids, bounds, out, probs, cdfs
 
 
-def build_deterministic_pef(g: GroupedData, tol: float = 1e-9) -> ErasureFunction:
+def build_deterministic_pef(g: GroupedData, tol: float = EXACT_TOL) -> ErasureFunction:
     """Bijective erasure function for permutation-equal group distributions.
 
-    A fresh output support of size |X_1| receives the shared sorted
-    probability multiset in descending order; each group's k-th largest
-    symbol (ties by ascending id) maps to the k-th output symbol, written
-    straight into the table as one cell of probability 1.0 per row.
+    DataConstraintError names the first group not permutation-equal to the
+    first. A fresh output support of size |X_1| receives the first group's
+    ``ranked`` probabilities; each group's k-th ranked symbol maps to the
+    k-th output symbol, one table cell of probability 1.0 per row.
     """
     ref = g.dists[0]
     for concept, d in g.groups[1:]:
@@ -241,8 +242,8 @@ def build_deterministic_pef(g: GroupedData, tol: float = 1e-9) -> ErasureFunctio
                 f"group {concept} is not permutation-equal to group {g.concepts[0]}"
             )
     support = output_support(g, len(ref))
-    q = Categorical(support, np.sort(ref.probs)[::-1])
-    ids = np.concatenate([sorted_symbols(d) for d in g.dists])
+    q = Categorical(support, ranked(ref)[1])
+    ids = np.concatenate([ranked(d)[0] for d in g.dists])
     return ErasureFunction(
         "deterministic",
         support,
@@ -296,10 +297,8 @@ def analyze(f: ErasureFunction, g: GroupedData) -> ErasureReport:
     else:
         _check_pushforward(f, g, outputs)
         # I(Z;X) = H(Z) - H(Z|X). Every group pushes onto q, so H(Z) = H(Q);
-        # the supports are disjoint, so P(X=x) = p(a_i) P_i(x) for x in group i.
-        p_x = np.zeros(len(f.ids))
-        for prior, d in zip(g.priors, g.dists):
-            p_x[_positions(f.ids, d.support)] = prior * d.probs
+        # P(X=x) adds up the joint mass of every group that holds x.
+        p_x = np.bincount(_positions(f.ids, g.symbols), g.joint_mass(), len(f.ids))
         plogp = f.probs * np.log2(np.where(f.probs > 0.0, f.probs, 1.0))
         h_rows = -np.add.reduceat(plogp, f.bounds[:-1])
         i_zx = entropy(f.q) - float(p_x @ h_rows)
@@ -390,17 +389,16 @@ def build_pef(
 ) -> tuple[ErasureFunction, ErasureReport]:
     """Branch on permutation equality and construct the erasure function.
 
-    On the unequal branch Q is the best stationary candidate, or with ``bo``
-    the GP-UCB search seeded by the stationary scan (``select_q``).
+    Where ``build_deterministic_pef`` finds unequal groups, Q is the best stationary
+    candidate, or with ``bo`` the GP-UCB search seeded by it (``select_q``).
     """
     if not g.supports_disjoint:
         raise DataConstraintError("group supports must be pairwise disjoint")
     if len(g.groups) < 2:
         raise DataConstraintError("need at least two concept groups")
-    ref = g.dists[0]
-    if all(check_permutation_equal(ref, d, tol) for d in g.dists[1:]):
+    try:
         f = build_deterministic_pef(g, tol)
-    else:
+    except DataConstraintError:
         f = build_stochastic_pef(g, select_q(g, default_out_size(g), bo))
     return f, analyze(f, g)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import entropy_bits, greedy_cells
-from .dist import Categorical, DistError, GroupedData, entropy
+from .dist import Categorical, DistError, GroupedData, entropy, ranked
 
 
 # The GP-UCB exploration weight; 2.5 matches the reference setup.
@@ -95,14 +95,14 @@ def _j_values(qs: list[Categorical], g: GroupedData) -> list[float]:
 def scan_stationary(g: GroupedData, out_size: int) -> list[QCandidate]:
     """Score each input distribution, re-indexed onto the output support.
 
-    Probabilities are laid out in descending order on ascending output ids;
-    zero padding beyond the group's support is trimmed by construction.
+    Each group's ``ranked`` probabilities are laid out on ascending output
+    ids; zero padding beyond the group's support is trimmed by construction.
     Every candidate is scored in one ``_j_values`` batch.
     """
     if out_size < default_out_size(g):
         raise DistError("out_size must be >= the largest group support")
     support = output_support(g, out_size)
-    dists = [Categorical(support[: len(d)], np.sort(d.probs)[::-1]) for d in g.dists]
+    dists = [Categorical(support[: len(d)], ranked(d)[1]) for d in g.dists]
     return [
         QCandidate(dist, j, "stationary") for dist, j in zip(dists, _j_values(dists, g))
     ]

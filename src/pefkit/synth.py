@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dist import Categorical, DistError, GroupedData, check_permutation_equal
+from .dist import EXACT_TOL, Categorical, DistError, GroupedData, check_permutation_equal
 
 SETTINGS = ("equal_uniform", "equal_gaussian", "unequal")
 
@@ -79,8 +79,7 @@ def generate(cfg: SynthConfig) -> tuple[GroupedData, np.ndarray]:
     priors = np.full(cfg.n_groups, 1.0 / cfg.n_groups)
     g = GroupedData(tuple(groups), priors)
     if cfg.setting == "unequal":
-        ref = g.dists[0]
-        if all(check_permutation_equal(ref, d, 1e-9) for d in g.dists[1:]):
+        if all(check_permutation_equal(g.dists[0], d, EXACT_TOL) for d in g.dists[1:]):
             warnings.warn(
                 "unequal setting produced permutation-equal distributions; "
                 "re-seed or adjust dirichlet_alpha"

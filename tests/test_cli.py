@@ -763,6 +763,28 @@ class TestEvaluate:
         assert err.count("\n") == 1 and "empty sample set" in err
         assert not (tmp_path / "eval").exists()
 
+    def test_shared_symbol_mass_adds_up(self, tmp_path):
+        # Symbol 1 is in both groups, so P(X=1) = 0.25 + 0.25. Every row maps
+        # to uniform Q, so Z is independent of X: I(Z;X) = 0 and
+        # J = 0 - H(X|A) = -1 bit.
+        dists = write_dists(tmp_path / "dists.json", [[0, 1], [1, 2]])
+        function = tmp_path / "function.json"
+        function.write_text(json.dumps({
+            "variant": "stochastic", "output_support": [3, 4],
+            "q": {"support": [3, 4], "probs": [0.5, 0.5]},
+            "ids": [0, 1, 2], "bounds": [0, 2, 4, 6], "out": [3, 4] * 3, "probs": [0.5] * 6,
+        }))
+        samples, erased = tmp_path / "samples.csv", tmp_path / "erased.csv"
+        samples.write_text("x,concept\n0,0\n1,0\n1,1\n2,1\n")
+        erased.write_text("z,concept\n3,0\n4,0\n3,1\n4,1\n")
+        with pytest.warns(UserWarning, match="A4 violated"):
+            code = run(["evaluate", "--dists", dists, "--function", function, "--erased",
+                        erased, "--samples", samples, "--out-dir", tmp_path / "eval"])
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "eval" / "report.json").read_text())["report"]
+        assert abs(report["i_zx_analytic"]) <= 1e-12
+        assert report["j_value"] == pytest.approx(-1.0, abs=1e-12)
+
 
 class TestUtilities:
     def test_funnel(self, tmp_path, capsys):

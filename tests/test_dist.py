@@ -21,7 +21,7 @@ from pefkit import (
     pic_spectrum,
 )
 from pefkit._kernels import entropy_bits
-from pefkit.dist import _joint_xa
+from pefkit.dist import _joint_xa, ranked
 from conftest import random_grouped
 
 
@@ -201,8 +201,9 @@ def marginal_x_by_dict(g: GroupedData) -> Categorical:
     return Categorical(tuple(symbols), np.array([mass[s] for s in symbols]))
 
 
-@settings(max_examples=200, deadline=None)
-@given(
+#: Up to five groups of (symbol, weight) cells whose supports may share
+#: symbols, and five prior weights, of which the first len(groups) are used.
+OVERLAPPING_GROUPS = (
     st.lists(
         st.lists(st.tuples(st.integers(0, 12), st.floats(0.01, 1.0)), min_size=1, max_size=8),
         min_size=1,
@@ -210,8 +211,9 @@ def marginal_x_by_dict(g: GroupedData) -> Categorical:
     ),
     st.lists(st.floats(0.1, 1.0), min_size=5, max_size=5),
 )
-def test_marginal_x_matches_dict_sum(groups, priors):
-    # Supports may share symbols, so some masses sum several groups' terms.
+
+
+def overlapping_grouped(groups, priors) -> GroupedData:
     dists = []
     for cells in groups:
         support = sorted(dict(cells))
@@ -220,10 +222,36 @@ def test_marginal_x_matches_dict_sum(groups, priors):
     pr = np.array(priors[: len(dists)])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        g = GroupedData(tuple(enumerate(dists)), pr / pr.sum())
+        return GroupedData(tuple(enumerate(dists)), pr / pr.sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(*OVERLAPPING_GROUPS)
+def test_marginal_x_matches_dict_sum(groups, priors):
+    # Supports may share symbols, so some masses sum several groups' terms.
+    g = overlapping_grouped(groups, priors)
     got, want = g.marginal_x(), marginal_x_by_dict(g)
     assert got.support.tolist() == want.support.tolist()
     assert got.probs.tolist() == want.probs.tolist()
+
+
+def mutual_information_by_rows(g: GroupedData) -> float:
+    """H(A) - sum_x P(X=x) H(A|X=x), row by row of the joint; the oracle for
+    ``mutual_information_ax``."""
+    h = entropy_bits(g.priors)
+    for row in _joint_xa(g):
+        if row.sum() > 0:
+            h -= row.sum() * entropy_bits(row / row.sum())
+    return h
+
+
+@settings(max_examples=200, deadline=None)
+@given(*OVERLAPPING_GROUPS)
+def test_mutual_information_matches_row_sum(groups, priors):
+    # The two sum in different orders; float64 rounding on at most 13
+    # symbols and 5 groups stays far below 1e-12 bits.
+    g = overlapping_grouped(groups, priors)
+    assert mutual_information_ax(g) == pytest.approx(mutual_information_by_rows(g), abs=1e-12)
 
 
 class TestFunnel:
@@ -246,6 +274,21 @@ class TestFunnel:
     def test_rejects_tiny_grid(self):
         with pytest.raises(DistError):
             funnel_bounds(two_groups([0.5, 0.5], [0.5, 0.5]), 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_ranked_is_a_stable_descending_gather(data):
+    # Weights from a set of three force ties, which must keep id order.
+    ids = data.draw(st.lists(st.integers(0, 50), min_size=1, max_size=12, unique=True))
+    w = np.array(data.draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]), min_size=len(ids),
+                                    max_size=len(ids))))
+    p = cat(ids, w / w.sum())
+    order = np.argsort(-p.probs, kind="stable")
+    symbols, probs = ranked(p)
+    assert symbols.tolist() == p.support[order].tolist()
+    assert probs.tolist() == p.probs[order].tolist()
+    assert probs.tobytes() == np.sort(p.probs)[::-1].tobytes()
 
 
 class TestPermutationCheck:

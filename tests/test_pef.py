@@ -39,6 +39,7 @@ from pefkit import (
     write_samples_csv,
 )
 from pefkit.dist import NORM_TOL, RENORM_TOL, TRIM_EPS, DistError
+from pefkit import pef
 from pefkit.pef import CSV_WRITE_CHUNK, _loadtxt_pairs
 from pefkit.qopt import QCandidate, output_support
 from conftest import random_grouped
@@ -200,6 +201,45 @@ class TestDeterministicBranch:
         assert report.i_za_analytic == pytest.approx(0.0, abs=1e-12)
         assert report.i_zx_analytic == pytest.approx(1.4854752972273344, abs=1e-12)
         assert report.j_value == 0.0
+
+
+class TestBranchTest:
+    """``build_pef`` runs the permutation test once, through ``build_deterministic_pef``."""
+
+    @staticmethod
+    def record_checks(monkeypatch) -> list[Categorical]:
+        """The second argument of every ``check_permutation_equal`` call ``pef`` makes."""
+        tested, check = [], pef.check_permutation_equal
+
+        def counting(p, q, tol):
+            tested.append(q)
+            return check(p, q, tol)
+
+        monkeypatch.setattr(pef, "check_permutation_equal", counting)
+        return tested
+
+    @staticmethod
+    def groups(*probs) -> GroupedData:
+        supports = np.cumsum([0] + [len(p) for p in probs])
+        return GroupedData(
+            tuple((i, Categorical(range(supports[i], supports[i + 1]), p))
+                  for i, p in enumerate(probs)),
+            np.full(len(probs), 1.0 / len(probs)),
+        )
+
+    def test_equal_groups_are_tested_once_each(self, monkeypatch):
+        g = self.groups([0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5])
+        tested = self.record_checks(monkeypatch)
+        f, report = build_pef(g, tol=1e-9)
+        assert f.variant == "deterministic" and report.branch == "equal"
+        assert [id(d) for d in tested] == [id(d) for d in g.dists[1:]]
+
+    def test_unequal_groups_stop_at_the_first_unequal_group(self, monkeypatch):
+        g = self.groups([0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.6, 0.3, 0.1], [0.7, 0.2, 0.1])
+        tested = self.record_checks(monkeypatch)
+        f, report = build_pef(g, tol=1e-9)
+        assert f.variant == "stochastic" and report.branch == "unequal"
+        assert [id(d) for d in tested] == [id(d) for d in g.dists[1:3]]
 
 
 class TestStochasticBranch:
