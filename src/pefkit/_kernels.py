@@ -105,14 +105,18 @@ def _lockstep_steps(ps: list[np.ndarray], qs: list[np.ndarray]):
     ``argmax``, pairs them with their minimum and subtracts it from both;
     a finished problem records and subtracts 0, so padding is never
     paired while mass remains. A step over B problems scans whole rows,
-    O(B (m + n)), against the heap's O(log(m + n)) per problem.
+    O(B (m + n)), against the heap's O(log(m + n)) per problem. The
+    residuals are gathered and updated through flat views, at
+    ``b * width + i``, which costs less than 2-D fancy indexing.
     """
     rp = np.zeros((len(ps), max(p.size for p in ps)))
     rq = np.zeros((len(qs), max(q.size for q in qs)))
     for k, (p, q) in enumerate(zip(ps, qs, strict=True)):
         rp[k, : p.size] = p
         rq[k, : q.size] = q
+    flat_p, flat_q = rp.reshape(-1), rq.reshape(-1)
     b = np.arange(len(ps))
+    base_p, base_q = b * rp.shape[1], b * rq.shape[1]
     steps = rp.shape[1] + rq.shape[1]
     rows = np.zeros((steps, b.size), dtype=np.intp)
     cols = np.zeros((steps, b.size), dtype=np.intp)
@@ -121,12 +125,13 @@ def _lockstep_steps(ps: list[np.ndarray], qs: list[np.ndarray]):
     while t < steps:
         i = rp.argmax(axis=1)
         j = rq.argmax(axis=1)
-        m = np.minimum(rp[b, i], rq[b, j])
+        at_p, at_q = base_p + i, base_q + j
+        m = np.minimum(flat_p[at_p], flat_q[at_q])
         m[m <= RESIDUAL_EPS] = 0.0
         if not m.any():
             break
-        rp[b, i] -= m
-        rq[b, j] -= m
+        flat_p[at_p] -= m
+        flat_q[at_q] -= m
         rows[t], cols[t], mass[t] = i, j, m
         t += 1
     return zip(rows[:t].T, cols[:t].T, mass[:t].T)

@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from numpy.typing import ArrayLike
 
-from ._kernels import entropy_bits, greedy_cells, row_searchsorted, symbol_codes, symbol_counts
+from ._kernels import entropy_bits, row_searchsorted, symbol_codes, symbol_counts
 from .coupling import conditional_rows
 from .dist import (
     EXACT_TOL,
@@ -145,11 +145,25 @@ class ErasureFunction:
 
     def induced_output(self, d: Categorical) -> np.ndarray:
         """Pushforward of a group distribution, as probs over output_support."""
-        weight = np.zeros(len(self.ids))
-        weight[_positions(self.ids, d.support)] = d.probs
-        cells = np.repeat(weight, np.diff(self.bounds)) * self.probs
-        cols = np.searchsorted(self.output_support, self.out)
-        return np.bincount(cols, cells, minlength=len(self.output_support))
+        return self.induced_outputs([d])[0]
+
+    def induced_outputs(self, dists: list[Categorical]) -> np.ndarray:
+        """Pushforward of each distribution, one row of probs over output_support each.
+
+        The output ids are coded once, and one ``bincount`` over the keys
+        ``row * |Z| + column`` sums every distribution's cells, each bin in
+        table order: the cells of its symbols' rows, ascending by id.
+        """
+        n_z = len(self.output_support)
+        cols = symbol_codes(self.out, self.output_support)[1]
+        pos = _positions(self.ids, np.concatenate([d.support for d in dists]))
+        sizes = np.diff(self.bounds)[pos]
+        ends = np.cumsum(sizes)
+        cell = np.arange(ends[-1]) + np.repeat(self.bounds[pos] - ends + sizes, sizes)
+        mass = np.repeat(np.concatenate([d.probs for d in dists]), sizes) * self.probs[cell]
+        row = np.repeat(np.arange(len(dists)), [len(d) for d in dists])
+        keys = np.repeat(row * n_z, sizes) + cols[cell]
+        return np.bincount(keys, mass, minlength=len(dists) * n_z).reshape(len(dists), n_z)
 
     def to_json(self) -> dict:
         return {
@@ -256,18 +270,18 @@ def build_deterministic_pef(g: GroupedData, tol: float = EXACT_TOL) -> ErasureFu
 
 
 def build_stochastic_pef(g: GroupedData, q: QCandidate) -> ErasureFunction:
-    """Stochastic erasure function: greedy coupling of each group onto Q.
+    """Stochastic erasure function: the greedy coupling of each group onto Q.
 
     The conditional rows of each coupling give P(Z|X=x); the column-marginal
-    identity makes every group's induced output distribution equal Q. All
-    groups are coupled in one ``greedy_cells`` call, whose cells (at most
-    |X_i| + |Q| - 1 per group) become the rows directly, so no dense
-    |X_i| x |Q| mass matrix is built.
+    identity makes every group's induced output distribution equal Q. The
+    couplings are the ones ``q`` was scored with (``q.cells``, one per
+    group of ``g``, from ``qopt``), so nothing is coupled again; their cells
+    (at most |X_i| + |Q| - 1 per group) become the rows directly, so no
+    dense |X_i| x |Q| mass matrix is built.
     """
     support = q.dist.support
-    cells = greedy_cells([d.probs for d in g.dists], [q.dist.probs] * len(g.dists))
     parts = []
-    for d, (rows, cols, mass) in zip(g.dists, cells):
+    for d, (rows, cols, mass) in zip(g.dists, q.cells, strict=True):
         bounds, cols, probs = conditional_rows(rows, cols, mass, d)
         parts.append((d.support, np.diff(bounds), cols, probs))
     ids, sizes, cols, probs = (np.concatenate(a) for a in zip(*parts))
@@ -285,8 +299,8 @@ def build_stochastic_pef(g: GroupedData, q: QCandidate) -> ErasureFunction:
 def analyze(f: ErasureFunction, g: GroupedData) -> ErasureReport:
     """Analytic privacy/utility report for a constructed erasure function."""
     h_xa = conditional_entropy_x_given_a(g)
-    outputs = [f.induced_output(d) for d in g.dists]
-    p_z = np.einsum("i,ij->j", g.priors, np.array(outputs))
+    outputs = f.induced_outputs(g.dists)
+    p_z = np.einsum("i,ij->j", g.priors, outputs)
     i_za = entropy_bits(p_z) - float(
         sum(pr * entropy_bits(o) for pr, o in zip(g.priors, outputs))
     )
@@ -307,15 +321,15 @@ def analyze(f: ErasureFunction, g: GroupedData) -> ErasureReport:
     return ErasureReport(branch, float(i_za), float(i_zx), float(h_xa), float(j_value))
 
 
-def _check_pushforward(f: ErasureFunction, g: GroupedData, outputs: list[np.ndarray]) -> None:
+def _check_pushforward(f: ErasureFunction, g: GroupedData, outputs: np.ndarray) -> None:
     """Raise DistError unless every group's pushforward is f.q within RENORM_TOL.
 
     H(Z) in the report is taken from f.q, which is only right if each group
-    of ``g`` is pushed onto it.
+    of ``g`` (row i of ``outputs``) is pushed onto it.
     """
     q = np.zeros(len(f.output_support))
     q[np.searchsorted(f.output_support, f.q.support)] = f.q.probs
-    err = np.abs(np.array(outputs) - q).max(axis=1)
+    err = np.abs(outputs - q).max(axis=1)
     i = int(np.argmax(err))
     if err[i] > RENORM_TOL:
         raise DistError(

@@ -5,17 +5,19 @@ vanishes exactly when every coupling is a permutation matrix. H_min uses the
 greedy coupling approximation. Candidates come from a stationary-point scan
 over the input distributions and, when a ``BoConfig`` is given,
 Gaussian-process UCB Bayesian optimization on the simplex seeded with that
-scan. Every J comes from ``_j_values``, which couples all the Q it scores
-in one ``greedy_cells`` call; ``objective_j`` scores one. The UCB weight
-is the constant ``UCB_KAPPA``. A round's GP posterior runs on matrix
-products: one inverse of the Cholesky factor replaces the triangular
-solves, which numpy lacks.
+scan. Every candidate is scored by ``_j_values``, which couples all the Q
+it scores in one ``greedy_cells`` call and hands each Q's per-group cells
+to its ``QCandidate``, so ``pef.build_stochastic_pef`` builds the winner
+from them without coupling again; ``objective_j`` is the J of one Q. The
+UCB weight is the constant ``UCB_KAPPA``. A round's GP posterior runs on
+matrix products: one inverse of the Cholesky factor replaces the
+triangular solves, which numpy lacks.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,9 +31,13 @@ UCB_KAPPA = 2.5
 
 @dataclass(frozen=True)
 class QCandidate:
+    """A scored Q and the greedy coupling of each group onto it, in group
+    order, as the ``(rows, cols, mass)`` cells ``greedy_cells`` returns."""
+
     dist: Categorical
     j_value: float
     source: str  # "stationary" | "bayesopt"
+    cells: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -69,26 +75,27 @@ def default_out_size(g: GroupedData) -> int:
 
 def objective_j(q: Categorical, g: GroupedData) -> float:
     """J(Q) in bits; uses the greedy coupling as the H_min surrogate."""
-    return _j_values([q], g)[0]
+    return _j_values([q], g, "stationary")[0].j_value
 
 
-def _j_values(qs: list[Categorical], g: GroupedData) -> list[float]:
-    """J of every Q in ``qs``, its couplings from one ``greedy_cells`` call.
+def _j_values(qs: list[Categorical], g: GroupedData, source: str) -> list[QCandidate]:
+    """Every Q in ``qs`` scored, its couplings from one ``greedy_cells`` call.
 
-    Problem c * n_groups + i couples group i onto ``qs[c]``. J is H(Q)
-    minus the prior-weighted coupling entropies, subtracted in group order.
+    Problem c * n_groups + i couples group i onto ``qs[c]``; candidate c
+    keeps those n_groups couplings' cells. J is H(Q) minus the
+    prior-weighted coupling entropies, subtracted in group order.
     """
     n_groups = len(g.dists)
     cells = greedy_cells(
         [d.probs for d in g.dists] * len(qs), [q.probs for q in qs for _ in range(n_groups)]
     )
-    h = (entropy_bits(mass) for _, _, mass in cells)
     out = []
-    for q in qs:
+    for c, q in enumerate(qs):
+        mine = cells[c * n_groups : (c + 1) * n_groups]
         val = entropy(q)
-        for prior in g.priors:
-            val -= float(prior) * next(h)
-        out.append(float(val))
+        for prior, (_, _, mass) in zip(g.priors, mine):
+            val -= float(prior) * entropy_bits(mass)
+        out.append(QCandidate(q, float(val), source, mine))
     return out
 
 
@@ -103,9 +110,7 @@ def scan_stationary(g: GroupedData, out_size: int) -> list[QCandidate]:
         raise DistError("out_size must be >= the largest group support")
     support = output_support(g, out_size)
     dists = [Categorical(support[: len(d)], ranked(d)[1]) for d in g.dists]
-    return [
-        QCandidate(dist, j, "stationary") for dist, j in zip(dists, _j_values(dists, g))
-    ]
+    return _j_values(dists, g, "stationary")
 
 
 def _softmax_dist(theta: np.ndarray, support: np.ndarray) -> Categorical:
@@ -178,8 +183,8 @@ def bayes_opt_q(g: GroupedData, out_size: int, cfg: BoConfig) -> QCandidate:
     Every stationary candidate is scored once, even past the budget; the
     first ``cfg.budget`` of them seed the GP's observations, followed by
     symmetric-Dirichlet draws, all scored in one ``_j_values`` batch, and
-    each round proposes random candidates and evaluates the UCB maximizer
-    with ``objective_j``, until ``cfg.budget`` observations. Returns the
+    each round proposes random candidates and scores the UCB maximizer
+    with ``_j_values``, until ``cfg.budget`` observations. Returns the
     best stationary candidate unless a proposal beats it strictly, and at
     once when ``out_size`` is 1, where the simplex is a single point.
     Deterministic given the config seed.
@@ -194,12 +199,12 @@ def bayes_opt_q(g: GroupedData, out_size: int, cfg: BoConfig) -> QCandidate:
     thetas = [_embed_theta(c.dist, support) for c in observed]
     values = [c.j_value for c in observed]
 
-    def record(theta: np.ndarray, dist: Categorical, val: float) -> None:
+    def record(theta: np.ndarray, cand: QCandidate) -> None:
         nonlocal best
         thetas.append(theta)
-        values.append(val)
-        if val > best.j_value:
-            best = QCandidate(dist, val, "bayesopt")
+        values.append(cand.j_value)
+        if cand.j_value > best.j_value:
+            best = cand
 
     n_dirichlet = min(max(2, out_size), max(0, cfg.budget - len(values)))
     # One batched draw equals as many single draws, in order, bit for bit.
@@ -208,8 +213,8 @@ def bayes_opt_q(g: GroupedData, out_size: int, cfg: BoConfig) -> QCandidate:
         for probs in rng.dirichlet(np.ones(out_size), size=n_dirichlet)
     ]
     dists = [_softmax_dist(theta, support) for theta in design]
-    for theta, dist, val in zip(design, dists, _j_values(dists, g)):
-        record(theta, dist, val)
+    for theta, cand in zip(design, _j_values(dists, g, "bayesopt")):
+        record(theta, cand)
 
     while len(values) < cfg.budget:
         x_obs = np.array(thetas)
@@ -227,8 +232,7 @@ def bayes_opt_q(g: GroupedData, out_size: int, cfg: BoConfig) -> QCandidate:
         ])
         mean, std = _gp_posterior(x_obs, y_obs, x_new, ls, d2_obs)
         theta = x_new[int(np.argmax(mean + UCB_KAPPA * std))]
-        dist = _softmax_dist(theta, support)
-        record(theta, dist, objective_j(dist, g))
+        record(theta, _j_values([_softmax_dist(theta, support)], g, "bayesopt")[0])
 
     return best
 

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -10,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pefkit import (
+    BoConfig,
     Categorical,
     DataConstraintError,
     ErasureFunction,
@@ -38,8 +41,9 @@ from pefkit import (
     write_erased_csv,
     write_samples_csv,
 )
-from pefkit.dist import NORM_TOL, RENORM_TOL, TRIM_EPS, DistError
-from pefkit import pef
+from pefkit.dist import EXACT_TOL, NORM_TOL, RENORM_TOL, TRIM_EPS, DistError
+from pefkit import _kernels, coupling, pef, qopt
+from pefkit._kernels import LOCKSTEP_MIN, greedy_cells
 from pefkit.pef import CSV_WRITE_CHUNK, _loadtxt_pairs
 from pefkit.qopt import QCandidate, output_support
 from conftest import random_grouped
@@ -333,7 +337,7 @@ def test_batched_build_matches_dense_reference(groups, q_weights, extra, prior_w
     # Q spans at least the largest group, so the groups of other sizes are padded.
     q_w = (q_weights * (max(map(len, groups)) + extra))[: max(map(len, groups)) + extra]
     support = output_support(g, len(q_w))
-    q = QCandidate(Categorical(support, np.array(q_w) / sum(q_w)), 0.0, "user")
+    q = qopt._j_values([Categorical(support, np.array(q_w) / sum(q_w))], g, "stationary")[0]
     f = build_stochastic_pef(g, q)
     ref = build_stochastic_reference(g, q)
     for name in ("ids", "bounds", "out"):
@@ -343,6 +347,91 @@ def test_batched_build_matches_dense_reference(groups, q_weights, extra, prior_w
     for d in g.dists:
         assert np.abs(f.induced_output(d) - q.dist.probs).max() <= RENORM_TOL
     assert analyze(f, g).i_za_analytic <= 1e-12
+
+
+def build_from_fresh_couplings(g: GroupedData, q: QCandidate) -> ErasureFunction:
+    """The build as it ran before the Q search handed over its couplings,
+    kept as the oracle: every group coupled onto Q again, in one
+    ``greedy_cells`` call of ``len(g.dists)`` couplings."""
+    cells = greedy_cells([d.probs for d in g.dists], [q.dist.probs] * len(g.dists))
+    return build_stochastic_pef(g, dataclasses.replace(q, cells=cells))
+
+
+def assert_same_table(f: ErasureFunction, ref: ErasureFunction) -> None:
+    assert f.variant == ref.variant and f.q == ref.q
+    for name in ("output_support", "ids", "bounds", "out", "probs", "cdfs"):
+        a, b = getattr(f, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@given(groups=st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=10), min_size=2,
+                       max_size=5),
+       extra=st.integers(0, 2), bo_seed=st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_scan_couplings_build_the_same_table(groups, extra, bo_seed):
+    # Weights from {1, 2, 3} tie often. From 4 groups the scan's n * n
+    # couplings run in lockstep, while the oracle's n run on heaps.
+    dists, base = [], 0
+    for w in groups:
+        dists.append(Categorical(tuple(range(base, base + len(w))), np.array(w) / sum(w)))
+        base += len(w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small groups may violate A5
+        g = GroupedData(tuple(enumerate(dists)), np.full(len(dists), 1 / len(dists)))
+    assert (len(groups) ** 2 >= LOCKSTEP_MIN) == (len(groups) >= 4)
+    out_size = max(map(len, groups)) + extra
+    bo = BoConfig(budget=len(groups) + 6, n_acq_candidates=32, seed=bo_seed)
+    for q in (select_q(g, out_size), select_q(g, out_size, bo)):
+        assert len(q.cells) == len(groups)
+        assert_same_table(build_stochastic_pef(g, q), build_from_fresh_couplings(g, q))
+
+
+@pytest.mark.parametrize("support,seed", [(4, 4), (10, 1)])
+def test_gp_round_winner_builds_the_same_table(monkeypatch, support, seed):
+    # On these inputs the best Q is a GP-UCB round's proposal, scored alone;
+    # at 2 x 10 the Dirichlet design before it runs in lockstep.
+    g, _ = generate(SynthConfig(2, support, 10, "unequal", seed=seed))
+    batches, score = [], qopt._j_values
+
+    def recorded(qs, g, source):
+        batches.append(score(qs, g, source))
+        return batches[-1]
+
+    monkeypatch.setattr(qopt, "_j_values", recorded)
+    q = select_q(g, support, BoConfig(budget=support + 12, n_acq_candidates=64, seed=0))
+    rounds = [c for batch in batches[2:] for c in batch]
+    assert q.source == "bayesopt" and any(c is q for c in rounds)
+    assert_same_table(build_stochastic_pef(g, q), build_from_fresh_couplings(g, q))
+
+
+def test_unequal_build_pef_couples_once(monkeypatch):
+    # The scan couples 4 groups onto 4 candidates in one call; the build
+    # takes the winner's couplings from it and couples nothing again.
+    original, batches = _kernels.greedy_cells, []
+
+    def counted(ps, qs):
+        batches.append(len(ps))
+        return original(ps, qs)
+
+    for module in (_kernels, coupling, pef, qopt):
+        if getattr(module, "greedy_cells", None) is original:
+            monkeypatch.setattr(module, "greedy_cells", counted)
+    g, _ = generate(SynthConfig(4, 30, 10, "unequal", seed=1))
+    _, report = build_pef(g, tol=EXACT_TOL)
+    assert report.branch == "unequal"
+    assert batches == [16]
+
+
+def test_golden_eight_by_fifty_function_json(tmp_path):
+    # Pinned from the build that coupled the winner again, on heaps, after
+    # the scan had coupled all 64 pairs in lockstep.
+    g, _ = generate(SynthConfig(8, 50, 10, "unequal", seed=1))
+    f, report = build_pef(g, tol=EXACT_TOL)
+    assert report.branch == "unequal"
+    save_function_json(f, tmp_path / "function.json")
+    assert hashlib.sha256((tmp_path / "function.json").read_bytes()).hexdigest() == (
+        "9653b47fa534d47ed53c685025696174b28f3d8faa996d8fe647e2933d2c927e"
+    )
 
 
 def test_analyze_hand_built_table_with_zero_cell():
@@ -471,8 +560,19 @@ def test_induced_output_matches_reference(rng):
         for g in (random_grouped(rng), grouped(probs, probs[::-1])):
             f, _ = build_pef(g, tol=1e-9)
             variants.add(f.variant)
-            for d in g.dists:
-                assert f.induced_output(d).tobytes() == induced_output_reference(f, d).tobytes()
+            # Two distributions that share the symbols in the middle of the
+            # table, as shared-support `evaluate --dists` groups do.
+            half = len(f.ids) // 2
+            shared = [
+                Categorical(ids, rng.dirichlet(np.ones(len(ids))))
+                for ids in (f.ids[: half + 1], f.ids[half - 1 :])
+            ]
+            for dists in (g.dists, shared):
+                outputs = f.induced_outputs(dists)
+                assert outputs.shape == (len(dists), len(f.output_support))
+                for d, row in zip(dists, outputs):
+                    assert row.tobytes() == induced_output_reference(f, d).tobytes()
+                    assert f.induced_output(d).tobytes() == row.tobytes()
     assert variants == {"deterministic", "stochastic"}
 
 

@@ -160,7 +160,7 @@ class TestBayesOpt:
     @staticmethod
     def count_scored_candidates(monkeypatch):
         # Every J goes through _j_values: the scan and the Dirichlet design
-        # in batches, each GP-UCB round's one Q through objective_j.
+        # in batches, each GP-UCB round's one Q alone.
         scored, scans = [], []
         scan, batch = qopt.scan_stationary, qopt._j_values
 
@@ -168,9 +168,9 @@ class TestBayesOpt:
             scans.append(1)
             return scan(*args, **kwargs)
 
-        def counted_batch(qs, g):
+        def counted_batch(qs, g, source):
             scored.extend(qs)
-            return batch(qs, g)
+            return batch(qs, g, source)
 
         monkeypatch.setattr(qopt, "scan_stationary", counted_scan)
         monkeypatch.setattr(qopt, "_j_values", counted_batch)
@@ -215,7 +215,8 @@ class TestBayesOpt:
         sup = output_support(g, support)
         draws = np.random.default_rng(1).dirichlet(np.ones(support), size=support)
         dists = [qopt._softmax_dist(np.log(np.maximum(p, 1e-12)), sup) for p in draws]
-        assert qopt._j_values(dists, g) == [objective_j(q, g) for q in dists]
+        scored = qopt._j_values(dists, g, "bayesopt")
+        assert [c.j_value for c in scored] == [objective_j(q, g) for q in dists]
 
     def test_budget_one_falls_back_to_stationary(self, rng):
         g = random_grouped(rng, n_groups=2, support_per_group=2)
