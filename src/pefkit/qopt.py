@@ -5,10 +5,14 @@ vanishes exactly when every coupling is a permutation matrix. H_min uses the
 greedy coupling approximation. Candidates come from a stationary-point scan
 over the input distributions and, when a ``BoConfig`` is given,
 Gaussian-process UCB Bayesian optimization on the simplex seeded with that
-scan. Every candidate is scored by ``_j_values``, which couples all the Q
-it scores in one ``greedy_cells`` call and hands each Q's per-group cells
-to its ``QCandidate``, so ``pef.build_stochastic_pef`` builds the winner
-from them without coupling again; ``objective_j`` is the J of one Q. The
+scan. Every candidate is scored by ``_scored``, which hands each Q's
+per-group cells to its ``QCandidate``, so ``pef.build_stochastic_pef``
+builds the winner from them without coupling again. Each batch's couplings
+come from one ``greedy_cells`` call: ``_j_values`` couples every group onto
+every Q it is given, in support order, for the Dirichlet design and each
+GP-UCB round, and the scan couples each pair of groups once, by their
+ranked probabilities, so its ties go to the higher-ranked symbol where
+``_j_values``' go to the lower id. ``objective_j`` is the J of one Q. The
 UCB weight is the constant ``UCB_KAPPA``. A round's GP posterior runs on
 matrix products: one inverse of the Cholesky factor replaces the
 triangular solves, which numpy lacks.
@@ -32,7 +36,8 @@ UCB_KAPPA = 2.5
 @dataclass(frozen=True)
 class QCandidate:
     """A scored Q and the greedy coupling of each group onto it, in group
-    order, as the ``(rows, cols, mass)`` cells ``greedy_cells`` returns."""
+    order, as ``(rows, cols, mass)`` cells in the form ``greedy_cells``
+    returns: rows index the group's support, cells come row-major."""
 
     dist: Categorical
     j_value: float
@@ -81,19 +86,33 @@ def objective_j(q: Categorical, g: GroupedData) -> float:
 def _j_values(qs: list[Categorical], g: GroupedData, source: str) -> list[QCandidate]:
     """Every Q in ``qs`` scored, its couplings from one ``greedy_cells`` call.
 
-    Problem c * n_groups + i couples group i onto ``qs[c]``; candidate c
-    keeps those n_groups couplings' cells. J is H(Q) minus the
-    prior-weighted coupling entropies, subtracted in group order.
+    Problem c * n_groups + i couples group i, in support order, onto
+    ``qs[c]``.
     """
     n_groups = len(g.dists)
     cells = greedy_cells(
         [d.probs for d in g.dists] * len(qs), [q.probs for q in qs for _ in range(n_groups)]
     )
+    per_q = [cells[c * n_groups : (c + 1) * n_groups] for c in range(len(qs))]
+    return _scored(qs, per_q, g, source)
+
+
+def _scored(
+    qs: list[Categorical],
+    cells: list[list[tuple[np.ndarray, np.ndarray, np.ndarray]]],
+    g: GroupedData,
+    source: str,
+) -> list[QCandidate]:
+    """Each Q in ``qs`` with its J and ``cells[c]``, the couplings of the
+    groups onto it in group order; every candidate is scored here.
+
+    J is H(Q) minus the prior-weighted coupling entropies, subtracted in
+    group order.
+    """
     out = []
-    for c, q in enumerate(qs):
-        mine = cells[c * n_groups : (c + 1) * n_groups]
+    for q, mine in zip(qs, cells, strict=True):
         val = entropy(q)
-        for prior, (_, _, mass) in zip(g.priors, mine):
+        for prior, (_, _, mass) in zip(g.priors, mine, strict=True):
             val -= float(prior) * entropy_bits(mass)
         out.append(QCandidate(q, float(val), source, mine))
     return out
@@ -104,13 +123,52 @@ def scan_stationary(g: GroupedData, out_size: int) -> list[QCandidate]:
 
     Each group's ``ranked`` probabilities are laid out on ascending output
     ids; zero padding beyond the group's support is trimmed by construction.
-    Every candidate is scored in one ``_j_values`` batch.
+
+    Candidate c is group c's ranked probabilities, so each group is coupled
+    by its ranked probabilities as well, and each pair of groups once: one
+    ``greedy_cells`` batch couples group i onto candidate c for every
+    i < c, n(n-1)/2 couplings. A greedy step takes the first maximum on
+    both sides and stops on both sides by one rule, so with both sides
+    ranked, group c onto candidate i takes the same steps with the sides
+    swapped: its cells are the transpose, bit for bit. Group c onto its
+    own candidate is the identity on rank positions. Every coupling's rows
+    then go from rank position back to support order, so ties go to the
+    higher-ranked symbol, where an id-order coupling sends them to the
+    lower id; with no tied residuals the cells are the same.
     """
     if out_size < default_out_size(g):
         raise DistError("out_size must be >= the largest group support")
     support = output_support(g, out_size)
-    dists = [Categorical(support[: len(d)], ranked(d)[1]) for d in g.dists]
-    return _j_values(dists, g, "stationary")
+    n_groups = len(g.dists)
+    probs, perms = [], []
+    for d in g.dists:
+        symbols, p = ranked(d)
+        probs.append(p)
+        perms.append(np.searchsorted(d.support, symbols))
+    pairs = [(i, c) for c in range(n_groups) for i in range(c)]
+    coupled = greedy_cells([probs[i] for i, _ in pairs], [probs[c] for _, c in pairs])
+    # cells[c][i]: group i onto candidate c.
+    cells = [[None] * n_groups for _ in range(n_groups)]
+    for (i, c), (rows, cols, mass) in zip(pairs, coupled):
+        cells[c][i] = _support_order(perms[i][rows], cols, mass)
+        cells[i][c] = _support_order(perms[c][cols], rows, mass)
+    for c, p in enumerate(probs):
+        cells[c][c] = _support_order(perms[c], np.arange(p.size), p)
+    dists = [Categorical(support[: p.size], p) for p in probs]
+    return _scored(dists, cells, g, "stationary")
+
+
+def _support_order(
+    rows: np.ndarray, cols: np.ndarray, mass: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cells re-sorted row-major by their support-order ``rows``.
+
+    Within each row the cells already come by ascending column (the order
+    ``greedy_cells`` returns, read along either side), so a stable sort on
+    the rows alone puts them in ``np.nonzero`` order.
+    """
+    order = np.argsort(rows, kind="stable")
+    return rows[order], cols[order], mass[order]
 
 
 def _softmax_dist(theta: np.ndarray, support: np.ndarray) -> Categorical:

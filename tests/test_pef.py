@@ -41,7 +41,7 @@ from pefkit import (
     write_erased_csv,
     write_samples_csv,
 )
-from pefkit.dist import EXACT_TOL, NORM_TOL, RENORM_TOL, TRIM_EPS, DistError
+from pefkit.dist import EXACT_TOL, NORM_TOL, RENORM_TOL, TRIM_EPS, DistError, ranked
 from pefkit import _kernels, coupling, pef, qopt
 from pefkit._kernels import LOCKSTEP_MIN, greedy_cells
 from pefkit.pef import CSV_WRITE_CHUNK, _loadtxt_pairs
@@ -352,8 +352,19 @@ def test_batched_build_matches_dense_reference(groups, q_weights, extra, prior_w
 def build_from_fresh_couplings(g: GroupedData, q: QCandidate) -> ErasureFunction:
     """The build as it ran before the Q search handed over its couplings,
     kept as the oracle: every group coupled onto Q again, in one
-    ``greedy_cells`` call of ``len(g.dists)`` couplings."""
-    cells = greedy_cells([d.probs for d in g.dists], [q.dist.probs] * len(g.dists))
+    ``greedy_cells`` call of ``len(g.dists)`` couplings. A stationary
+    candidate's groups are coupled by their ranked probabilities, as the
+    scan couples them, and the rows mapped back to support order."""
+    if q.source != "stationary":
+        cells = greedy_cells([d.probs for d in g.dists], [q.dist.probs] * len(g.dists))
+        return build_stochastic_pef(g, dataclasses.replace(q, cells=cells))
+    cells = []
+    for d, (rows, cols, mass) in zip(
+        g.dists, greedy_cells([ranked(d)[1] for d in g.dists], [q.dist.probs] * len(g.dists))
+    ):
+        rows = np.searchsorted(d.support, ranked(d)[0])[rows]
+        order = np.lexsort((cols, rows))
+        cells.append((rows[order], cols[order], mass[order]))
     return build_stochastic_pef(g, dataclasses.replace(q, cells=cells))
 
 
@@ -365,12 +376,12 @@ def assert_same_table(f: ErasureFunction, ref: ErasureFunction) -> None:
 
 
 @given(groups=st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=10), min_size=2,
-                       max_size=5),
+                       max_size=8),
        extra=st.integers(0, 2), bo_seed=st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
 def test_scan_couplings_build_the_same_table(groups, extra, bo_seed):
-    # Weights from {1, 2, 3} tie often. From 4 groups the scan's n * n
-    # couplings run in lockstep, while the oracle's n run on heaps.
+    # Weights from {1, 2, 3} tie often. From 7 groups the scan's
+    # n(n-1)/2 couplings run in lockstep, while the oracle's n run on heaps.
     dists, base = [], 0
     for w in groups:
         dists.append(Categorical(tuple(range(base, base + len(w))), np.array(w) / sum(w)))
@@ -378,7 +389,8 @@ def test_scan_couplings_build_the_same_table(groups, extra, bo_seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # small groups may violate A5
         g = GroupedData(tuple(enumerate(dists)), np.full(len(dists), 1 / len(dists)))
-    assert (len(groups) ** 2 >= LOCKSTEP_MIN) == (len(groups) >= 4)
+    n = len(groups)
+    assert (n * (n - 1) // 2 >= LOCKSTEP_MIN) == (n >= 7)
     out_size = max(map(len, groups)) + extra
     bo = BoConfig(budget=len(groups) + 6, n_acq_candidates=32, seed=bo_seed)
     for q in (select_q(g, out_size), select_q(g, out_size, bo)):
@@ -391,13 +403,13 @@ def test_gp_round_winner_builds_the_same_table(monkeypatch, support, seed):
     # On these inputs the best Q is a GP-UCB round's proposal, scored alone;
     # at 2 x 10 the Dirichlet design before it runs in lockstep.
     g, _ = generate(SynthConfig(2, support, 10, "unequal", seed=seed))
-    batches, score = [], qopt._j_values
+    batches, score = [], qopt._scored
 
-    def recorded(qs, g, source):
-        batches.append(score(qs, g, source))
+    def recorded(qs, cells, g, source):
+        batches.append(score(qs, cells, g, source))
         return batches[-1]
 
-    monkeypatch.setattr(qopt, "_j_values", recorded)
+    monkeypatch.setattr(qopt, "_scored", recorded)
     q = select_q(g, support, BoConfig(budget=support + 12, n_acq_candidates=64, seed=0))
     rounds = [c for batch in batches[2:] for c in batch]
     assert q.source == "bayesopt" and any(c is q for c in rounds)
@@ -405,8 +417,8 @@ def test_gp_round_winner_builds_the_same_table(monkeypatch, support, seed):
 
 
 def test_unequal_build_pef_couples_once(monkeypatch):
-    # The scan couples 4 groups onto 4 candidates in one call; the build
-    # takes the winner's couplings from it and couples nothing again.
+    # The scan couples each of the 4 groups' 6 pairs once, in one call; the
+    # build takes the winner's couplings from it and couples nothing again.
     original, batches = _kernels.greedy_cells, []
 
     def counted(ps, qs):
@@ -419,7 +431,7 @@ def test_unequal_build_pef_couples_once(monkeypatch):
     g, _ = generate(SynthConfig(4, 30, 10, "unequal", seed=1))
     _, report = build_pef(g, tol=EXACT_TOL)
     assert report.branch == "unequal"
-    assert batches == [16]
+    assert batches == [6]
 
 
 def test_golden_eight_by_fifty_function_json(tmp_path):

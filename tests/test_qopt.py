@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pefkit import (
     BoConfig,
@@ -20,6 +22,8 @@ from pefkit import (
     select_q,
 )
 from pefkit import qopt, synth
+from pefkit._kernels import LOCKSTEP_MIN, greedy_cells
+from pefkit.dist import ranked
 from pefkit.qopt import _gp_posterior, _sq_dists
 from conftest import random_grouped
 
@@ -126,6 +130,72 @@ class TestStationaryScan:
         np.testing.assert_allclose(np.sort(sel.dist.probs), [0.5, 0.5])
 
 
+def assert_same_cells(cells, ref):
+    for a, b in zip(cells, ref, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def rank_positions(d: Categorical) -> np.ndarray:
+    """Each support symbol's position in ``ranked(d)``."""
+    return np.argsort(np.searchsorted(d.support, ranked(d)[0]))
+
+
+@given(groups=st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=10), min_size=2,
+                       max_size=8),
+       extra=st.integers(0, 2))
+@example(groups=[[3, 1, 2, 2], [2, 2, 1], [1, 3, 3, 1], [2, 1], [3, 3], [1, 2, 1], [2], [1, 1, 3]],
+         extra=0)
+@settings(max_examples=80, deadline=None)
+def test_scan_couples_ranked_groups_each_pair_once(groups, extra):
+    # Weights from {1, 2, 3} tie often; from 7 groups the scan's n(n-1)/2
+    # couplings run in lockstep, below that on heaps.
+    dists, base = [], 0
+    for w in groups:
+        dists.append(Categorical(tuple(range(base, base + len(w))), np.array(w) / sum(w)))
+        base += len(w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small groups may violate A5
+        g = GroupedData(tuple(enumerate(dists)), np.full(len(dists), 1 / len(dists)))
+    n = len(groups)
+    assert (n * (n - 1) // 2 >= LOCKSTEP_MIN) == (n >= 7)
+    cands = scan_stationary(g, max(map(len, groups)) + extra)
+    ranks = [rank_positions(d) for d in g.dists]
+    for c, cand in enumerate(cands):
+        assert cand.dist.probs.tobytes() == ranked(g.dists[c])[1].tobytes()
+        for i, d in enumerate(g.dists):
+            # A fresh coupling of ranked(P_i) onto ranked(P_c), rows mapped
+            # back to support order.
+            rows, cols, mass = greedy_cells([ranked(d)[1]], [ranked(g.dists[c])[1]])[0]
+            rows = np.searchsorted(d.support, ranked(d)[0])[rows]
+            order = np.lexsort((cols, rows))
+            assert_same_cells(cand.cells[i], (rows[order], cols[order], mass[order]))
+            # Group c onto candidate i is the transpose, on rank positions.
+            rows, cols, mass = cand.cells[i]
+            t_rows, t_cols, t_mass = cands[i].cells[c]
+            ij = np.lexsort((cols, ranks[i][rows]))
+            ji = np.lexsort((ranks[c][t_rows], t_cols))
+            assert np.array_equal(ranks[i][rows][ij], t_cols[ji])
+            assert np.array_equal(cols[ij], ranks[c][t_rows][ji])
+            assert mass[ij].tobytes() == t_mass[ji].tobytes()
+        # The diagonal is the identity: the k-th ranked symbol goes to output k.
+        d = g.dists[c]
+        assert_same_cells(cand.cells[c], (np.arange(len(d)), ranks[c], d.probs))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_scan_cells_without_ties_equal_id_order_couplings(seed):
+    # Dirichlet draws never tie, so coupling a group by its ranked
+    # probabilities gives the cells of coupling it in support order.
+    rng = np.random.default_rng(seed)
+    small = random_grouped(rng, n_groups=int(rng.integers(2, 9)))
+    wide, _ = synth.generate(synth.SynthConfig(8, 50, 10, "unequal", seed=seed + 1))
+    cases = [(small, default_out_size(small)), (small, default_out_size(small) + 2), (wide, 50)]
+    for g, out_size in cases:
+        for cand in scan_stationary(g, out_size):
+            for d, cells in zip(g.dists, cand.cells, strict=True):
+                assert_same_cells(cells, greedy_cells([d.probs], [cand.dist.probs])[0])
+
+
 class TestBayesOpt:
     def test_never_below_stationary(self, rng):
         for seed in range(4):
@@ -159,21 +229,21 @@ class TestBayesOpt:
 
     @staticmethod
     def count_scored_candidates(monkeypatch):
-        # Every J goes through _j_values: the scan and the Dirichlet design
+        # Every J goes through _scored: the scan and the Dirichlet design
         # in batches, each GP-UCB round's one Q alone.
         scored, scans = [], []
-        scan, batch = qopt.scan_stationary, qopt._j_values
+        scan, batch = qopt.scan_stationary, qopt._scored
 
         def counted_scan(*args, **kwargs):
             scans.append(1)
             return scan(*args, **kwargs)
 
-        def counted_batch(qs, g, source):
+        def counted_batch(qs, cells, g, source):
             scored.extend(qs)
-            return batch(qs, g, source)
+            return batch(qs, cells, g, source)
 
         monkeypatch.setattr(qopt, "scan_stationary", counted_scan)
-        monkeypatch.setattr(qopt, "_j_values", counted_batch)
+        monkeypatch.setattr(qopt, "_scored", counted_batch)
         return scored, scans
 
     @pytest.mark.parametrize("n_groups,budget", [(2, 2), (2, 9), (4, 4), (4, 10)])
