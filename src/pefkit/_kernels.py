@@ -54,9 +54,7 @@ def greedy_cells(
     the largest residuals, ties to the lowest index, until the smaller of
     the two is at most ``RESIDUAL_EPS``. The rule treats both sides
     alike, so coupling q onto p gives the transposed cells of p onto q, bit
-    for bit. On a side given in support order (ascending id) a tie goes to
-    the lowest symbol id; on a side given by ``dist.ranked`` probabilities,
-    as the stationary scan gives both, to the higher-ranked symbol.
+    for bit.
 
     Below ``LOCKSTEP_MIN`` couplings each runs on its own heap loop; from
     ``LOCKSTEP_MIN`` up they step in lockstep. Both take the same steps,

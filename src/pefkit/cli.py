@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=None,
-        help="empirical permutation tolerance (default: concentration bound)",
+        help=f"permutation tolerance (default: concentration bound; {EXACT_TOL:g} with --dists)",
     )
     p_erase.add_argument("--use-bo", action="store_true")
     p_erase.add_argument("--bo-budget", type=int, default=100)

@@ -8,11 +8,11 @@ Gaussian-process UCB Bayesian optimization on the simplex seeded with that
 scan. Every candidate is scored by ``_scored``, which hands each Q's
 per-group cells to its ``QCandidate``, so ``pef.build_stochastic_pef``
 builds the winner from them without coupling again. Each batch's couplings
-come from one ``greedy_cells`` call: ``_j_values`` couples every group onto
-every Q it is given, in support order, for the Dirichlet design and each
-GP-UCB round, and the scan couples each pair of groups once, by their
-ranked probabilities, so its ties go to the higher-ranked symbol where
-``_j_values``' go to the lower id. ``objective_j`` is the J of one Q. The
+come from one ``greedy_cells`` call, and every group is coupled by its
+``dist.ranked`` probabilities, so a tie goes to the higher-ranked symbol
+and the scan, the Dirichlet design, each GP-UCB round and ``objective_j``
+give a Q the same J bit for bit. ``_j_values`` couples every group onto
+every Q it is given; the scan couples each pair of groups once. The
 UCB weight is the constant ``UCB_KAPPA``. A round's GP posterior runs on
 matrix products: one inverse of the Cholesky factor replaces the
 triangular solves, which numpy lacks.
@@ -83,16 +83,22 @@ def objective_j(q: Categorical, g: GroupedData) -> float:
     return _j_values([q], g, "stationary")[0].j_value
 
 
+def _rank_rows(d: Categorical) -> tuple[np.ndarray, np.ndarray]:
+    """``ranked(d)``'s probabilities and each rank position's index in ``d.support``."""
+    symbols, probs = ranked(d)
+    return probs, np.searchsorted(d.support, symbols)
+
+
 def _j_values(qs: list[Categorical], g: GroupedData, source: str) -> list[QCandidate]:
     """Every Q in ``qs`` scored, its couplings from one ``greedy_cells`` call.
 
-    Problem c * n_groups + i couples group i, in support order, onto
-    ``qs[c]``.
+    Problem c * n_groups + i couples group i's ranked probabilities onto
+    ``qs[c]``; the rows then go back to support order.
     """
     n_groups = len(g.dists)
-    cells = greedy_cells(
-        [d.probs for d in g.dists] * len(qs), [q.probs for q in qs for _ in range(n_groups)]
-    )
+    probs, perms = zip(*map(_rank_rows, g.dists))
+    coupled = greedy_cells(list(probs) * len(qs), [q.probs for q in qs for _ in range(n_groups)])
+    cells = [_support_order(perms[b % n_groups][r], c, m) for b, (r, c, m) in enumerate(coupled)]
     per_q = [cells[c * n_groups : (c + 1) * n_groups] for c in range(len(qs))]
     return _scored(qs, per_q, g, source)
 
@@ -124,27 +130,21 @@ def scan_stationary(g: GroupedData, out_size: int) -> list[QCandidate]:
     Each group's ``ranked`` probabilities are laid out on ascending output
     ids; zero padding beyond the group's support is trimmed by construction.
 
-    Candidate c is group c's ranked probabilities, so each group is coupled
-    by its ranked probabilities as well, and each pair of groups once: one
-    ``greedy_cells`` batch couples group i onto candidate c for every
-    i < c, n(n-1)/2 couplings. A greedy step takes the first maximum on
-    both sides and stops on both sides by one rule, so with both sides
-    ranked, group c onto candidate i takes the same steps with the sides
-    swapped: its cells are the transpose, bit for bit. Group c onto its
-    own candidate is the identity on rank positions. Every coupling's rows
-    then go from rank position back to support order, so ties go to the
-    higher-ranked symbol, where an id-order coupling sends them to the
-    lower id; with no tied residuals the cells are the same.
+    Candidate c is group c's ranked probabilities, and each group is
+    coupled by its ranked probabilities, so each pair of groups is coupled
+    once: one ``greedy_cells`` batch couples group i onto candidate c for
+    every i < c, n(n-1)/2 couplings. A greedy step takes the first maximum
+    on both sides and stops on both sides by one rule, so group c onto
+    candidate i takes the same steps with the sides swapped: its cells are
+    the transpose, bit for bit. Group c onto its own candidate is the
+    identity on rank positions. Every coupling's rows then go from rank
+    position back to support order, as in ``_j_values``.
     """
     if out_size < default_out_size(g):
         raise DistError("out_size must be >= the largest group support")
     support = output_support(g, out_size)
     n_groups = len(g.dists)
-    probs, perms = [], []
-    for d in g.dists:
-        symbols, p = ranked(d)
-        probs.append(p)
-        perms.append(np.searchsorted(d.support, symbols))
+    probs, perms = zip(*map(_rank_rows, g.dists))
     pairs = [(i, c) for c in range(n_groups) for i in range(c)]
     coupled = greedy_cells([probs[i] for i, _ in pairs], [probs[c] for _, c in pairs])
     # cells[c][i]: group i onto candidate c.
@@ -289,7 +289,8 @@ def bayes_opt_q(g: GroupedData, out_size: int, cfg: BoConfig) -> QCandidate:
             anchor + 0.25 * rng.standard_normal((cfg.n_acq_candidates - half, out_size)),
         ])
         mean, std = _gp_posterior(x_obs, y_obs, x_new, ls, d2_obs)
-        theta = x_new[int(np.argmax(mean + UCB_KAPPA * std))]
+        # A copy: a view would keep the round's whole proposal matrix alive.
+        theta = x_new[int(np.argmax(mean + UCB_KAPPA * std))].copy()
         record(theta, _j_values([_softmax_dist(theta, support)], g, "bayesopt")[0])
 
     return best

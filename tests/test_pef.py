@@ -43,7 +43,7 @@ from pefkit import (
 )
 from pefkit.dist import EXACT_TOL, NORM_TOL, RENORM_TOL, TRIM_EPS, DistError, ranked
 from pefkit import _kernels, coupling, pef, qopt
-from pefkit._kernels import LOCKSTEP_MIN, greedy_cells
+from pefkit._kernels import LOCKSTEP_MIN, greedy_cells, greedy_fill
 from pefkit.pef import CSV_WRITE_CHUNK, _loadtxt_pairs
 from pefkit.qopt import QCandidate, output_support
 from conftest import random_grouped
@@ -302,11 +302,14 @@ class TestStochasticBranch:
 
 def build_stochastic_reference(g: GroupedData, q: QCandidate) -> ErasureFunction:
     """The dense construction the batched build replaced, kept as the oracle:
-    ``greedy_mec`` of each group onto Q, then each row's non-zero cells
-    divided by the row's numpy sum, cells of TRIM_EPS or less dropped."""
+    ``greedy_fill`` of each group's ranked probabilities onto Q, rows put
+    back in support order, then each row's non-zero cells divided by the
+    row's numpy sum, cells of TRIM_EPS or less dropped."""
     ids, sizes, out, probs = [], [], [], []
     for d in g.dists:
-        for x, row in zip(d.support, greedy_mec(d, q.dist).mass):
+        symbols, ranked_probs = ranked(d)
+        dense = greedy_fill(ranked_probs, q.dist.probs)[np.argsort(symbols)]
+        for x, row in zip(d.support, dense):
             cols = np.flatnonzero(row)
             p = row[cols] / row.sum()
             keep = p > TRIM_EPS
@@ -324,6 +327,7 @@ _weights = st.lists(st.one_of(st.integers(1, 3), st.integers(1, 10**6)), min_siz
 
 @given(groups=st.lists(_weights, min_size=2, max_size=5), q_weights=_weights,
        extra=st.integers(0, 3), prior_weights=st.lists(st.integers(1, 5), min_size=5, max_size=5))
+@example(groups=[[1], [1, 2]], q_weights=[1], extra=1, prior_weights=[1, 1, 1, 1, 1])
 @settings(max_examples=150, deadline=None)
 def test_batched_build_matches_dense_reference(groups, q_weights, extra, prior_weights):
     dists, base = [], 0
@@ -352,12 +356,8 @@ def test_batched_build_matches_dense_reference(groups, q_weights, extra, prior_w
 def build_from_fresh_couplings(g: GroupedData, q: QCandidate) -> ErasureFunction:
     """The build as it ran before the Q search handed over its couplings,
     kept as the oracle: every group coupled onto Q again, in one
-    ``greedy_cells`` call of ``len(g.dists)`` couplings. A stationary
-    candidate's groups are coupled by their ranked probabilities, as the
-    scan couples them, and the rows mapped back to support order."""
-    if q.source != "stationary":
-        cells = greedy_cells([d.probs for d in g.dists], [q.dist.probs] * len(g.dists))
-        return build_stochastic_pef(g, dataclasses.replace(q, cells=cells))
+    ``greedy_cells`` call of ``len(g.dists)`` couplings, each group by its
+    ranked probabilities, and the rows mapped back to support order."""
     cells = []
     for d, (rows, cols, mass) in zip(
         g.dists, greedy_cells([ranked(d)[1] for d in g.dists], [q.dist.probs] * len(g.dists))

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -145,10 +146,12 @@ def rank_positions(d: Categorical) -> np.ndarray:
        extra=st.integers(0, 2))
 @example(groups=[[3, 1, 2, 2], [2, 2, 1], [1, 3, 3, 1], [2, 1], [3, 3], [1, 2, 1], [2], [1, 1, 3]],
          extra=0)
+@example(groups=[[1, 2], [1, 1, 2, 2]], extra=0)
 @settings(max_examples=80, deadline=None)
 def test_scan_couples_ranked_groups_each_pair_once(groups, extra):
     # Weights from {1, 2, 3} tie often; from 7 groups the scan's n(n-1)/2
-    # couplings run in lockstep, below that on heaps.
+    # couplings run in lockstep, below that on heaps. objective_j couples
+    # by the same rule, so it scores every candidate as the scan does.
     dists, base = [], 0
     for w in groups:
         dists.append(Categorical(tuple(range(base, base + len(w))), np.array(w) / sum(w)))
@@ -162,6 +165,7 @@ def test_scan_couples_ranked_groups_each_pair_once(groups, extra):
     ranks = [rank_positions(d) for d in g.dists]
     for c, cand in enumerate(cands):
         assert cand.dist.probs.tobytes() == ranked(g.dists[c])[1].tobytes()
+        assert cand.j_value == objective_j(cand.dist, g)
         for i, d in enumerate(g.dists):
             # A fresh coupling of ranked(P_i) onto ranked(P_c), rows mapped
             # back to support order.
@@ -185,13 +189,19 @@ def test_scan_couples_ranked_groups_each_pair_once(groups, extra):
 @pytest.mark.parametrize("seed", range(6))
 def test_scan_cells_without_ties_equal_id_order_couplings(seed):
     # Dirichlet draws never tie, so coupling a group by its ranked
-    # probabilities gives the cells of coupling it in support order.
+    # probabilities gives the cells of coupling it in support order, both
+    # in the scan and in the Dirichlet design of the GP-UCB search.
     rng = np.random.default_rng(seed)
     small = random_grouped(rng, n_groups=int(rng.integers(2, 9)))
     wide, _ = synth.generate(synth.SynthConfig(8, 50, 10, "unequal", seed=seed + 1))
     cases = [(small, default_out_size(small)), (small, default_out_size(small) + 2), (wide, 50)]
     for g, out_size in cases:
-        for cand in scan_stationary(g, out_size):
+        sup = output_support(g, out_size)
+        design = [
+            qopt._softmax_dist(np.log(np.maximum(p, 1e-12)), sup)
+            for p in rng.dirichlet(np.ones(out_size), size=3)
+        ]
+        for cand in scan_stationary(g, out_size) + qopt._j_values(design, g, "bayesopt"):
             for d, cells in zip(g.dists, cand.cells, strict=True):
                 assert_same_cells(cells, greedy_cells([d.probs], [cand.dist.probs])[0])
 
@@ -287,6 +297,19 @@ class TestBayesOpt:
         dists = [qopt._softmax_dist(np.log(np.maximum(p, 1e-12)), sup) for p in draws]
         scored = qopt._j_values(dists, g, "bayesopt")
         assert [c.j_value for c in scored] == [objective_j(q, g) for q in dists]
+
+    def test_rounds_keep_only_the_chosen_proposal(self):
+        # Each round's 1024 x 50 proposal matrix is 400 KiB; the search keeps
+        # only the chosen row of each, so its traced peak stays a few MiB
+        # rather than growing by a matrix per round.
+        g, _ = synth.generate(synth.SynthConfig(2, 50, 10, "unequal", seed=1))
+        tracemalloc.start()
+        try:
+            bayes_opt_q(g, 50, BoConfig(budget=100, n_acq_candidates=1024, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_budget_one_falls_back_to_stationary(self, rng):
         g = random_grouped(rng, n_groups=2, support_per_group=2)
