@@ -107,12 +107,12 @@ def coupling_entropy(c: Coupling) -> float:
 
 
 def conditional_rows(
-    rows: np.ndarray, cols: np.ndarray, mass: np.ndarray, p: Categorical
+    rows: np.ndarray, cols: np.ndarray, mass: np.ndarray, p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """P(Z|X=x_k) per row symbol of one coupling, from its non-zero cells.
+    """P(Z|X=x_k) per row of one coupling, from its non-zero cells.
 
-    Cell t has mass ``mass[t]`` at row ``rows[t]``, an index into
-    ``p.support``, and column ``cols[t]``; cells come in row-major order,
+    Cell t has mass ``mass[t]`` at row ``rows[t]`` and column ``cols[t]``,
+    and ``p[k]`` is row k's probability; cells come in row-major order,
     none twice, as ``_kernels.greedy_cells`` returns them. Returns the cells
     as ``(bounds, cols, probs)``: row k holds ``cols[bounds[k]:bounds[k + 1]]``.
     Each row is normalized by its mass summed over its cells in order; as
@@ -134,7 +134,7 @@ def conditional_rows(
     if np.any(np.diff(rows * (cols.max() + 1) + cols) <= 0):
         raise CouplingError("cells must be in row-major order, each once")
     totals = np.bincount(rows, mass, minlength=len(p))
-    if np.any(np.abs(totals - p.probs) > MARGINAL_TOL):
+    if np.any(np.abs(totals - p) > MARGINAL_TOL):
         raise CouplingError("coupling row marginals do not match p")
     if np.any(totals <= 0):
         raise CouplingError("zero-mass row in coupling")

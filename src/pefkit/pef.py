@@ -277,13 +277,14 @@ def build_stochastic_pef(g: GroupedData, q: QCandidate) -> ErasureFunction:
     couplings are the ones ``q`` was scored with (``q.cells``, one per
     group of ``g``, from ``qopt``), so nothing is coupled again; their cells
     (at most |X_i| + |Q| - 1 per group) become the rows directly, so no
-    dense |X_i| x |Q| mass matrix is built.
+    dense |X_i| x |Q| mass matrix is built. Their rows are ``ranked`` positions.
     """
     support = q.dist.support
     parts = []
     for d, (rows, cols, mass) in zip(g.dists, q.cells, strict=True):
-        bounds, cols, probs = conditional_rows(rows, cols, mass, d)
-        parts.append((d.support, np.diff(bounds), cols, probs))
+        symbols, probs = ranked(d)
+        bounds, cols, probs = conditional_rows(rows, cols, mass, probs)
+        parts.append((symbols, np.diff(bounds), cols, probs))
     ids, sizes, cols, probs = (np.concatenate(a) for a in zip(*parts))
     return ErasureFunction(
         "stochastic",

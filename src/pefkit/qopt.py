@@ -11,11 +11,11 @@ builds the winner from them without coupling again. Each batch's couplings
 come from one ``greedy_cells`` call, and every group is coupled by its
 ``dist.ranked`` probabilities, so a tie goes to the higher-ranked symbol
 and the scan, the Dirichlet design, each GP-UCB round and ``objective_j``
-give a Q the same J bit for bit. ``_j_values`` couples every group onto
-every Q it is given; the scan couples each pair of groups once. The
-UCB weight is the constant ``UCB_KAPPA``. A round's GP posterior runs on
-matrix products: one inverse of the Cholesky factor replaces the
-triangular solves, which numpy lacks.
+give a Q the same J bit for bit; a cell's row is its symbol's rank
+position. ``_j_values`` couples every group onto every Q it is given; the
+scan couples each pair of groups once. The UCB weight is the constant
+``UCB_KAPPA``. A round's GP posterior runs on matrix products: one inverse
+of the Cholesky factor replaces the triangular solves, which numpy lacks.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ UCB_KAPPA = 2.5
 class QCandidate:
     """A scored Q and the greedy coupling of each group onto it, in group
     order, as ``(rows, cols, mass)`` cells in the form ``greedy_cells``
-    returns: rows index the group's support, cells come row-major."""
+    returns: rows are the group's rank positions, in ``ranked`` order, and
+    cells come row-major."""
 
     dist: Categorical
     j_value: float
@@ -83,22 +84,15 @@ def objective_j(q: Categorical, g: GroupedData) -> float:
     return _j_values([q], g, "stationary")[0].j_value
 
 
-def _rank_rows(d: Categorical) -> tuple[np.ndarray, np.ndarray]:
-    """``ranked(d)``'s probabilities and each rank position's index in ``d.support``."""
-    symbols, probs = ranked(d)
-    return probs, np.searchsorted(d.support, symbols)
-
-
 def _j_values(qs: list[Categorical], g: GroupedData, source: str) -> list[QCandidate]:
     """Every Q in ``qs`` scored, its couplings from one ``greedy_cells`` call.
 
     Problem c * n_groups + i couples group i's ranked probabilities onto
-    ``qs[c]``; the rows then go back to support order.
+    ``qs[c]``.
     """
     n_groups = len(g.dists)
-    probs, perms = zip(*map(_rank_rows, g.dists))
-    coupled = greedy_cells(list(probs) * len(qs), [q.probs for q in qs for _ in range(n_groups)])
-    cells = [_support_order(perms[b % n_groups][r], c, m) for b, (r, c, m) in enumerate(coupled)]
+    probs = [ranked(d)[1] for d in g.dists]
+    cells = greedy_cells(probs * len(qs), [q.probs for q in qs for _ in range(n_groups)])
     per_q = [cells[c * n_groups : (c + 1) * n_groups] for c in range(len(qs))]
     return _scored(qs, per_q, g, source)
 
@@ -136,39 +130,27 @@ def scan_stationary(g: GroupedData, out_size: int) -> list[QCandidate]:
     every i < c, n(n-1)/2 couplings. A greedy step takes the first maximum
     on both sides and stops on both sides by one rule, so group c onto
     candidate i takes the same steps with the sides swapped: its cells are
-    the transpose, bit for bit. Group c onto its own candidate is the
-    identity on rank positions. Every coupling's rows then go from rank
-    position back to support order, as in ``_j_values``.
+    the transpose, bit for bit. Within each of its rows the columns already
+    ascend, so one stable sort on the rows makes it row-major. Group c onto
+    its own candidate is the identity on rank positions.
     """
     if out_size < default_out_size(g):
         raise DistError("out_size must be >= the largest group support")
     support = output_support(g, out_size)
     n_groups = len(g.dists)
-    probs, perms = zip(*map(_rank_rows, g.dists))
+    probs = [ranked(d)[1] for d in g.dists]
     pairs = [(i, c) for c in range(n_groups) for i in range(c)]
     coupled = greedy_cells([probs[i] for i, _ in pairs], [probs[c] for _, c in pairs])
     # cells[c][i]: group i onto candidate c.
     cells = [[None] * n_groups for _ in range(n_groups)]
     for (i, c), (rows, cols, mass) in zip(pairs, coupled):
-        cells[c][i] = _support_order(perms[i][rows], cols, mass)
-        cells[i][c] = _support_order(perms[c][cols], rows, mass)
+        cells[c][i] = rows, cols, mass
+        order = np.argsort(cols, kind="stable")
+        cells[i][c] = cols[order], rows[order], mass[order]
     for c, p in enumerate(probs):
-        cells[c][c] = _support_order(perms[c], np.arange(p.size), p)
+        cells[c][c] = np.arange(p.size), np.arange(p.size), p
     dists = [Categorical(support[: p.size], p) for p in probs]
     return _scored(dists, cells, g, "stationary")
-
-
-def _support_order(
-    rows: np.ndarray, cols: np.ndarray, mass: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cells re-sorted row-major by their support-order ``rows``.
-
-    Within each row the cells already come by ascending column (the order
-    ``greedy_cells`` returns, read along either side), so a stable sort on
-    the rows alone puts them in ``np.nonzero`` order.
-    """
-    order = np.argsort(rows, kind="stable")
-    return rows[order], cols[order], mass[order]
 
 
 def _softmax_dist(theta: np.ndarray, support: np.ndarray) -> Categorical:

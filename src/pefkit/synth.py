@@ -36,6 +36,8 @@ class SynthConfig:
             raise DistError("n_samples_per_group must be >= 1")
         if self.setting not in SETTINGS:
             raise DistError(f"setting must be one of {SETTINGS}")
+        if not 0 < self.dirichlet_alpha < np.inf:
+            raise DistError(f"dirichlet_alpha must be finite and > 0, got {self.dirichlet_alpha}")
 
     def to_json(self) -> dict:
         return asdict(self)

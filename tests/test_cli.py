@@ -70,6 +70,16 @@ class TestGenerate:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("setting,alpha", [("unequal", 0), ("unequal", "nan"),
+                                               ("equal_uniform", -1)])
+    def test_bad_dirichlet_alpha_is_config_error(self, tmp_path, capsys, setting, alpha):
+        out = tmp_path / "gen"
+        code = run(["generate", "--setting", setting, "--dirichlet-alpha", alpha,
+                    "--out-dir", out])
+        assert code == EXIT_CONFIG
+        assert "dirichlet_alpha must be finite and > 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestErase:
     def test_equal_branch_end_to_end(self, tmp_path, capsys):

@@ -20,7 +20,9 @@ from pefkit import (
     output_support,
     pgd_solve,
 )
+from pefkit._kernels import greedy_cells
 from pefkit.coupling import _basis_weights
+from pefkit.dist import ranked
 
 
 def cat(support, probs):
@@ -144,7 +146,7 @@ def conditional_rows_reference(c: Coupling, p: Categorical) -> list[Categorical]
 
 
 def assert_rows_match_reference(c: Coupling, p: Categorical) -> None:
-    bounds, cols, probs = conditional_rows(*cells(c), p)
+    bounds, cols, probs = conditional_rows(*cells(c), p.probs)
     reference = conditional_rows_reference(c, p)
     assert len(bounds) == len(reference) + 1
     support = np.array(c.col_support)
@@ -156,7 +158,7 @@ def assert_rows_match_reference(c: Coupling, p: Categorical) -> None:
 class TestConditionalRows:
     def test_normalization_example(self):
         c = greedy_mec(cat([0, 1], [0.6, 0.4]), cat([2, 3], [0.5, 0.5]))
-        bounds, cols, probs = conditional_rows(*cells(c), cat([0, 1], [0.6, 0.4]))
+        bounds, cols, probs = conditional_rows(*cells(c), [0.6, 0.4])
         assert bounds.tolist() == [0, 2, 3]
         assert cols.tolist() == [0, 1, 1]  # the zero cell (1, 0) is absent
         np.testing.assert_allclose(probs[:2], [5 / 6, 1 / 6], atol=1e-12)
@@ -164,7 +166,7 @@ class TestConditionalRows:
 
     def test_diagonal_gives_point_masses(self):
         p = cat([0, 1, 2], [0.5, 0.3, 0.2])
-        bounds, cols, probs = conditional_rows(*cells(greedy_mec(p, p)), p)
+        bounds, cols, probs = conditional_rows(*cells(greedy_mec(p, p)), p.probs)
         assert bounds.tolist() == [0, 1, 2, 3]
         assert cols.tolist() == [0, 1, 2]
         np.testing.assert_array_equal(probs, [1.0, 1.0, 1.0])
@@ -173,7 +175,7 @@ class TestConditionalRows:
         for _ in range(20):
             p, q = random_pair(rng)
             c = greedy_mec(p, q)
-            bounds, cols, probs = conditional_rows(*cells(c), p)
+            bounds, cols, probs = conditional_rows(*cells(c), p.probs)
             rebuilt = np.zeros_like(c.mass)
             rows = np.repeat(np.arange(len(p)), np.diff(bounds))
             rebuilt[rows, cols] = p.probs[rows] * probs
@@ -184,14 +186,14 @@ class TestConditionalRows:
         p = cat([0, 1], [0.5, 0.5])
         mass = np.array([[0.5 - 1e-13, 1e-13, 0.0], [0.0, 1e-12, 0.5 - 1e-12]])
         c = Coupling((0, 1), (2, 3, 4), mass)
-        bounds, cols, _ = conditional_rows(*cells(c), p)
+        bounds, cols, _ = conditional_rows(*cells(c), p.probs)
         assert bounds.tolist() == [0, 1, 3] and cols.tolist() == [0, 1, 2]
         assert_rows_match_reference(c, p)
 
     def test_rejects_mismatched_marginals(self):
         c = Coupling((0, 1), (2, 3), np.array([[0.5, 0.0], [0.0, 0.5]]))
         with pytest.raises(CouplingError):
-            conditional_rows(*cells(c), cat([0, 1], [0.6, 0.4]))
+            conditional_rows(*cells(c), [0.6, 0.4])
 
     # Each case breaks one condition and keeps the ones checked before it.
     @pytest.mark.parametrize("rows,cols,mass,match", [
@@ -205,13 +207,28 @@ class TestConditionalRows:
     ])
     def test_rejects_malformed_cells(self, rows, cols, mass, match):
         with pytest.raises(CouplingError, match=match):
-            conditional_rows(rows, cols, mass, cat([0, 1], [0.5, 0.5]))
+            conditional_rows(rows, cols, mass, [0.5, 0.5])
 
     def test_rejects_zero_mass_row(self):
         # Row 2's marginal is within MARGINAL_TOL of 0, but it holds no cell.
         p = cat([0, 1, 2], [0.5, 0.5 - 1e-9, 1e-9])
         with pytest.raises(CouplingError, match="zero-mass row"):
-            conditional_rows([0, 1], [0, 1], [0.5, 0.5], p)
+            conditional_rows([0, 1], [0, 1], [0.5, 0.5], p.probs)
+
+    def test_rows_in_rank_order(self):
+        # Row k is the k-th ranked symbol, not the k-th id, and p gives the
+        # rows' marginals in that order; the rows match the id-order ones.
+        p, q = cat([0, 1, 2], [0.2, 0.5, 0.3]), cat([3, 4], [0.6, 0.4])
+        symbols, probs = ranked(p)
+        ranked_cells = greedy_cells([probs], [q.probs])[0]
+        bounds, cols, out = conditional_rows(*ranked_cells, probs)
+        reference = conditional_rows_reference(greedy_mec(p, q), p)
+        assert symbols.tolist() == [1, 2, 0] and bounds.tolist() == [0, 1, 2, 4]
+        for x, a, b in zip(symbols, bounds[:-1], bounds[1:]):
+            assert reference[x].support.tolist() == q.support[cols[a:b]].tolist()
+            assert reference[x].probs.tobytes() == out[a:b].tobytes()
+        with pytest.raises(CouplingError, match="row marginals"):
+            conditional_rows(*ranked_cells, p.probs)
 
     @pytest.mark.parametrize("k", [None, 1000])
     def test_matches_reference_bit_for_bit(self, rng, k):

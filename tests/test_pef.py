@@ -302,14 +302,13 @@ class TestStochasticBranch:
 
 def build_stochastic_reference(g: GroupedData, q: QCandidate) -> ErasureFunction:
     """The dense construction the batched build replaced, kept as the oracle:
-    ``greedy_fill`` of each group's ranked probabilities onto Q, rows put
-    back in support order, then each row's non-zero cells divided by the
-    row's numpy sum, cells of TRIM_EPS or less dropped."""
+    ``greedy_fill`` of each group's ranked probabilities onto Q, one row per
+    ranked symbol, then each row's non-zero cells divided by the row's numpy
+    sum, cells of TRIM_EPS or less dropped."""
     ids, sizes, out, probs = [], [], [], []
     for d in g.dists:
         symbols, ranked_probs = ranked(d)
-        dense = greedy_fill(ranked_probs, q.dist.probs)[np.argsort(symbols)]
-        for x, row in zip(d.support, dense):
+        for x, row in zip(symbols, greedy_fill(ranked_probs, q.dist.probs)):
             cols = np.flatnonzero(row)
             p = row[cols] / row.sum()
             keep = p > TRIM_EPS
@@ -357,15 +356,28 @@ def build_from_fresh_couplings(g: GroupedData, q: QCandidate) -> ErasureFunction
     """The build as it ran before the Q search handed over its couplings,
     kept as the oracle: every group coupled onto Q again, in one
     ``greedy_cells`` call of ``len(g.dists)`` couplings, each group by its
-    ranked probabilities, and the rows mapped back to support order."""
-    cells = []
-    for d, (rows, cols, mass) in zip(
-        g.dists, greedy_cells([ranked(d)[1] for d in g.dists], [q.dist.probs] * len(g.dists))
-    ):
-        rows = np.searchsorted(d.support, ranked(d)[0])[rows]
-        order = np.lexsort((cols, rows))
-        cells.append((rows[order], cols[order], mass[order]))
+    ranked probabilities."""
+    cells = greedy_cells([ranked(d)[1] for d in g.dists], [q.dist.probs] * len(g.dists))
     return build_stochastic_pef(g, dataclasses.replace(q, cells=cells))
+
+
+def build_from_support_order(g: GroupedData, q: QCandidate) -> ErasureFunction:
+    """The build as it ran while the Q search mapped each coupling's rows
+    from rank positions back to support positions, kept as the oracle: the
+    cells re-sorted row-major by one stable sort on their new rows, and
+    each group's rows handed over in id order with ``d.probs``."""
+    parts = []
+    for d, (rows, cols, mass) in zip(g.dists, q.cells, strict=True):
+        rows = np.searchsorted(d.support, ranked(d)[0])[rows]
+        order = np.argsort(rows, kind="stable")
+        bounds, cols, probs = coupling.conditional_rows(
+            rows[order], cols[order], mass[order], d.probs
+        )
+        parts.append((d.support, np.diff(bounds), cols, probs))
+    ids, sizes, cols, probs = (np.concatenate(a) for a in zip(*parts))
+    return ErasureFunction("stochastic", q.dist.support, q.dist, ids=ids,
+                           bounds=np.concatenate([[0], np.cumsum(sizes)]),
+                           out=q.dist.support[cols], probs=probs)
 
 
 def assert_same_table(f: ErasureFunction, ref: ErasureFunction) -> None:
@@ -396,6 +408,32 @@ def test_scan_couplings_build_the_same_table(groups, extra, bo_seed):
     for q in (select_q(g, out_size), select_q(g, out_size, bo)):
         assert len(q.cells) == len(groups)
         assert_same_table(build_stochastic_pef(g, q), build_from_fresh_couplings(g, q))
+
+
+@given(groups=st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=10), min_size=2,
+                       max_size=8),
+       extra=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_rank_order_cells_build_the_support_order_table(groups, extra, seed):
+    # Weights from {1, 2, 3} tie often; from 7 groups the scan runs in
+    # lockstep, below that on heaps. The table sorts the rows by id, so
+    # cells on rank positions build it byte for byte as cells moved back to
+    # support positions did, for scan and Dirichlet-design candidates alike.
+    dists, base = [], 0
+    for w in groups:
+        dists.append(Categorical(tuple(range(base, base + len(w))), np.array(w) / sum(w)))
+        base += len(w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small groups may violate A5
+        g = GroupedData(tuple(enumerate(dists)), np.full(len(dists), 1 / len(dists)))
+    out_size = max(map(len, groups)) + extra
+    support = output_support(g, out_size)
+    design = [
+        qopt._softmax_dist(np.log(np.maximum(p, 1e-12)), support)
+        for p in np.random.default_rng(seed).dirichlet(np.ones(out_size), size=2)
+    ]
+    for q in qopt.scan_stationary(g, out_size) + qopt._j_values(design, g, "bayesopt"):
+        assert_same_table(build_stochastic_pef(g, q), build_from_support_order(g, q))
 
 
 @pytest.mark.parametrize("support,seed", [(4, 4), (10, 1)])

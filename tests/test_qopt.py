@@ -110,18 +110,19 @@ class TestStationaryScan:
                     assert c.j_value == objective_j(c.dist, g)
 
     def test_golden_eight_by_two_hundred(self):
-        # Pinned from the scan that called objective_j once per candidate; a
-        # change in how the coupling entropies are summed moves the last bits.
+        # Pinned from the scan that called objective_j once per candidate and
+        # re-pinned when the cells stayed in rank order: a change in how the
+        # coupling entropies are summed moves the last bits.
         g, _ = synth.generate(synth.SynthConfig(8, 200, 10, "unequal", seed=1))
         assert [c.j_value for c in scan_stationary(g, 200)] == [
-            -0.15753799579833883,
-            -0.14541982817273402,
-            -0.12796370469966822,
-            -0.16609815230553238,
-            -0.13066452099581638,
-            -0.11149981177882617,
-            -0.14586231808252081,
-            -0.11569451705360911,
+            -0.15753799579833827,
+            -0.14541982817273436,
+            -0.12796370469966867,
+            -0.16609815230553304,
+            -0.1306645209958165,
+            -0.11149981177882629,
+            -0.14586231808252093,
+            -0.11569451705360922,
         ]
 
     def test_best_stationary_selected_without_bo(self):
@@ -136,9 +137,13 @@ def assert_same_cells(cells, ref):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def rank_positions(d: Categorical) -> np.ndarray:
-    """Each support symbol's position in ``ranked(d)``."""
-    return np.argsort(np.searchsorted(d.support, ranked(d)[0]))
+def id_order(d: Categorical, cells):
+    """Cells on ``d``'s rank positions, moved to support positions and
+    sorted row-major again."""
+    rows, cols, mass = cells
+    rows = np.searchsorted(d.support, ranked(d)[0])[rows]
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], mass[order]
 
 
 @given(groups=st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=10), min_size=2,
@@ -162,35 +167,30 @@ def test_scan_couples_ranked_groups_each_pair_once(groups, extra):
     n = len(groups)
     assert (n * (n - 1) // 2 >= LOCKSTEP_MIN) == (n >= 7)
     cands = scan_stationary(g, max(map(len, groups)) + extra)
-    ranks = [rank_positions(d) for d in g.dists]
     for c, cand in enumerate(cands):
         assert cand.dist.probs.tobytes() == ranked(g.dists[c])[1].tobytes()
         assert cand.j_value == objective_j(cand.dist, g)
         for i, d in enumerate(g.dists):
-            # A fresh coupling of ranked(P_i) onto ranked(P_c), rows mapped
-            # back to support order.
-            rows, cols, mass = greedy_cells([ranked(d)[1]], [ranked(g.dists[c])[1]])[0]
-            rows = np.searchsorted(d.support, ranked(d)[0])[rows]
-            order = np.lexsort((cols, rows))
-            assert_same_cells(cand.cells[i], (rows[order], cols[order], mass[order]))
-            # Group c onto candidate i is the transpose, on rank positions.
+            # A fresh coupling of ranked(P_i) onto ranked(P_c).
+            fresh = greedy_cells([ranked(d)[1]], [ranked(g.dists[c])[1]])[0]
+            assert_same_cells(cand.cells[i], fresh)
+            # Group c onto candidate i is the transpose.
             rows, cols, mass = cand.cells[i]
             t_rows, t_cols, t_mass = cands[i].cells[c]
-            ij = np.lexsort((cols, ranks[i][rows]))
-            ji = np.lexsort((ranks[c][t_rows], t_cols))
-            assert np.array_equal(ranks[i][rows][ij], t_cols[ji])
-            assert np.array_equal(cols[ij], ranks[c][t_rows][ji])
-            assert mass[ij].tobytes() == t_mass[ji].tobytes()
+            ji = np.lexsort((t_rows, t_cols))
+            assert np.array_equal(rows, t_cols[ji]) and np.array_equal(cols, t_rows[ji])
+            assert mass.tobytes() == t_mass[ji].tobytes()
         # The diagonal is the identity: the k-th ranked symbol goes to output k.
-        d = g.dists[c]
-        assert_same_cells(cand.cells[c], (np.arange(len(d)), ranks[c], d.probs))
+        k = np.arange(len(g.dists[c]))
+        assert_same_cells(cand.cells[c], (k, k, ranked(g.dists[c])[1]))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_scan_cells_without_ties_equal_id_order_couplings(seed):
     # Dirichlet draws never tie, so coupling a group by its ranked
-    # probabilities gives the cells of coupling it in support order, both
-    # in the scan and in the Dirichlet design of the GP-UCB search.
+    # probabilities and moving the rows to support positions gives the
+    # cells of coupling it in support order, both in the scan and in the
+    # Dirichlet design of the GP-UCB search.
     rng = np.random.default_rng(seed)
     small = random_grouped(rng, n_groups=int(rng.integers(2, 9)))
     wide, _ = synth.generate(synth.SynthConfig(8, 50, 10, "unequal", seed=seed + 1))
@@ -203,7 +203,7 @@ def test_scan_cells_without_ties_equal_id_order_couplings(seed):
         ]
         for cand in scan_stationary(g, out_size) + qopt._j_values(design, g, "bayesopt"):
             for d, cells in zip(g.dists, cand.cells, strict=True):
-                assert_same_cells(cells, greedy_cells([d.probs], [cand.dist.probs])[0])
+                assert_same_cells(id_order(d, cells), greedy_cells([d.probs], [cand.dist.probs])[0])
 
 
 class TestBayesOpt:
@@ -228,11 +228,13 @@ class TestBayesOpt:
         assert bo.j_value >= max(c.j_value for c in scan_stationary(g, 3)) - 1e-9
 
     def test_golden_two_by_fifty(self):
-        # Pinned from the per-row proposal loops and the broadcast kernel
-        # that the batched draws and the Gram expansion replaced.
+        # Q pinned from the per-row proposal loops and the broadcast kernel
+        # that the batched draws and the Gram expansion replaced; J re-pinned
+        # when the cells stayed in rank order, which sums its entropies in
+        # another order.
         g, _ = synth.generate(synth.SynthConfig(2, 50, 10, "unequal", seed=1))
         bo = bayes_opt_q(g, 50, BoConfig(budget=100, n_acq_candidates=1024, seed=0))
-        assert bo.j_value == -0.14097648063610357
+        assert bo.j_value == -0.14097648063610224
         assert hashlib.sha256(bo.dist.probs.tobytes()).hexdigest() == (
             "f0e610fa0dd058cbf4414a633112bb6ab5fa9334fa41ae03ddc267058572de14"
         )

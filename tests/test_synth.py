@@ -28,6 +28,14 @@ class TestConfig:
         with pytest.raises(DistError):
             cfg(setting="nope")
 
+    # 0 and NaN once failed later, in the Dirichlet draw, with a message
+    # about probabilities; a negative alpha passed for an equal setting.
+    @pytest.mark.parametrize("setting", ["unequal", "equal_uniform"])
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_dirichlet_alpha(self, setting, alpha):
+        with pytest.raises(DistError, match="dirichlet_alpha must be finite and > 0"):
+            cfg(setting=setting, dirichlet_alpha=alpha)
+
     def test_json(self):
         c = cfg(setting="unequal", dirichlet_alpha=0.5)
         obj = c.to_json()
