@@ -40,6 +40,10 @@ class DataConstraintError(DistError):
     """Input violates a data constraint required by the erasure pipeline."""
 
 
+class AlignmentError(ValueError):
+    """Inputs do not line up: erased vs original rows, or symbol sets."""
+
+
 #: What indexing or iterating a malformed JSON object raises; ``from_json``
 #: turns each into DistError.
 MALFORMED_JSON = (KeyError, TypeError, AttributeError)

@@ -11,20 +11,27 @@ table fits the rows, and the per-group TV checks are read off the
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from numpy.typing import ArrayLike
 
 from ._kernels import symbol_codes, symbol_counts
-from .dist import Categorical, DataConstraintError, FunnelCurve, GroupedData, _column, write_json
-from .pef import ErasureFunction, ErasureReport, analyze, as_samples
+from .dist import (
+    AlignmentError,
+    Categorical,
+    DataConstraintError,
+    FunnelCurve,
+    GroupedData,
+    _column,
+    write_json,
+)
+from .pef import ErasureFunction, ErasureReport, analyze
+from .sample_io import as_samples
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 _LN2 = float(np.log(2.0))
-
-
-class AlignmentError(ValueError):
-    """Inputs do not line up: erased vs original rows, or symbol sets."""
 
 
 def check_symbols_known(

@@ -44,7 +44,7 @@ from pefkit import (
 from pefkit.dist import EXACT_TOL, NORM_TOL, RENORM_TOL, TRIM_EPS, DistError, ranked
 from pefkit import _kernels, coupling, pef, qopt
 from pefkit._kernels import LOCKSTEP_MIN, greedy_cells, greedy_fill
-from pefkit.pef import CSV_WRITE_CHUNK, _loadtxt_pairs
+from pefkit.sample_io import CSV_WRITE_CHUNK, _loadtxt_pairs
 from pefkit.qopt import QCandidate, output_support
 from conftest import random_grouped
 
@@ -504,6 +504,15 @@ def test_analyze_hand_built_table_with_zero_cell():
     assert report.i_zx_analytic == pytest.approx(1 - 0.375 * (math.log2(3) - 2 / 3), abs=1e-12)
     assert report.j_value == pytest.approx(-0.25, abs=1e-12)
     assert report.i_za_analytic == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_analyze_never_reports_negative_i_za(seed):
+    # H(Z) - H(Z|A) read -1.8e-15 on these 8x1000 groups before the clamp.
+    g, _ = generate(SynthConfig(8, 1000, 10, "unequal", seed=seed))
+    _, report = build_pef(g, tol=EXACT_TOL)
+    assert report.branch == "unequal"
+    assert report.i_za_analytic == 0.0
 
 
 def test_analyze_rejects_q_off_the_pushforward():
