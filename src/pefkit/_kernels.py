@@ -36,7 +36,8 @@ USING_NUMBA = False
 
 def entropy_bits(probs: np.ndarray) -> float:
     p = probs[probs > 0.0]
-    return float(-np.sum(p * np.log2(p)))
+    # 0.0 - s, not -s: a point mass has entropy 0.0, not -0.0.
+    return float(0.0 - np.sum(p * np.log2(p)))
 
 
 def greedy_fill(p: np.ndarray, q: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from .dist import (
     Categorical,
     DataConstraintError,
     DistError,
+    check_symbols_known,
     erasure_feasible,
     funnel_bounds,
     load_grouped_json,
@@ -77,7 +78,6 @@ def _bo_config(args):
 
 
 def cmd_erase(args) -> dict:
-    from . import evaluate as ev
     from . import pef
 
     # Philox's key range; checked here so the equal branch, which draws
@@ -90,7 +90,7 @@ def cmd_erase(args) -> dict:
     bo = _bo_config(args) if args.use_bo else None
     if args.dists:
         g = load_grouped_json(args.dists)
-        ev.check_symbols_known(
+        check_symbols_known(
             samples[:, 0],
             g.symbols,
             "the samples",

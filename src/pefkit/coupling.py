@@ -72,14 +72,6 @@ class Coupling:
         object.__setattr__(self, "col_support", cols)
         object.__setattr__(self, "mass", mass)
 
-    @property
-    def row_marginal(self) -> np.ndarray:
-        return self.mass.sum(axis=1)
-
-    @property
-    def col_marginal(self) -> np.ndarray:
-        return self.mass.sum(axis=0)
-
     def write_csv(self, path) -> None:
         """Header row of column symbol ids, then one mass row per row symbol."""
         with open(path, "w") as fh:

@@ -17,10 +17,14 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._kernels import entropy_bits, symbol_codes
+
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
 
 #: Sum-to-one must hold this tightly after renormalization.
 NORM_TOL = 1e-9
@@ -42,6 +46,23 @@ class DataConstraintError(DistError):
 
 class AlignmentError(ValueError):
     """Inputs do not line up: erased vs original rows, or symbol sets."""
+
+
+def check_symbols_known(
+    symbols: ArrayLike, known: ArrayLike, what: str, where: str
+) -> None:
+    """Raise AlignmentError if any of ``symbols`` is missing from ``known``.
+
+    The message counts the distinct missing symbols and names the smallest.
+    """
+    symbols = np.asarray(symbols, dtype=np.int64)
+    missing = symbol_codes(symbols, symbol_codes(known)[0])[1] < 0
+    if missing.any():
+        missing = symbol_codes(symbols[missing])[0]
+        raise AlignmentError(
+            f"{len(missing)} symbol(s) of {what} missing from {where}, "
+            f"first {missing[0]}"
+        )
 
 
 #: What indexing or iterating a malformed JSON object raises; ``from_json``
@@ -290,7 +311,7 @@ class FunnelCurve:
         with open(path, "w") as fh:
             fh.write("u,lower,upper\n")
             for u, lo, up in zip(self.u_grid, self.lower, self.upper):
-                fh.write(f"{u!r},{lo!r},{up!r}\n")
+                fh.write(",".join(repr(float(v)) for v in (u, lo, up)) + "\n")
 
 
 @dataclass(frozen=True, eq=False)

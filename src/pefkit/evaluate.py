@@ -23,6 +23,7 @@ from .dist import (
     FunnelCurve,
     GroupedData,
     _column,
+    check_symbols_known,
     write_json,
 )
 from .pef import ErasureFunction, ErasureReport, analyze
@@ -32,23 +33,6 @@ if TYPE_CHECKING:
     from numpy.typing import ArrayLike
 
 _LN2 = float(np.log(2.0))
-
-
-def check_symbols_known(
-    symbols: ArrayLike, known: ArrayLike, what: str, where: str
-) -> None:
-    """Raise AlignmentError if any of ``symbols`` is missing from ``known``.
-
-    The message counts the distinct missing symbols and names the smallest.
-    """
-    symbols = np.asarray(symbols, dtype=np.int64)
-    missing = symbol_codes(symbols, symbol_codes(known)[0])[1] < 0
-    if missing.any():
-        missing = symbol_codes(symbols[missing])[0]
-        raise AlignmentError(
-            f"{len(missing)} symbol(s) of {what} missing from {where}, "
-            f"first {missing[0]}"
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,15 +99,8 @@ class TradeoffPoint:
     privacy_bits: float
     method: str
     mode: str  # "analytic" | "plugin"
-    raw_utility_bits: float | None = None
-    raw_privacy_bits: float | None = None
 
     def __post_init__(self):
-        # Values are clamped at zero for reporting; raw values are retained.
-        if self.raw_utility_bits is None:
-            object.__setattr__(self, "raw_utility_bits", self.utility_bits)
-        if self.raw_privacy_bits is None:
-            object.__setattr__(self, "raw_privacy_bits", self.privacy_bits)
         object.__setattr__(self, "utility_bits", max(0.0, self.utility_bits))
         object.__setattr__(self, "privacy_bits", max(0.0, self.privacy_bits))
 

@@ -68,10 +68,6 @@ class ErasureReport:
     def to_json(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ErasureReport":
-        return cls(**obj)
-
 
 #: The compiled table's arrays: ErasureFunction fields and function.json keys.
 _TABLE = ("ids", "bounds", "out", "probs")
@@ -130,16 +126,6 @@ class ErasureFunction:
         for name, a in zip(("output_support", *_TABLE, "cdfs"), (support, *compiled)):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-
-    def map_symbol(self, x: int) -> int:
-        """Deterministic image of a symbol; raises on stochastic functions."""
-        if self.variant != "deterministic":
-            raise ValueError("map_symbol is only defined for deterministic functions")
-        return int(self.out[self.bounds[_positions(self.ids, [x])[0]]])
-
-    def induced_output(self, d: Categorical) -> np.ndarray:
-        """Pushforward of a group distribution, as probs over output_support."""
-        return self.induced_outputs([d])[0]
 
     def induced_outputs(self, dists: list[Categorical]) -> np.ndarray:
         """Pushforward of each distribution, one row of probs over output_support each.
@@ -376,7 +362,8 @@ def check_sample_concepts(g: GroupedData, samples: ArrayLike) -> None:
     """Raise DataConstraintError unless each sample's symbol lies in its own concept's group.
 
     The owner of each symbol of ``g`` is looked up by ``symbol_codes``; a
-    symbol outside every support is left to ``check_symbols_known``.
+    symbol outside every support is left to ``dist.check_symbols_known``,
+    which ``pefkit erase --dists`` runs before the build.
     """
     if not g.supports_disjoint:
         raise DataConstraintError("group supports must be pairwise disjoint")

@@ -184,7 +184,7 @@ def test_criterion_6_bijectivity(capsys):
             for (z, c), (x, _) in zip(erased.tolist(), samples.tolist()):
                 assert inverse[(z, c)] == x
             for d in g.dists:
-                np.testing.assert_array_equal(f.induced_output(d), f.q.probs)
+                np.testing.assert_array_equal(f.induced_outputs([d])[0], f.q.probs)
 
 
 def test_criterion_7_pic_diagnostics(capsys):

@@ -861,6 +861,46 @@ class TestUtilities:
         assert obj["singular_values"][0] == pytest.approx(1.0, abs=1e-9)
         assert "feasible=True" in capsys.readouterr().out
 
+    def test_every_written_number_parses_as_a_float(self, tmp_path):
+        out = gen(tmp_path, setting="unequal", support=5)
+        dists = out / "true_dists.json"
+        p, q = tmp_path / "p.json", tmp_path / "q.json"
+        p.write_text(json.dumps({"support": [0, 1], "probs": [0.6, 0.4]}))
+        q.write_text(json.dumps({"support": [2, 3], "probs": [0.5, 0.5]}))
+        commands = [
+            ["funnel", "--dists", dists, "--points", 11, "--out-dir", tmp_path / "funnel"],
+            ["erase", "--samples", out / "samples.csv", "--dists", dists,
+             "--out-dir", tmp_path / "erase"],
+            ["evaluate", "--dists", dists, "--function", tmp_path / "erase" / "function.json",
+             "--erased", tmp_path / "erase" / "erased.csv", "--samples", out / "samples.csv",
+             "--funnel-points", 11, "--out-dir", tmp_path / "eval"],
+            ["mec", "--p", p, "--q", q, "--out-dir", tmp_path / "mec"],
+        ]
+        for argv in commands:
+            assert run(argv) == EXIT_OK, argv
+        # (file, first numeric column, data rows)
+        for path, first, rows in [
+            (tmp_path / "funnel" / "funnel.csv", 0, 11),
+            (tmp_path / "eval" / "funnel.csv", 0, 11),
+            (tmp_path / "eval" / "tradeoff.csv", 2, 2),
+            (tmp_path / "mec" / "coupling.csv", 0, 2),
+        ]:
+            lines = path.read_text().splitlines()[1:]
+            assert len(lines) == rows, path
+            for line in lines:
+                for cell in line.split(",")[first:]:
+                    float(cell)  # raises on a cell such as "np.float64(0.5)"
+        funnel = (tmp_path / "funnel" / "funnel.csv").read_text()
+        assert funnel == (tmp_path / "eval" / "funnel.csv").read_text()
+
+    def test_one_group_funnel_has_no_negative_zero(self, tmp_path, capsys):
+        dists = write_dists(tmp_path / "d.json", [[0, 1, 2]])
+        code = run(["funnel", "--dists", dists, "--points", 3, "--out-dir", tmp_path / "f"])
+        assert code == EXIT_OK
+        assert "I(A;X)=0.0000 bits" in capsys.readouterr().out
+        lines = (tmp_path / "f" / "funnel.csv").read_text().splitlines()
+        assert [line.split(",")[2] for line in lines] == ["upper", "0.0", "0.0", "0.0"]
+
 
 class TestRunConfig:
     """Each subcommand's run_config.json, byte for byte: every flag but

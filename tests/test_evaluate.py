@@ -324,7 +324,6 @@ def test_check_symbols_known_counts_distinct_missing(known):
     check_symbols_known(symbols[[1, 6]], known, "the samples", "--dists")
 
 
-def test_tradeoff_point_clamps_but_keeps_raw():
+def test_tradeoff_point_clamps():
     p = TradeoffPoint(-0.01, -0.002, "pef", "plugin")
     assert p.utility_bits == 0.0 and p.privacy_bits == 0.0
-    assert p.raw_utility_bits == -0.01 and p.raw_privacy_bits == -0.002

@@ -64,6 +64,23 @@ def test_generate_loads_no_erasure_module(tmp_path):
     run_fresh(script, *generate_argv(tmp_path))
 
 
+def test_erase_loads_no_evaluate_module(tmp_path):
+    gen = tmp_path / "gen"
+    erase_argv = ["erase", "--samples", str(gen / "samples.csv")]
+    runs = [generate_argv(gen),
+            [*erase_argv, "--out-dir", str(tmp_path / "alg1")],
+            [*erase_argv, "--dists", str(gen / "true_dists.json"),
+             "--out-dir", str(tmp_path / "dists")]]
+    script = (
+        "import sys\n"
+        "import pefkit.cli\n"
+        f"for argv in {runs!r}:\n"
+        "    assert pefkit.cli.main(argv) == 0, argv\n"
+        "    assert 'pefkit.evaluate' not in sys.modules, argv\n"
+    )
+    run_fresh(script)
+
+
 # Algorithm 1 (no --dists) is evaluated against the true distributions only
 # where it finds them equal; an unequal estimate is not their pushforward.
 @pytest.mark.parametrize("setting,dists", [("unequal", True), ("equal_uniform", False)])
