@@ -29,7 +29,6 @@ from .dist import (
     Categorical,
     DataConstraintError,
     DistError,
-    check_symbols_known,
     erasure_feasible,
     funnel_bounds,
     load_grouped_json,
@@ -90,16 +89,9 @@ def cmd_erase(args) -> dict:
     bo = _bo_config(args) if args.use_bo else None
     if args.dists:
         g = load_grouped_json(args.dists)
-        check_symbols_known(
-            samples[:, 0],
-            g.symbols,
-            "the samples",
-            "--dists",
-        )
+        pef.check_sample_concepts(g, samples)
         tol = args.tol if args.tol is not None else EXACT_TOL
         f, report = pef.build_pef(g, tol, bo)
-        # After the build, which rejects --dists files it cannot map.
-        pef.check_sample_concepts(g, samples)
     else:
         f, report = pef.run_algorithm1(samples, args.tol, bo)
     erased = pef.apply(f, samples, args.seed)

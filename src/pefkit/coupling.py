@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import entropy_bits, greedy_fill
-from .dist import TRIM_EPS, Categorical, GroupedData, _column
+from .dist import TRIM_EPS, Categorical, GroupedData, _column, _freeze
 from .qopt import output_support, select_q
 
 MARGINAL_TOL = 1e-8
@@ -65,12 +65,7 @@ class Coupling:
             raise CouplingError("coupling mass must be non-negative")
         if abs(mass.sum() - 1.0) > MARGINAL_TOL:
             raise CouplingError("total coupling mass must be 1")
-        mass = np.maximum(mass, 0.0)
-        for a in (rows, cols, mass):
-            a.setflags(write=False)
-        object.__setattr__(self, "row_support", rows)
-        object.__setattr__(self, "col_support", cols)
-        object.__setattr__(self, "mass", mass)
+        _freeze(self, row_support=rows, col_support=cols, mass=np.maximum(mass, 0.0))
 
     def write_csv(self, path) -> None:
         """Header row of column symbol ids, then one mass row per row symbol."""

@@ -50,19 +50,22 @@ class AlignmentError(ValueError):
 
 def check_symbols_known(
     symbols: ArrayLike, known: ArrayLike, what: str, where: str
-) -> None:
-    """Raise AlignmentError if any of ``symbols`` is missing from ``known``.
+) -> np.ndarray:
+    """Each of ``symbols``' position among the sorted distinct ``known`` ids.
 
-    The message counts the distinct missing symbols and names the smallest.
+    AlignmentError if any is missing; the message counts the distinct
+    missing symbols and names the smallest.
     """
     symbols = np.asarray(symbols, dtype=np.int64)
-    missing = symbol_codes(symbols, symbol_codes(known)[0])[1] < 0
+    codes = symbol_codes(symbols, symbol_codes(known)[0])[1]
+    missing = codes < 0
     if missing.any():
         missing = symbol_codes(symbols[missing])[0]
         raise AlignmentError(
             f"{len(missing)} symbol(s) of {what} missing from {where}, "
             f"first {missing[0]}"
         )
+    return codes
 
 
 #: What indexing or iterating a malformed JSON object raises; ``from_json``
@@ -97,6 +100,14 @@ def _column(a, name: str, dtype=np.int64) -> np.ndarray:
             got = f"dtype {arr.dtype}"
         raise DistError(f"{name} must be {kind}, got {got}")
     return arr.astype(dtype)
+
+
+def _freeze(obj, **fields) -> None:
+    """Set ``fields`` on the frozen dataclass ``obj``; the ndarrays become read-only."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,11 +151,7 @@ class Categorical:
         if abs(float(probs.sum()) - 1.0) > NORM_TOL:
             probs = probs / probs.sum()
         order = np.argsort(support, kind="stable")
-        support, probs = support[order], probs[order]
-        support.setflags(write=False)
-        probs.setflags(write=False)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "probs", probs)
+        _freeze(self, support=support[order], probs=probs[order])
 
     def __len__(self) -> int:
         return len(self.support)
@@ -211,12 +218,7 @@ class GroupedData:
             warnings.warn(f"renormalizing priors with total mass {total}", stacklevel=3)
         priors = np.maximum(priors, 0.0) / total
         symbols = np.concatenate([d.support for _, d in groups])
-        for a in (priors, concepts, symbols):
-            a.setflags(write=False)
-        object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "priors", priors)
-        object.__setattr__(self, "concepts", concepts)
-        object.__setattr__(self, "symbols", symbols)
+        _freeze(self, groups=groups, priors=priors, concepts=concepts, symbols=symbols)
         if not self.supports_disjoint:
             warnings.warn("group supports are not pairwise disjoint (A4 violated)")
         if self.n_symbols <= len(groups):

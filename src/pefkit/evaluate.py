@@ -23,6 +23,7 @@ from .dist import (
     FunnelCurve,
     GroupedData,
     _column,
+    _freeze,
     check_symbols_known,
     write_json,
 )
@@ -68,13 +69,7 @@ class JointCounts:
         total = int(counts.sum())
         if total == 0:
             raise ValueError("total count must be positive")
-        for a in (rows, cols, cells, counts):
-            a.setflags(write=False)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "n", total)
+        _freeze(self, rows=rows, cols=cols, cells=cells, counts=counts, n=total)
 
     @classmethod
     def from_pairs(cls, pairs: ArrayLike) -> "JointCounts":
@@ -101,8 +96,8 @@ class TradeoffPoint:
     mode: str  # "analytic" | "plugin"
 
     def __post_init__(self):
-        object.__setattr__(self, "utility_bits", max(0.0, self.utility_bits))
-        object.__setattr__(self, "privacy_bits", max(0.0, self.privacy_bits))
+        _freeze(self, utility_bits=max(0.0, self.utility_bits),
+                privacy_bits=max(0.0, self.privacy_bits))
 
 
 def plugin_mi(j: JointCounts, miller_madow: bool = False) -> float:

@@ -34,7 +34,9 @@ from .dist import (
     GroupedData,
     Permutation,
     _column,
+    _freeze,
     check_permutation_equal,
+    check_symbols_known,
     conditional_entropy_x_given_a,
     entropy,
     ranked,
@@ -123,9 +125,7 @@ class ErasureFunction:
         outside = self.q.support[symbol_codes(self.q.support, support)[1] < 0]
         if outside.size:
             raise DistError(f"q has symbol {outside.min()} outside output_support")
-        for name, a in zip(("output_support", *_TABLE, "cdfs"), (support, *compiled)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        _freeze(self, **dict(zip(("output_support", *_TABLE, "cdfs"), (support, *compiled))))
 
     def induced_outputs(self, dists: list[Categorical]) -> np.ndarray:
         """Pushforward of each distribution, one row of probs over output_support each.
@@ -161,6 +161,11 @@ class ErasureFunction:
             return cls(*head, **{name: obj[name] for name in _TABLE})
         except MALFORMED_JSON as exc:
             raise DistError(f"malformed function JSON: {exc!r}") from None
+
+
+# dataclasses leaves the InitVar's default behind as a class attribute, which
+# would read None on every instance; the generated __init__ keeps its own copy.
+del ErasureFunction.group_maps
 
 
 def _compile_rows(support, ids, bounds, out, probs):
@@ -359,21 +364,21 @@ def grouped_from_samples(samples: ArrayLike) -> GroupedData:
 
 
 def check_sample_concepts(g: GroupedData, samples: ArrayLike) -> None:
-    """Raise DataConstraintError unless each sample's symbol lies in its own concept's group.
+    """Check that the samples fit ``g``, as ``pefkit erase --dists`` does before the build.
 
-    The owner of each symbol of ``g`` is looked up by ``symbol_codes``; a
-    symbol outside every support is left to ``dist.check_symbols_known``,
-    which ``pefkit erase --dists`` runs before the build.
+    AlignmentError if a sample's symbol lies in no group's support;
+    otherwise DataConstraintError unless the supports are disjoint and each
+    sample's symbol lies in its own concept's group.
     """
+    rows = as_samples(samples)
+    x, concept = rows[:, 0], rows[:, 1]
+    code = check_symbols_known(x, g.symbols, "the samples", "--dists")
     if not g.supports_disjoint:
         raise DataConstraintError("group supports must be pairwise disjoint")
-    rows = as_samples(samples)
+    # Disjoint, so the sorted symbols are the distinct ones ``code`` indexes.
     owners = np.repeat(g.concepts, [len(d) for d in g.dists])
-    order = np.argsort(g.symbols)
-    x, concept = rows[:, 0], rows[:, 1]
-    code = symbol_codes(x, g.symbols[order])[1]
-    owner = owners[order][code]
-    wrong = (code >= 0) & (owner != concept)
+    owner = owners[np.argsort(g.symbols)][code]
+    wrong = owner != concept
     if wrong.any():
         i = np.argmax(wrong)
         raise DataConstraintError(

@@ -225,26 +225,19 @@ def bayes_opt_q(g: GroupedData, out_size: int, cfg: BoConfig) -> QCandidate:
     symmetric-Dirichlet draws, all scored in one ``_j_values`` batch, and
     each round proposes random candidates and scores the UCB maximizer
     with ``_j_values``, until ``cfg.budget`` observations. Returns the
-    best stationary candidate unless a proposal beats it strictly, and at
-    once when ``out_size`` is 1, where the simplex is a single point.
-    Deterministic given the config seed.
+    first candidate with the largest J, stationary ones first, so a
+    proposal wins only by beating every stationary candidate strictly;
+    returns at once when ``out_size`` is 1, where the simplex is a single
+    point. Deterministic given the config seed.
     """
     rng = np.random.default_rng(cfg.seed)
     support = output_support(g, out_size)
     stationary = scan_stationary(g, out_size)
-    best = max(stationary, key=lambda c: c.j_value)
     if out_size == 1:
-        return best
+        return max(stationary, key=lambda c: c.j_value)
     observed = stationary[: cfg.budget]
     thetas = [_embed_theta(c.dist, support) for c in observed]
     values = [c.j_value for c in observed]
-
-    def record(theta: np.ndarray, cand: QCandidate) -> None:
-        nonlocal best
-        thetas.append(theta)
-        values.append(cand.j_value)
-        if cand.j_value > best.j_value:
-            best = cand
 
     n_dirichlet = min(max(2, out_size), max(0, cfg.budget - len(values)))
     # One batched draw equals as many single draws, in order, bit for bit.
@@ -252,9 +245,9 @@ def bayes_opt_q(g: GroupedData, out_size: int, cfg: BoConfig) -> QCandidate:
         np.log(np.maximum(probs, 1e-12))
         for probs in rng.dirichlet(np.ones(out_size), size=n_dirichlet)
     ]
-    dists = [_softmax_dist(theta, support) for theta in design]
-    for theta, cand in zip(design, _j_values(dists, g, "bayesopt")):
-        record(theta, cand)
+    proposals = _j_values([_softmax_dist(theta, support) for theta in design], g, "bayesopt")
+    thetas += design
+    values += [c.j_value for c in proposals]
 
     while len(values) < cfg.budget:
         x_obs = np.array(thetas)
@@ -272,10 +265,11 @@ def bayes_opt_q(g: GroupedData, out_size: int, cfg: BoConfig) -> QCandidate:
         ])
         mean, std = _gp_posterior(x_obs, y_obs, x_new, ls, d2_obs)
         # A copy: a view would keep the round's whole proposal matrix alive.
-        theta = x_new[int(np.argmax(mean + UCB_KAPPA * std))].copy()
-        record(theta, _j_values([_softmax_dist(theta, support)], g, "bayesopt")[0])
+        thetas.append(x_new[int(np.argmax(mean + UCB_KAPPA * std))].copy())
+        proposals += _j_values([_softmax_dist(thetas[-1], support)], g, "bayesopt")
+        values.append(proposals[-1].j_value)
 
-    return best
+    return max(stationary + proposals, key=lambda c: c.j_value)
 
 
 def select_q(g: GroupedData, out_size: int, bo: BoConfig | None = None) -> QCandidate:

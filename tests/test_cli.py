@@ -203,6 +203,38 @@ class TestErase:
         assert err.count("\n") == 1 and "appears under concept" in err
         assert not (tmp_path / "erased").exists()
 
+    @pytest.mark.parametrize("flags", [["--use-bo"], ["--tol", "nan"]], ids=["bo", "nan_tol"])
+    def test_sample_under_another_concept_fails_before_the_build(
+        self, tmp_path, capsys, monkeypatch, flags
+    ):
+        # One concept-0 row relabelled as concept 1 is rejected before any
+        # Q search, and before the build rejects the tol.
+        def no_search(*args):
+            raise AssertionError("searched for Q before checking the samples")
+
+        monkeypatch.setattr("pefkit.pef.select_q", no_search)
+        out = gen(tmp_path, setting="unequal", support=5, samples=50, seed=1)
+        lines = (out / "samples.csv").read_text().splitlines()
+        i = next(i for i, line in enumerate(lines) if line.endswith(",0"))
+        lines[i] = lines[i].split(",")[0] + ",1"
+        (out / "samples.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run(["erase", "--samples", out / "samples.csv", "--dists", out / "true_dists.json",
+                    *flags, "--out-dir", tmp_path / "erased"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "appears under concept 1 but belongs to concept 0" in err
+        assert not (tmp_path / "erased").exists()
+
+    def test_sample_check_precedes_the_group_count(self, tmp_path, capsys):
+        dists = write_dists(tmp_path / "dists.json", [[0, 1, 2]])
+        samples = tmp_path / "s.csv"
+        samples.write_text("x,concept\n0,0\n1,1\n")
+        code = run(["erase", "--samples", samples, "--dists", dists, "--out-dir", tmp_path])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "symbol 1 appears under concept 1" in err
+
     @pytest.mark.parametrize(
         "flag,message",
         [

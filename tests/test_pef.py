@@ -18,6 +18,7 @@ from pefkit import (
     ErasureFunction,
     GroupedData,
     JointCounts,
+    Permutation,
     Sample,
     SynthConfig,
     analyze,
@@ -542,6 +543,21 @@ def test_q_outside_output_support_is_rejected():
         )
 
 
+def test_group_maps_is_not_kept():
+    # group_maps is compiled into the table; no instance reads it back,
+    # whichever way the function was built.
+    maps = {0: Permutation({0: 10, 1: 11}), 1: Permutation({2: 10, 3: 11})}
+    q = Categorical.uniform((10, 11))
+    built = [
+        ErasureFunction("deterministic", [10, 11], q, group_maps=maps),
+        ErasureFunction("deterministic", [10, 11], q, ids=[0, 1, 2, 3],
+                        bounds=[0, 1, 2, 3, 4], out=[10, 11, 10, 11], probs=[1.0] * 4),
+    ]
+    for f in built:
+        assert f.ids.tolist() == [0, 1, 2, 3] and f.out.tolist() == [10, 11, 10, 11]
+        assert not hasattr(f, "group_maps")
+
+
 def test_load_function_json_leaves_numpy_ma_unloaded(tmp_path):
     # np.unique checks np.ma.is_masked on numpy 2.4, importing numpy.ma (10-15 ms)
     # in every fresh erase or evaluate process; the load must not call it.
@@ -1004,4 +1020,15 @@ def test_ids_are_read_only_int64_arrays():
     }
     for name, a in ids.items():
         assert isinstance(a, np.ndarray) and a.dtype == np.int64, name
+        assert not a.flags.writeable, name
+    others = {
+        "Categorical.probs": Categorical((3, 1), [0.5, 0.5]).probs,
+        "GroupedData.priors": g.priors,
+        "Coupling.mass": c.mass,
+        **{f"ErasureFunction.{name}": getattr(f, name)
+           for name in ("ids", "bounds", "out", "probs", "cdfs")},
+        "JointCounts.cells": j.cells,
+        "JointCounts.counts": j.counts,
+    }
+    for name, a in others.items():
         assert not a.flags.writeable, name

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -279,6 +280,31 @@ class TestBayesOpt:
         assert sel.source == "stationary"
         assert sel.j_value == best.j_value
         assert sel.dist == best.dist
+
+    @pytest.mark.parametrize("above", [0.0, 0.25], ids=["tie", "above"])
+    def test_first_best_candidate_wins(self, monkeypatch, above):
+        # Every proposal scores the best stationary J plus ``above``: a tie
+        # goes to the stationary candidate, and above it the first proposal
+        # beats the later ones it ties with.
+        g, _ = synth.generate(synth.SynthConfig(2, 6, 10, "unequal", seed=1))
+        nz = default_out_size(g)
+        best = max(scan_stationary(g, nz), key=lambda c: c.j_value)
+        j_values, proposals = qopt._j_values, []
+
+        def pinned(qs, g, source):
+            scored = [dataclasses.replace(c, j_value=best.j_value + above)
+                      for c in j_values(qs, g, source)]
+            proposals.extend(scored)
+            return scored
+
+        monkeypatch.setattr(qopt, "_j_values", pinned)
+        sel = bayes_opt_q(g, nz, BoConfig(budget=12, seed=0))
+        assert len(proposals) == 12 - len(g.dists)
+        if above:
+            assert sel is proposals[0]
+        else:
+            assert sel.source == "stationary" and sel.dist == best.dist
+            assert sel.j_value == best.j_value
 
     def test_single_point_simplex_returns_best_stationary(self):
         # At out_size 1 every theta is the same point, so no kernel can be
