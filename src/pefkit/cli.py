@@ -16,7 +16,6 @@ perfbench's tracer wraps only modules already loaded when it installs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -33,6 +32,7 @@ from .dist import (
     funnel_bounds,
     load_grouped_json,
     pic_spectrum,
+    read_json,
     write_json,
 )
 from .sample_io import write_samples_csv
@@ -66,18 +66,9 @@ def cmd_generate(args) -> dict:
     return cfg.to_json()
 
 
-def _bo_config(args):
-    from .qopt import BoConfig
-
-    return BoConfig(
-        budget=args.bo_budget,
-        n_acq_candidates=args.bo_acq_candidates,
-        seed=args.bo_seed,
-    )
-
-
 def cmd_erase(args) -> dict:
     from . import pef
+    from .qopt import BoConfig
 
     # Philox's key range; checked here so the equal branch, which draws
     # nothing, rejects the seeds the unequal branch cannot take.
@@ -86,7 +77,7 @@ def cmd_erase(args) -> dict:
     samples = pef.read_samples_csv(args.samples)
     if not len(samples):
         raise DataConstraintError("empty sample set")
-    bo = _bo_config(args) if args.use_bo else None
+    bo = BoConfig(args.bo_budget, args.bo_acq_candidates, args.bo_seed) if args.use_bo else None
     if args.dists:
         g = load_grouped_json(args.dists)
         pef.check_sample_concepts(g, samples)
@@ -141,16 +132,11 @@ def cmd_funnel(args) -> dict:
     return _flags(args)
 
 
-def _load_categorical(path: str) -> Categorical:
-    with open(path) as fh:
-        return Categorical.from_json(json.load(fh))
-
-
 def cmd_mec(args) -> dict:
     from .coupling import coupling_entropy, greedy_mec, mec_oracle
 
-    p = _load_categorical(args.p)
-    q = _load_categorical(args.q)
+    p = Categorical.from_json(read_json(args.p))
+    q = Categorical.from_json(read_json(args.q))
     c = mec_oracle(p, q, args.max_cells) if args.oracle else greedy_mec(p, q)
     os.makedirs(args.out_dir, exist_ok=True)
     c.write_csv(os.path.join(args.out_dir, "coupling.csv"))
@@ -182,18 +168,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Perfect erasure functions over finite categorical distributions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out-dir", default=".", help="directory for the output files")
 
-    p_gen = sub.add_parser("generate", help="generate synthetic grouped data")
+    p_gen = sub.add_parser("generate", parents=[out], help="generate synthetic grouped data")
     p_gen.add_argument("--setting", required=True, choices=synth.SETTINGS)
     p_gen.add_argument("--groups", type=int, default=2)
     p_gen.add_argument("--support", type=int, default=100)
     p_gen.add_argument("--samples", type=int, default=10000)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--dirichlet-alpha", type=float, default=1.0)
-    p_gen.add_argument("--out-dir", default=".")
     p_gen.set_defaults(func=cmd_generate)
 
-    p_erase = sub.add_parser("erase", help="build and apply an erasure function")
+    p_erase = sub.add_parser("erase", parents=[out], help="build and apply an erasure function")
     p_erase.add_argument("--samples", required=True)
     p_erase.add_argument(
         "--dists",
@@ -211,35 +198,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_erase.add_argument("--bo-acq-candidates", type=int, default=1024)
     p_erase.add_argument("--bo-seed", type=int, default=0)
     p_erase.add_argument("--seed", type=int, default=0)
-    p_erase.add_argument("--out-dir", default=".")
     p_erase.set_defaults(func=cmd_erase)
 
-    p_eval = sub.add_parser("evaluate", help="measure an erasure run")
+    p_eval = sub.add_parser("evaluate", parents=[out], help="measure an erasure run")
     p_eval.add_argument("--dists", required=True)
     p_eval.add_argument("--function", required=True)
     p_eval.add_argument("--erased", required=True)
     p_eval.add_argument("--samples", required=True)
     p_eval.add_argument("--funnel-points", type=int, default=101)
-    p_eval.add_argument("--out-dir", default=".")
     p_eval.set_defaults(func=cmd_evaluate)
 
-    p_funnel = sub.add_parser("funnel", help="emit the funnel envelope")
+    p_funnel = sub.add_parser("funnel", parents=[out], help="emit the funnel envelope")
     p_funnel.add_argument("--dists", required=True)
     p_funnel.add_argument("--points", type=int, default=101)
-    p_funnel.add_argument("--out-dir", default=".")
     p_funnel.set_defaults(func=cmd_funnel)
 
-    p_mec = sub.add_parser("mec", help="couple two distributions")
+    p_mec = sub.add_parser("mec", parents=[out], help="couple two distributions")
     p_mec.add_argument("--p", required=True, help="distribution JSON")
     p_mec.add_argument("--q", required=True, help="distribution JSON")
     p_mec.add_argument("--oracle", action="store_true")
     p_mec.add_argument("--max-cells", type=int, default=20)
-    p_mec.add_argument("--out-dir", default=".")
     p_mec.set_defaults(func=cmd_mec)
 
-    p_pic = sub.add_parser("pic", help="principal inertia component diagnostics")
+    p_pic = sub.add_parser("pic", parents=[out], help="principal inertia component diagnostics")
     p_pic.add_argument("--dists", required=True)
-    p_pic.add_argument("--out-dir", default=".")
     p_pic.set_defaults(func=cmd_pic)
 
     return parser
@@ -259,7 +241,7 @@ def main(argv=None) -> int:
     except AlignmentError as exc:
         print(f"misaligned inputs: {exc}", file=sys.stderr)
         return EXIT_ALIGN
-    except (DistError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import entropy_bits, greedy_fill
-from .dist import TRIM_EPS, Categorical, GroupedData, _column, _freeze
+from .dist import TRIM_EPS, Categorical, GroupedData, _column, _freeze, write_csv
 from .qopt import output_support, select_q
 
 MARGINAL_TOL = 1e-8
@@ -69,10 +69,8 @@ class Coupling:
 
     def write_csv(self, path) -> None:
         """Header row of column symbol ids, then one mass row per row symbol."""
-        with open(path, "w") as fh:
-            fh.write("row_symbol," + ",".join(str(c) for c in self.col_support) + "\n")
-            for s, row in zip(self.row_support, self.mass):
-                fh.write(f"{s}," + ",".join(repr(float(v)) for v in row) + "\n")
+        write_csv(path, ["row_symbol", *self.col_support],
+                  ([s, *row] for s, row in zip(self.row_support, self.mass)))
 
 
 def greedy_mec(p: Categorical, q: Categorical) -> Coupling:

@@ -8,8 +8,10 @@ derived only here: ``ranked(p)``, a group's symbols and probabilities by
 descending probability (ties by ascending id), and
 ``GroupedData.joint_mass()``, P(X=x, A=a_i) for each entry of ``symbols``.
 
-All quantities are in bits. Everything here is a pure function on
-immutable values and safe to call concurrently.
+All quantities are in bits. Everything here but the file functions is a
+pure function on immutable values and safe to call concurrently. JSON
+files and CSV tables are read and written only here (``read_json``,
+``write_json``, ``write_csv``), as UTF-8 with ``\\n`` line ends.
 """
 
 from __future__ import annotations
@@ -310,10 +312,7 @@ class FunnelCurve:
         return privacy >= lo - tol and privacy <= self.i_ax + tol
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("u,lower,upper\n")
-            for u, lo, up in zip(self.u_grid, self.lower, self.upper):
-                fh.write(",".join(repr(float(v)) for v in (u, lo, up)) + "\n")
+        write_csv(path, ("u", "lower", "upper"), zip(self.u_grid, self.lower, self.upper))
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,15 +424,40 @@ def erasure_feasible(g: GroupedData) -> FeasibilityVerdict:
 
 
 def load_grouped_json(path) -> GroupedData:
-    with open(path) as fh:
-        return GroupedData.from_json(json.load(fh))
+    return GroupedData.from_json(read_json(path))
+
+
+def _text_file(path, mode: str = "r"):
+    return open(path, mode, encoding="utf-8", newline="\n")
+
+
+def read_json(path):
+    with _text_file(path) as fh:
+        return json.load(fh)
 
 
 def write_json(obj, path) -> None:
     """Write ``obj`` as key-sorted JSON on one line, ending in a newline.
 
     ``json.dumps`` without ``indent`` runs the C encoder; ``json.dump`` to a
-    file always runs the pure-Python one.
+    file always runs the pure-Python one. The text is made before the file
+    is opened, so an object that does not encode leaves no file behind.
     """
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    text = json.dumps(obj, sort_keys=True) + "\n"
+    with _text_file(path, "w") as fh:
+        fh.write(text)
+
+
+def _cell(v) -> str:
+    return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a ``header`` line, then one line per row of ``rows``.
+
+    A float cell, Python or numpy, is spelled ``repr(float(v))``, so it
+    reads back with ``float()``; any other cell is ``str(v)``.
+    """
+    text = "".join(",".join(map(_cell, row)) + "\n" for row in [header, *rows])
+    with _text_file(path, "w") as fh:
+        fh.write(text)

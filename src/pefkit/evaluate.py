@@ -10,6 +10,7 @@ table fits the rows, and the per-group TV checks are read off the
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -25,6 +26,7 @@ from .dist import (
     _column,
     _freeze,
     check_symbols_known,
+    write_csv,
     write_json,
 )
 from .pef import ErasureFunction, ErasureReport, analyze
@@ -96,8 +98,8 @@ class TradeoffPoint:
     mode: str  # "analytic" | "plugin"
 
     def __post_init__(self):
-        _freeze(self, utility_bits=max(0.0, self.utility_bits),
-                privacy_bits=max(0.0, self.privacy_bits))
+        _freeze(self, utility_bits=float(max(0.0, self.utility_bits)),
+                privacy_bits=float(max(0.0, self.privacy_bits)))
 
 
 def plugin_mi(j: JointCounts, miller_madow: bool = False) -> float:
@@ -202,13 +204,10 @@ def emit_tradeoff_csv(
     points: Sequence[TradeoffPoint], curve: FunnelCurve, out_dir
 ) -> None:
     """Write funnel.csv (grid) and tradeoff.csv (points) under out_dir."""
-    import os
-
     curve.write_csv(os.path.join(out_dir, "funnel.csv"))
-    with open(os.path.join(out_dir, "tradeoff.csv"), "w") as fh:
-        fh.write("method,mode,utility_bits,privacy_bits\n")
-        for p in points:
-            fh.write(f"{p.method},{p.mode},{p.utility_bits!r},{p.privacy_bits!r}\n")
+    write_csv(os.path.join(out_dir, "tradeoff.csv"),
+              ("method", "mode", "utility_bits", "privacy_bits"),
+              ((p.method, p.mode, p.utility_bits, p.privacy_bits) for p in points))
 
 
 def write_report_json(

@@ -13,7 +13,6 @@ them with ``as_samples``.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import InitVar, asdict, dataclass, field
@@ -40,6 +39,7 @@ from .dist import (
     conditional_entropy_x_given_a,
     entropy,
     ranked,
+    read_json,
     write_json,
 )
 from .qopt import BoConfig, QCandidate, default_out_size, output_support, select_q
@@ -460,5 +460,4 @@ def save_function_json(f: ErasureFunction, path) -> None:
 
 
 def load_function_json(path) -> ErasureFunction:
-    with open(path) as fh:
-        return ErasureFunction.from_json(json.load(fh))
+    return ErasureFunction.from_json(read_json(path))

@@ -51,7 +51,7 @@ def _read_pairs_csv(path, header: str, kind: str) -> np.ndarray:
     accepted and every error raised: it makes the same call on the same
     lines, but skips the whitespace-only lines that the path read rejects.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         if fh.seekable():
             if fh.readline().strip() == header:
                 # Any failure defers to the read below, which raises again if

@@ -859,6 +859,27 @@ class TestUtilities:
             assert code == EXIT_OK
             assert "coupling entropy 1.36096 bits" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra,want", [
+        ([], "row_symbol,0,1\n0,0.5,0.0\n1,0.0,0.3\n2,0.09999999999999998,0.10000000000000003\n"),
+        (["--oracle"],
+         "row_symbol,0,1\n0,0.5,0.0\n1,0.0,0.3\n2,0.09999999999999998,0.09999999999999998\n"),
+    ], ids=["greedy", "oracle"])
+    def test_mec_coupling_csv_bytes(self, tmp_path, extra, want):
+        """coupling.csv for the README's p.json and q.json, byte for byte."""
+        p, q = tmp_path / "p.json", tmp_path / "q.json"
+        p.write_text(json.dumps({"support": [0, 1, 2], "probs": [0.5, 0.3, 0.2]}))
+        q.write_text(json.dumps({"support": [0, 1], "probs": [0.6, 0.4]}))
+        assert run(["mec", "--p", p, "--q", q, "--out-dir", tmp_path, *extra]) == EXIT_OK
+        assert (tmp_path / "coupling.csv").read_bytes() == want.encode()
+
+    def test_funnel_csv_bytes(self, tmp_path):
+        dists = write_dists(tmp_path / "d.json", [[0, 1, 2], [3, 4]])
+        assert run(["funnel", "--dists", dists, "--points", 3, "--out-dir", tmp_path]) == EXIT_OK
+        assert (tmp_path / "funnel.csv").read_bytes() == (
+            b"u,lower,upper\n0.0,0.0,0.0\n1.146240625180289,0.0,0.49999999999999994\n"
+            b"2.292481250360578,1.0,0.9999999999999999\n"
+        )
+
     def test_mec_too_large_is_config_error(self, tmp_path):
         p = tmp_path / "p.json"
         q = tmp_path / "q.json"
@@ -932,6 +953,14 @@ class TestUtilities:
         assert "I(A;X)=0.0000 bits" in capsys.readouterr().out
         lines = (tmp_path / "f" / "funnel.csv").read_text().splitlines()
         assert [line.split(",")[2] for line in lines] == ["upper", "0.0", "0.0", "0.0"]
+
+
+@pytest.mark.parametrize("sub", ["generate", "erase", "evaluate", "funnel", "mec", "pic"])
+def test_every_subcommand_takes_out_dir(sub, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run([sub, "--help"])
+    assert exc.value.code == 0
+    assert "--out-dir" in capsys.readouterr().out
 
 
 class TestRunConfig:

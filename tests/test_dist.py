@@ -21,7 +21,7 @@ from pefkit import (
     pic_spectrum,
 )
 from pefkit._kernels import entropy_bits
-from pefkit.dist import _joint_xa, ranked
+from pefkit.dist import _joint_xa, ranked, read_json, write_csv, write_json
 from conftest import random_grouped
 
 
@@ -379,3 +379,20 @@ def test_grouped_json_round_trip():
     for a, b in zip(g.dists, g2.dists):
         assert a.support.tolist() == b.support.tolist()
         np.testing.assert_allclose(a.probs, b.probs)
+
+
+def test_write_csv_spells_every_cell(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ("a", "b", "c"),
+              [(np.int64(3), np.float32(0.5), 0.1), ("x", np.float64(1e-3), True)])
+    assert path.read_bytes() == b"a,b,c\n3,0.5,0.1\nx,0.001,True\n"
+
+
+def test_json_round_trip_and_no_file_on_encode_error(tmp_path):
+    path = tmp_path / "r.json"
+    with pytest.raises(TypeError):
+        write_json({"x": np.float32(1.0)}, path)
+    assert not path.exists()
+    write_json({"b": [1.5], "a": "é"}, path)
+    assert path.read_bytes() == b'{"a": "\\u00e9", "b": [1.5]}\n'
+    assert read_json(path) == {"a": "é", "b": [1.5]}

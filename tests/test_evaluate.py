@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -216,11 +217,23 @@ class TestEvaluateRun:
         assert lines[0] == "method,mode,utility_bits,privacy_bits"
         assert len(lines) == 3
         write_report_json(report, tvs, points, tmp_path / "report.json")
-        import json
-
         obj = json.loads((tmp_path / "report.json").read_text())
         assert obj["report"]["branch"] == "unequal"
         assert len(obj["points"]) == 2
+
+    def test_numpy_points_write_plain_floats(self, tmp_path):
+        """Points built from numpy scalars, as a caller's own MI estimate may
+        be, write cells that ``float()`` parses and a report that loads."""
+        g, f, erased, samples = self._run(200)
+        _, tvs, report = evaluate_run(g, f, erased, samples)
+        points = [TradeoffPoint(np.float64(0.3), np.float64(0.1), "pef", "plugin"),
+                  TradeoffPoint(np.float32(0.25), np.float32(0.5), "pef", "plugin")]
+        emit_tradeoff_csv(points, funnel_bounds(g, 3), tmp_path)
+        lines = (tmp_path / "tradeoff.csv").read_text().splitlines()
+        assert lines[1:] == ["pef,plugin,0.3,0.1", "pef,plugin,0.25,0.5"]
+        write_report_json(report, tvs, points, tmp_path / "report.json")
+        obj = json.loads((tmp_path / "report.json").read_text())
+        assert [p["utility_bits"] for p in obj["points"]] == [0.3, 0.25]
 
 
 def from_pairs_by_sorting(pairs) -> JointCounts:
