@@ -16,6 +16,7 @@ perfbench's tracer wraps only modules already loaded when it installs.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -46,7 +47,7 @@ EXIT_IO = 5
 
 def _flags(args) -> dict:
     """Every parsed flag but ``--out-dir``."""
-    return {k: v for k, v in vars(args).items() if k not in ("command", "func", "out_dir")}
+    return {k: v for k, v in vars(args).items() if k not in ("command", "out_dir")}
 
 
 def cmd_generate(args) -> dict:
@@ -86,6 +87,8 @@ def cmd_erase(args) -> dict:
     else:
         f, report = pef.run_algorithm1(samples, args.tol, bo)
     erased = pef.apply(f, samples, args.seed)
+    # apply copied the rows, so only the erased ones stay alive for the writes.
+    del samples
     os.makedirs(args.out_dir, exist_ok=True)
     pef.write_erased_csv(erased, os.path.join(args.out_dir, "erased.csv"))
     pef.save_function_json(f, os.path.join(args.out_dir, "function.json"))
@@ -162,7 +165,9 @@ def cmd_pic(args) -> dict:
     return _flags(args)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``pefkit`` parser, built once per process; ``main`` picks the command."""
     parser = argparse.ArgumentParser(
         prog="pefkit",
         description="Perfect erasure functions over finite categorical distributions",
@@ -178,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--samples", type=int, default=10000)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--dirichlet-alpha", type=float, default=1.0)
-    p_gen.set_defaults(func=cmd_generate)
 
     p_erase = sub.add_parser("erase", parents=[out], help="build and apply an erasure function")
     p_erase.add_argument("--samples", required=True)
@@ -198,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_erase.add_argument("--bo-acq-candidates", type=int, default=1024)
     p_erase.add_argument("--bo-seed", type=int, default=0)
     p_erase.add_argument("--seed", type=int, default=0)
-    p_erase.set_defaults(func=cmd_erase)
 
     p_eval = sub.add_parser("evaluate", parents=[out], help="measure an erasure run")
     p_eval.add_argument("--dists", required=True)
@@ -206,32 +209,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--erased", required=True)
     p_eval.add_argument("--samples", required=True)
     p_eval.add_argument("--funnel-points", type=int, default=101)
-    p_eval.set_defaults(func=cmd_evaluate)
 
     p_funnel = sub.add_parser("funnel", parents=[out], help="emit the funnel envelope")
     p_funnel.add_argument("--dists", required=True)
     p_funnel.add_argument("--points", type=int, default=101)
-    p_funnel.set_defaults(func=cmd_funnel)
 
     p_mec = sub.add_parser("mec", parents=[out], help="couple two distributions")
     p_mec.add_argument("--p", required=True, help="distribution JSON")
     p_mec.add_argument("--q", required=True, help="distribution JSON")
     p_mec.add_argument("--oracle", action="store_true")
     p_mec.add_argument("--max-cells", type=int, default=20)
-    p_mec.set_defaults(func=cmd_mec)
 
     p_pic = sub.add_parser("pic", parents=[out], help="principal inertia component diagnostics")
     p_pic.add_argument("--dists", required=True)
-    p_pic.set_defaults(func=cmd_pic)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = args.func(args)
+        # Looked up at call time, so a rebound ``cmd_*`` (perfbench's
+        # tracer swaps them) is the one that runs.
+        config = globals()[f"cmd_{args.command}"](args)
         record = {"subcommand": args.command, "config": config}
         write_json(record, os.path.join(args.out_dir, "run_config.json"))
         return EXIT_OK

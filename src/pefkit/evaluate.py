@@ -74,18 +74,30 @@ class JointCounts:
         _freeze(self, rows=rows, cols=cols, cells=cells, counts=counts, n=total)
 
     @classmethod
-    def from_pairs(cls, pairs: ArrayLike) -> "JointCounts":
+    def from_pairs(cls, pairs: ArrayLike, *, col_labels: ArrayLike | None = None) -> "JointCounts":
         """Count (row label, col label) pairs, given as an (n, 2) array or a list.
 
-        Labels and cells come out sorted, as from ``np.unique``. Each
-        column is coded by ``symbol_codes`` and the cells counted by
-        ``symbol_counts``, so a column or table whose span fits the rows is
-        handled by a table gather or one ``bincount``, with no sort.
+        With ``col_labels``, ``pairs`` holds the n row labels alone and
+        ``col_labels`` the n col labels, so two columns of different arrays
+        are counted without being stacked into one. Labels and cells come
+        out sorted, as from ``np.unique``. Each column is coded by
+        ``symbol_codes`` and the cells counted by ``symbol_counts``, so a
+        column or table whose span fits the rows is handled by a table
+        gather or one ``bincount``, with no sort.
         """
-        pairs = as_samples(pairs)
-        rows, ri = symbol_codes(pairs[:, 0])
-        cols, ci = symbol_codes(pairs[:, 1])
-        codes, counts = symbol_counts(ri * len(cols) + ci)
+        if col_labels is None:
+            pairs = as_samples(pairs)
+            pairs, col_labels = pairs[:, 0], pairs[:, 1]
+        elif np.ndim(pairs) != 1 or np.shape(pairs) != np.shape(col_labels):
+            raise ValueError("row and col labels must be two columns of one length")
+        rows, ri = symbol_codes(pairs)
+        cols, ci = symbol_codes(col_labels)
+        # The codes are fresh arrays: form the cell codes in place and free
+        # ``ci`` before they are counted.
+        ri *= len(cols)
+        ri += ci
+        del ci
+        codes, counts = symbol_counts(ri)
         cells = np.column_stack(np.divmod(codes, len(cols)))
         return cls(rows, cols, cells, counts)
 
@@ -173,7 +185,7 @@ def evaluate_run(
         za.rows, f.output_support, "the erased samples",
         "the output_support of the erasure function",
     )
-    zx = JointCounts.from_pairs(np.column_stack([z, original[:, 0]]))
+    zx = JointCounts.from_pairs(z, col_labels=original[:, 0])
     points.append(TradeoffPoint(plugin_mi(zx), plugin_mi(za), "pef", "plugin"))
     return points, _group_tvs(za, true_dists.concepts), report
 

@@ -435,24 +435,34 @@ def _positions(ids: np.ndarray, x: ArrayLike) -> np.ndarray:
     return pos
 
 
+#: Rows erased per pass; bounds the temporaries ``apply`` holds at once.
+APPLY_CHUNK = 1 << 14
+
+
 def apply(f: ErasureFunction, samples: ArrayLike, seed: int) -> np.ndarray:
     """Erase samples, preserving order; returns an (n, 2) array of (z, concept).
 
-    Each symbol's row is looked up among the sorted input ids by
-    ``symbol_codes`` and drawn from by inverse CDF: row i uses the i-th
-    double of ``Generator(Philox(key=seed))``, so every draw is a function of
-    (seed, i) alone and a prefix of the samples erases to a prefix of the
-    output. A function whose rows are all single cells (every deterministic
-    one) draws nothing and ignores ``seed``. Unknown symbols raise KeyError.
+    The result is a copy of the rows with column 0 overwritten; the input is
+    never written. Each symbol's row is looked up among the sorted input ids
+    by ``symbol_codes`` and drawn from by inverse CDF, ``APPLY_CHUNK`` rows
+    at a time, so the temporaries are of fixed size whatever the row count.
+    Row i uses the i-th double of ``Generator(Philox(key=seed))``, which
+    every chunk draws from in turn, so every draw is a function of (seed, i)
+    alone, the output does not depend on the chunk size, and a prefix of
+    the samples erases to a prefix of the output. A function whose rows are
+    all single cells (every deterministic one) draws nothing and ignores
+    ``seed``. Unknown symbols raise KeyError, naming the first.
     """
     rows = as_samples(samples)
-    pos = _positions(f.ids, rows[:, 0])
-    if len(f.out) > len(f.ids):
-        u = np.random.Generator(np.random.Philox(key=seed)).random(len(rows))
-    else:
-        u = np.zeros(len(rows))
-    z = f.out[row_searchsorted(f.cdfs, f.bounds[pos], f.bounds[pos + 1] - 1, u)]
-    return np.column_stack([z, rows[:, 1]])
+    erased = rows.copy()
+    draws = np.random.Generator(np.random.Philox(key=seed)) if len(f.out) > len(f.ids) else None
+    for start in range(0, len(rows), APPLY_CHUNK):
+        pos = _positions(f.ids, rows[start:start + APPLY_CHUNK, 0])
+        u = draws.random(len(pos)) if draws is not None else np.zeros(len(pos))
+        erased[start:start + len(pos), 0] = f.out[
+            row_searchsorted(f.cdfs, f.bounds[pos], f.bounds[pos + 1] - 1, u)
+        ]
+    return erased
 
 
 def save_function_json(f: ErasureFunction, path) -> None:

@@ -1014,3 +1014,48 @@ class TestRunConfig:
         assert (tmp_path / "run" / "run_config.json").read_text() == (
             json.dumps(expected, sort_keys=True) + "\n"
         )
+
+
+class TestParserOncePerProcess:
+    """``main`` parses with one parser per process and looks each command up at call time."""
+
+    def test_parser_is_built_once(self):
+        from pefkit import cli
+
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_rebound_command_runs(self, tmp_path, monkeypatch):
+        from pefkit import cli
+
+        dists = write_dists(tmp_path / "d.json", [[0, 1], [2, 3]])
+        # A call first, so the parser exists before the rebinding, as it does
+        # when a tracer wraps the commands after a warm-up pass.
+        assert run(["pic", "--dists", dists, "--out-dir", tmp_path / "warm"]) == EXIT_OK
+        seen = []
+
+        def patched(args):
+            seen.append(args.function)
+            return {"patched": True}
+
+        monkeypatch.setattr(cli, "cmd_evaluate", patched)
+        argv = ["evaluate", "--dists", dists, "--function", "f.json", "--erased", "e.csv",
+                "--samples", "s.csv", "--out-dir", tmp_path / "run"]
+        (tmp_path / "run").mkdir()  # the patched command writes nothing
+        assert run(argv) == EXIT_OK
+        assert seen == ["f.json"]
+        record = json.loads((tmp_path / "run" / "run_config.json").read_text())
+        assert record == {"subcommand": "evaluate", "config": {"patched": True}}
+
+    def test_calls_share_no_parsed_state(self, tmp_path):
+        dists = write_dists(tmp_path / "d.json", [[0, 1], [2, 3]])
+
+        def config(argv, name):
+            assert run([*argv, "--out-dir", tmp_path / name]) == EXIT_OK
+            return json.loads((tmp_path / name / "run_config.json").read_text())
+
+        assert config(["funnel", "--dists", dists, "--points", 7], "a") == {
+            "subcommand": "funnel", "config": {"dists": str(dists), "points": 7}}
+        assert config(["pic", "--dists", dists], "b") == {
+            "subcommand": "pic", "config": {"dists": str(dists)}}
+        assert config(["funnel", "--dists", dists], "c") == {
+            "subcommand": "funnel", "config": {"dists": str(dists), "points": 101}}

@@ -736,13 +736,14 @@ class TestApplyLookup:
 
 
 @st.composite
-def _stochastic_functions(draw):
-    """A stochastic function on random sparse ids, and samples over its ids."""
+def _functions(draw, variant="stochastic"):
+    """A function of ``variant`` on random sparse ids, and samples over its ids."""
     out = tuple(range(10**6, 10**6 + 8))
     ids = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=6, unique=True))
+    cells = 8 if variant == "stochastic" else 1
     sizes, outs, probs = [], [], []
     for _ in ids:
-        support = draw(st.lists(st.sampled_from(out), min_size=1, max_size=8, unique=True))
+        support = draw(st.lists(st.sampled_from(out), min_size=1, max_size=cells, unique=True))
         w = np.array(
             draw(st.lists(st.floats(1e-3, 1.0), min_size=len(support), max_size=len(support)))
         )
@@ -750,7 +751,7 @@ def _stochastic_functions(draw):
         outs += support
         probs += (w / w.sum()).tolist()
     f = ErasureFunction(
-        "stochastic", out, Categorical.uniform(out),
+        variant, out, Categorical.uniform(out),
         ids=ids, bounds=np.cumsum([0, *sizes]), out=outs, probs=probs,
     )
     xs = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=300))
@@ -758,7 +759,7 @@ def _stochastic_functions(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_stochastic_functions(), st.integers(0, 2**64 - 1), st.data())
+@given(_functions(), st.integers(0, 2**64 - 1), st.data())
 def test_stochastic_apply_is_exact_inverse_cdf(fs, seed, data):
     f, samples = fs
     erased = apply(f, samples, seed)
@@ -776,6 +777,37 @@ def test_stochastic_apply_is_exact_inverse_cdf(fs, seed, data):
     reloaded = ErasureFunction.from_json(json.loads(text))
     np.testing.assert_array_equal(apply(reloaded, samples, seed), erased)
     assert json.dumps(reloaded.to_json(), sort_keys=True) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(["deterministic", "stochastic"]).flatmap(_functions),
+    st.integers(0, 2**64 - 1),
+    st.integers(1, 7),
+)
+def test_apply_does_not_depend_on_chunk_size(fs, seed, chunk):
+    f, samples = fs
+    before = samples.copy()
+    assert len(samples) <= pef.APPLY_CHUNK
+    whole = apply(f, samples, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pef, "APPLY_CHUNK", chunk)
+        chunked = apply(f, samples, seed)
+    assert chunked.dtype == whole.dtype == np.int64
+    assert chunked.tobytes() == whole.tobytes()
+    np.testing.assert_array_equal(samples, before)
+
+
+@pytest.mark.parametrize("variant", sorted(TestApplyLookup.VARIANTS))
+def test_apply_names_the_first_unknown_symbol_in_a_later_chunk(monkeypatch, variant):
+    f, _ = build_pef(_sparse_ids_grouped(*TestApplyLookup.VARIANTS[variant]), tol=1e-9)
+    assert f.variant == variant
+    monkeypatch.setattr(pef, "APPLY_CHUNK", 2)
+    samples = np.array([(10, 0), (20, 0), (40, 1), (60, 1), (30, 0), (15, 0), (70, 0), (5, 0)])
+    before = samples.copy()
+    with pytest.raises(KeyError, match="unknown symbol 15"):
+        apply(f, samples, seed=0)
+    np.testing.assert_array_equal(samples, before)
 
 
 class TestEndToEnd:
