@@ -737,7 +737,9 @@ class TestApplyLookup:
 
 @st.composite
 def _functions(draw, variant="stochastic"):
-    """A function of ``variant`` on random sparse ids, and samples over its ids."""
+    """The table of a function of ``variant`` on random sparse ids, as plain
+    values that Hypothesis can print, and samples over its ids; ``_build``
+    makes the function."""
     out = tuple(range(10**6, 10**6 + 8))
     ids = draw(st.lists(st.integers(0, 2**40), min_size=1, max_size=6, unique=True))
     cells = 8 if variant == "stochastic" else 1
@@ -750,18 +752,21 @@ def _functions(draw, variant="stochastic"):
         sizes.append(len(support))
         outs += support
         probs += (w / w.sum()).tolist()
-    f = ErasureFunction(
-        variant, out, Categorical.uniform(out),
-        ids=ids, bounds=np.cumsum([0, *sizes]), out=outs, probs=probs,
-    )
+    table = dict(variant=variant, output_support=out, ids=ids,
+                 bounds=np.cumsum([0, *sizes]).tolist(), out=outs, probs=probs)
     xs = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=300))
-    return f, np.column_stack([xs, np.arange(len(xs)) % 3])
+    return table, np.column_stack([xs, np.arange(len(xs)) % 3])
+
+
+def _build(table):
+    return ErasureFunction(q=Categorical.uniform(table["output_support"]), **table)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_functions(), st.integers(0, 2**64 - 1), st.data())
 def test_stochastic_apply_is_exact_inverse_cdf(fs, seed, data):
-    f, samples = fs
+    table, samples = fs
+    f = _build(table)
     erased = apply(f, samples, seed)
     u = np.random.Generator(np.random.Philox(key=seed)).random(len(samples))
     for (x, _), z, ui in zip(samples.tolist(), erased[:, 0].tolist(), u):
@@ -786,7 +791,8 @@ def test_stochastic_apply_is_exact_inverse_cdf(fs, seed, data):
     st.integers(1, 7),
 )
 def test_apply_does_not_depend_on_chunk_size(fs, seed, chunk):
-    f, samples = fs
+    table, samples = fs
+    f = _build(table)
     before = samples.copy()
     assert len(samples) <= pef.APPLY_CHUNK
     whole = apply(f, samples, seed)
