@@ -4,14 +4,17 @@
 coupling comes from ``greedy_cells``, which runs a heap per coupling below
 ``LOCKSTEP_MIN`` couplings and steps them in lockstep from there, with the
 same cells bit for bit; ``greedy_fill`` is its dense view of one coupling.
-``row_searchsorted`` draws every stochastic erasure. ``symbol_codes``
+``row_searchsorted`` draws every stochastic erasure. ``symbol_coder``
 gives each symbol id its dense code and ``symbol_counts`` counts the ids,
 for every per-row lookup: ``apply``'s row of each sample, the labels and
 cells of ``evaluate``'s joint counts, the groups of Algorithm 1 and the
-owner check of ``erase --dists``. Where the ids span no more than the
-rows being coded, both index a table by ``id - min`` (O(n), no sort);
-otherwise they sort or search as ``np.unique`` and ``np.searchsorted`` do.
-All take and return plain arrays, not ``Categorical`` or ``Coupling``
+owner check of ``erase --dists``; ``symbol_codes`` codes a whole column
+with it. One rule, ``_table_fits``, read once per column: where the ids
+span no more than the column's rows, both index a table by ``id - min``
+(O(n), no sort); otherwise they sort or search as ``np.unique`` and
+``np.searchsorted`` do. Columns are coded and counted ``CODE_CHUNK``
+values at a time (``chunks``), so a pass over n rows holds fixed-size
+temporaries and no second array of n. All take and return plain arrays, not ``Categorical`` or ``Coupling``
 values, so hot callers skip the validation those types do on
 construction, and this module imports nothing from pefkit, so every other
 module can use it without an import cycle.
@@ -20,6 +23,7 @@ module can use it without an import cycle.
 from __future__ import annotations
 
 import heapq
+from typing import Callable
 
 import numpy as np
 
@@ -163,64 +167,120 @@ def _table_fits(lo: int, hi: int, n: int) -> bool:
     return hi - lo < n
 
 
+#: Values coded or counted per pass; bounds the temporaries of the chunked
+#: column passes (``symbol_codes``, ``symbol_counts`` and their callers).
+CODE_CHUNK = 1 << 14
+
+
+def chunks(n: int) -> list[slice]:
+    """Slices of ``CODE_CHUNK`` rows that cover ``range(n)`` in order."""
+    step = CODE_CHUNK
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
+def symbol_coder(
+    ids: np.ndarray, n: int, *, known: bool = False
+) -> Callable[[np.ndarray], np.ndarray]:
+    """A function that codes chunks of one column of ``n`` int64 values: the
+    index of each value in the ascending, distinct int64 ``ids``, or -1
+    where it is absent.
+
+    Built once per column, and ``_table_fits`` is applied to the whole
+    column: where ``ids`` span at most ``n``, a table indexed by
+    ``id - min`` holds each id's code and a chunk is coded by one gather;
+    otherwise by ``np.searchsorted``. With ``known``, every value is one of
+    ``ids``, so the range and found checks are skipped. Values outside the
+    span are never offset, so ids near the int64 limits cannot wrap around.
+    """
+    if not ids.size:
+        return lambda values: np.full(values.shape, -1, dtype=np.intp)
+    lo, hi = int(ids[0]), int(ids[-1])
+    if not _table_fits(lo, hi, n):
+        if known:
+            return lambda values: np.searchsorted(ids, values)
+
+        def search(values):
+            pos = np.searchsorted(ids, values)
+            found = ids[np.minimum(pos, len(ids) - 1)] == values
+            return np.where(found, pos, -1)
+
+        return search
+    table = np.full(hi - lo + 1, -1, dtype=np.intp)
+    table[ids - lo] = np.arange(len(ids))
+    if known:
+        return lambda values: table[values - lo]
+
+    def gather(values):
+        codes = table[np.clip(values, lo, hi) - lo]
+        codes[(values < lo) | (values > hi)] = -1
+        return codes
+
+    return gather
+
+
 def symbol_codes(
     values: np.ndarray, ids: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense code of each of the int64 ``values``: ``(ids, codes)``.
 
-    With ``ids`` None the ids are the distinct values ascending, and the
-    result equals ``np.unique(values, return_inverse=True)``. Given ``ids``
-    (ascending and distinct), ``codes[i]`` is the index of ``values[i]`` in
-    them, or -1 where it is absent.
-
-    One rule picks the path. When the ids span (largest minus smallest,
-    plus one) is at most ``len(values)``, a table indexed by ``id - min``
-    holds each id's code, and coding is one gather: O(n), and the table is
-    never larger than the column being coded. Otherwise ``np.unique`` or
-    ``np.searchsorted`` sort or search, as before. The span is taken in
-    Python ints and only in-range values are offset, so ids near the int64
-    limits cannot wrap around.
+    With ``ids`` None the ids are the distinct values ascending (from
+    ``symbol_counts``), and the result equals ``np.unique(values,
+    return_inverse=True)``. Given ``ids`` (ascending and distinct),
+    ``codes[i]`` is the index of ``values[i]`` in them, or -1 where it is
+    absent. ``symbol_coder`` codes the column ``CODE_CHUNK`` values at a
+    time into the one output array, so beyond it only a table no larger
+    than the column and fixed-size temporaries are held.
     """
     values = np.asarray(values, dtype=np.int64)
-    if ids is None:
-        if not values.size:
-            return values.copy(), np.zeros(0, dtype=np.intp)
-        lo, hi = int(values.min()), int(values.max())
-        if not _table_fits(lo, hi, values.size):
-            ids, codes = np.unique(values, return_inverse=True)
-            return ids, codes.reshape(-1)
-        offset = values - lo
-        seen = np.zeros(hi - lo + 1, dtype=bool)
-        seen[offset] = True
-        table = np.cumsum(seen, dtype=np.intp) - 1
-        return np.flatnonzero(seen) + lo, table[offset]
-    ids = np.asarray(ids, dtype=np.int64)
-    if not ids.size:
-        return ids, np.full(values.shape, -1, dtype=np.intp)
-    lo, hi = int(ids[0]), int(ids[-1])
-    if not _table_fits(lo, hi, values.size):
-        pos = np.searchsorted(ids, values)
-        found = ids[np.minimum(pos, len(ids) - 1)] == values
-        return ids, np.where(found, pos, -1)
-    table = np.full(hi - lo + 1, -1, dtype=np.intp)
-    table[ids - lo] = np.arange(len(ids))
-    codes = table[np.clip(values, lo, hi) - lo]
-    codes[(values < lo) | (values > hi)] = -1
+    known = ids is None
+    ids = symbol_counts(values)[0] if known else np.asarray(ids, dtype=np.int64)
+    code = symbol_coder(ids, values.size, known=known)
+    codes = np.empty(values.shape, dtype=np.intp)
+    for part in chunks(values.size):
+        codes[part] = code(values[part])
     return ids, codes
 
 
-def symbol_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def symbol_counts(values: np.ndarray, *, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(values, return_counts=True)`` of int64 ``values``.
 
-    Under ``symbol_codes``' rule: one ``bincount`` over ``value - min``
-    where the values span at most ``len(values)``, else the sort.
+    Under ``symbol_coder``'s rule: where the values span at most
+    ``len(values)``, a table of counts indexed by ``value - min``, filled
+    ``CODE_CHUNK`` values at a time (by ``bincount`` where the table is no
+    longer than a chunk, else by ``np.add.at``, so a pass costs O(chunk)
+    either way); else the sort. With ``overwrite``, ``values`` must be an
+    int64 array that the caller owns and will not read again: it is offset
+    in place and counted by one ``bincount``, or sorted in place, so no
+    temporary as long as the column is made.
     """
     values = np.asarray(values, dtype=np.int64)
     if not values.size:
         return values.copy(), np.zeros(0, dtype=np.intp)
     lo, hi = int(values.min()), int(values.max())
     if not _table_fits(lo, hi, values.size):
-        return np.unique(values, return_counts=True)
-    counts = np.bincount(values - lo, minlength=hi - lo + 1)
+        if overwrite:
+            values.sort()
+            return _runs(values)
+        return _runs(np.sort(values))
+    if overwrite:
+        values -= lo
+        counts = np.bincount(values, minlength=hi - lo + 1)
+    else:
+        counts = np.zeros(hi - lo + 1, dtype=np.intp)
+        for part in chunks(values.size):
+            offset = values[part] - lo
+            if len(counts) <= len(offset):
+                counts += np.bincount(offset, minlength=len(counts))
+            else:
+                np.add.at(counts, offset, 1)
     seen = np.flatnonzero(counts)
     return seen + lo, counts[seen]
+
+
+def _runs(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the sorted, non-empty ``ordered`` and the length of each run."""
+    start = np.empty(ordered.size, dtype=bool)
+    start[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=start[1:])
+    first = np.flatnonzero(start)
+    return ordered[first], np.diff(first, append=ordered.size)

@@ -5,8 +5,9 @@ kept only as an input to ErasureFunction), entropy / mutual information in
 bits, permutation-equivalence testing, the erasure-funnel envelope, and the
 principal-inertia-component feasibility diagnostics. Two group forms are
 derived only here: ``ranked(p)``, a group's symbols and probabilities by
-descending probability (ties by ascending id), and
-``GroupedData.joint_mass()``, P(X=x, A=a_i) for each entry of ``symbols``.
+descending probability (ties by ascending id), which ``GroupedData.ranked``
+holds for every group, derived once, and ``GroupedData.joint_mass()``,
+P(X=x, A=a_i) for each entry of ``symbols``.
 
 All quantities are in bits. Everything here but the file functions is a
 pure function on immutable values and safe to call concurrently. JSON
@@ -16,6 +17,7 @@ files and CSV tables are read and written only here (``read_json``,
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -23,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._kernels import entropy_bits, symbol_codes
+from ._kernels import entropy_bits, symbol_codes, symbol_counts
 
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike
@@ -59,10 +61,10 @@ def check_symbols_known(
     missing symbols and names the smallest.
     """
     symbols = np.asarray(symbols, dtype=np.int64)
-    codes = symbol_codes(symbols, symbol_codes(known)[0])[1]
+    codes = symbol_codes(symbols, symbol_counts(known)[0])[1]
     missing = codes < 0
     if missing.any():
-        missing = symbol_codes(symbols[missing])[0]
+        missing = symbol_counts(symbols[missing])[0]
         raise AlignmentError(
             f"{len(missing)} symbol(s) of {what} missing from {where}, "
             f"first {missing[0]}"
@@ -129,7 +131,7 @@ class Categorical:
         probs = np.asarray(self.probs, dtype=np.float64)
         if probs.ndim != 1 or len(support) != probs.size:
             raise DistError("support and probs must be 1-d and the same length")
-        if len(symbol_codes(support)[0]) != len(support):
+        if len(symbol_counts(support)[0]) != len(support):
             raise DistError("symbol ids must be unique within a support")
         if np.any(support < 0):
             raise DistError("symbol ids must be non-negative")
@@ -209,7 +211,7 @@ class GroupedData:
             raise DistError("priors must be 1-d and match the number of groups")
         if len(groups) == 0:
             raise DistError("need at least one group")
-        if len(symbol_codes(concepts)[0]) != len(groups):
+        if len(symbol_counts(concepts)[0]) != len(groups):
             raise DistError("concept ids must be unique")
         if not np.all(np.isfinite(priors)) or np.any(priors < -TRIM_EPS):
             raise DistError("priors must be finite and non-negative")
@@ -230,6 +232,15 @@ class GroupedData:
     def dists(self) -> tuple[Categorical, ...]:
         return tuple(d for _, d in self.groups)
 
+    @functools.cached_property
+    def ranked(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """``ranked(d)`` of each group, in group order, derived once and read-only."""
+        forms = tuple(ranked(d) for d in self.dists)
+        for arrays in forms:
+            for a in arrays:
+                a.setflags(write=False)
+        return forms
+
     @property
     def supports_disjoint(self) -> bool:
         # Each support is distinct within itself.
@@ -237,7 +248,7 @@ class GroupedData:
 
     @property
     def n_symbols(self) -> int:
-        return len(symbol_codes(self.symbols)[0])
+        return len(symbol_counts(self.symbols)[0])
 
     @property
     def max_symbol_id(self) -> int:

@@ -2,10 +2,11 @@
 
 Plug-in mutual information from joint counts, total-variation erasure
 checks, tradeoff-point assembly against the funnel envelope, and CSV
-emission for plotting. Joint counts code each column's labels with
-``symbol_codes`` and count the cells with one ``bincount`` where the
-table fits the rows, and the per-group TV checks are read off the
-(z, concept) counts, so ``evaluate`` makes no per-row sort of dense ids.
+emission for plotting. Joint counts code the two columns into one array
+of cell codes, a chunk at a time, and count it in place with one
+``bincount`` where the cells fit the rows, and the per-group TV checks
+are read off the (z, concept) counts, so ``evaluate`` makes no per-row
+sort of dense ids and holds one code per row beyond its inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ._kernels import symbol_codes, symbol_counts
+from ._kernels import chunks, symbol_coder, symbol_codes, symbol_counts
 from .dist import (
     AlignmentError,
     Categorical,
@@ -80,24 +81,29 @@ class JointCounts:
         With ``col_labels``, ``pairs`` holds the n row labels alone and
         ``col_labels`` the n col labels, so two columns of different arrays
         are counted without being stacked into one. Labels and cells come
-        out sorted, as from ``np.unique``. Each column is coded by
-        ``symbol_codes`` and the cells counted by ``symbol_counts``, so a
-        column or table whose span fits the rows is handled by a table
-        gather or one ``bincount``, with no sort.
+        out sorted, as from ``np.unique``. The row labels are coded into one
+        int64 array by ``symbol_codes``; the col labels' distinct ids come
+        from ``symbol_counts``, and each chunk of their codes is added into
+        that array in place, so it ends holding each pair's cell code. It is
+        then counted in place: by one ``bincount`` where the cells span at
+        most the rows, else sorted and its runs counted. So beyond its
+        inputs this holds one code per pair, the label tables and
+        fixed-size chunks, never a second full-length array.
         """
         if col_labels is None:
             pairs = as_samples(pairs)
             pairs, col_labels = pairs[:, 0], pairs[:, 1]
         elif np.ndim(pairs) != 1 or np.shape(pairs) != np.shape(col_labels):
             raise ValueError("row and col labels must be two columns of one length")
-        rows, ri = symbol_codes(pairs)
-        cols, ci = symbol_codes(col_labels)
-        # The codes are fresh arrays: form the cell codes in place and free
-        # ``ci`` before they are counted.
-        ri *= len(cols)
-        ri += ci
-        del ci
-        codes, counts = symbol_counts(ri)
+        col_labels = np.asarray(col_labels, dtype=np.int64)
+        rows, codes = symbol_codes(pairs)
+        cols = symbol_counts(col_labels)[0]
+        col_code = symbol_coder(cols, len(codes), known=True)
+        for part in chunks(len(codes)):
+            cell = codes[part]
+            cell *= len(cols)
+            cell += col_code(col_labels[part])
+        codes, counts = symbol_counts(codes, overwrite=True)
         cells = np.column_stack(np.divmod(codes, len(cols)))
         return cls(rows, cols, cells, counts)
 

@@ -20,7 +20,14 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from ._kernels import entropy_bits, row_searchsorted, symbol_codes, symbol_counts
+from ._kernels import (
+    chunks,
+    entropy_bits,
+    row_searchsorted,
+    symbol_coder,
+    symbol_codes,
+    symbol_counts,
+)
 from .coupling import conditional_rows
 from .dist import (
     EXACT_TOL,
@@ -38,7 +45,6 @@ from .dist import (
     check_symbols_known,
     conditional_entropy_x_given_a,
     entropy,
-    ranked,
     read_json,
     write_json,
 )
@@ -241,8 +247,8 @@ def build_deterministic_pef(g: GroupedData, tol: float = EXACT_TOL) -> ErasureFu
                 f"group {concept} is not permutation-equal to group {g.concepts[0]}"
             )
     support = output_support(g, len(ref))
-    q = Categorical(support, ranked(ref)[1])
-    ids = np.concatenate([ranked(d)[0] for d in g.dists])
+    q = Categorical(support, g.ranked[0][1])
+    ids = np.concatenate([symbols for symbols, _ in g.ranked])
     return ErasureFunction(
         "deterministic",
         support,
@@ -266,8 +272,7 @@ def build_stochastic_pef(g: GroupedData, q: QCandidate) -> ErasureFunction:
     """
     support = q.dist.support
     parts = []
-    for d, (rows, cols, mass) in zip(g.dists, q.cells, strict=True):
-        symbols, probs = ranked(d)
+    for (symbols, probs), (rows, cols, mass) in zip(g.ranked, q.cells, strict=True):
         bounds, cols, probs = conditional_rows(rows, cols, mass, probs)
         parts.append((symbols, np.diff(bounds), cols, probs))
     ids, sizes, cols, probs = (np.concatenate(a) for a in zip(*parts))
@@ -332,35 +337,55 @@ def default_tol(n_min: int, delta: float = 0.01) -> float:
 
 
 def grouped_from_samples(samples: ArrayLike) -> GroupedData:
-    """Empirical group distributions and priors; enforces A4 and >= 2 concepts."""
+    """Empirical group distributions and priors; enforces A4 and >= 2 concepts.
+
+    ``symbol_counts`` gives the distinct concepts and symbols with their
+    row counts. Each column's code table is then built once, and the rows
+    are coded ``CODE_CHUNK`` at a time to file each symbol under the
+    concept of the first chunk that holds it and to check every row
+    against it, so beyond the samples only per-label arrays and fixed-size
+    chunks are held.
+    """
     rows = as_samples(samples)
     if not len(rows):
         raise DataConstraintError("empty sample set")
     x, concept = rows[:, 0], rows[:, 1]
-    concepts, a = symbol_codes(concept)
+    concepts, sizes = symbol_counts(concept)
     if len(concepts) < 2:
         raise DataConstraintError("need samples from at least two concepts")
-    symbols, code = symbol_codes(x)
-    # Some concept of each symbol; a symbol under two concepts fails the
-    # comparison on the rows of whichever one the table does not hold.
-    owner = np.zeros(len(symbols), dtype=np.intp)
-    owner[code] = a
-    if np.any(owner[code] != a):
-        # Each row against the concept of the first row holding its symbol.
-        _, first, inverse = np.unique(x, return_index=True, return_inverse=True)
-        held = concept[first][inverse]
-        i = np.argmax(held != concept)
-        raise DataConstraintError(
-            f"symbol {x[i]} appears under concepts {held[i]} and {concept[i]} "
-            "(disjoint-support assumption violated)"
-        )
-    counts = np.bincount(code, minlength=len(symbols))
+    symbols, counts = symbol_counts(x)
+    concept_code = symbol_coder(concepts, len(rows), known=True)
+    symbol_code = symbol_coder(symbols, len(rows), known=True)
+    owner = np.full(len(symbols), -1, dtype=np.intp)
+    for part in chunks(len(rows)):
+        code, a = symbol_code(x[part]), concept_code(concept[part])
+        held = owner[code]
+        new = held < 0
+        if new.any():
+            # A new symbol on two rows of the chunk keeps one row's concept;
+            # the gather again checks the other row against it.
+            owner[code[new]] = a[new]
+            held = owner[code]
+        if np.any(held != a):
+            _raise_shared_symbol(x, concept)
     dists = []
     for k in range(len(concepts)):
         mine = owner == k
         dists.append(Categorical(symbols[mine], counts[mine] / counts[mine].sum()))
-    priors = np.bincount(a).astype(np.float64) / len(rows)
+    priors = sizes.astype(np.float64) / len(rows)
     return GroupedData(tuple(zip(concepts, dists)), priors)
+
+
+def _raise_shared_symbol(x: np.ndarray, concept: np.ndarray) -> None:
+    """DataConstraintError naming the first row whose concept differs from
+    that of the first row holding its symbol."""
+    _, first, inverse = np.unique(x, return_index=True, return_inverse=True)
+    held = concept[first][inverse]
+    i = np.argmax(held != concept)
+    raise DataConstraintError(
+        f"symbol {x[i]} appears under concepts {held[i]} and {concept[i]} "
+        "(disjoint-support assumption violated)"
+    )
 
 
 def check_sample_concepts(g: GroupedData, samples: ArrayLike) -> None:
@@ -428,7 +453,11 @@ def run_algorithm1(
 def _positions(ids: np.ndarray, x: ArrayLike) -> np.ndarray:
     """Index of each symbol of ``x`` in the sorted ``ids``; KeyError if absent."""
     x = np.asarray(x, dtype=np.int64)
-    pos = symbol_codes(x, ids)[1]
+    return _known(x, symbol_codes(x, ids)[1])
+
+
+def _known(x: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """``pos``, the codes of ``x``; KeyError naming the first symbol coded -1."""
     unknown = pos < 0
     if unknown.any():
         raise KeyError(f"unknown symbol {x[np.argmax(unknown)]}")
@@ -444,8 +473,9 @@ def apply(f: ErasureFunction, samples: ArrayLike, seed: int) -> np.ndarray:
 
     The result is a copy of the rows with column 0 overwritten; the input is
     never written. Each symbol's row is looked up among the sorted input ids
-    by ``symbol_codes`` and drawn from by inverse CDF, ``APPLY_CHUNK`` rows
-    at a time, so the temporaries are of fixed size whatever the row count.
+    by one ``symbol_coder`` built for the whole column and drawn from by
+    inverse CDF, ``APPLY_CHUNK`` rows at a time, so the temporaries are of
+    fixed size whatever the row count.
     Row i uses the i-th double of ``Generator(Philox(key=seed))``, which
     every chunk draws from in turn, so every draw is a function of (seed, i)
     alone, the output does not depend on the chunk size, and a prefix of
@@ -456,8 +486,10 @@ def apply(f: ErasureFunction, samples: ArrayLike, seed: int) -> np.ndarray:
     rows = as_samples(samples)
     erased = rows.copy()
     draws = np.random.Generator(np.random.Philox(key=seed)) if len(f.out) > len(f.ids) else None
+    code = symbol_coder(f.ids, len(rows))
     for start in range(0, len(rows), APPLY_CHUNK):
-        pos = _positions(f.ids, rows[start:start + APPLY_CHUNK, 0])
+        x = rows[start:start + APPLY_CHUNK, 0]
+        pos = _known(x, code(x))
         u = draws.random(len(pos)) if draws is not None else np.zeros(len(pos))
         erased[start:start + len(pos), 0] = f.out[
             row_searchsorted(f.cdfs, f.bounds[pos], f.bounds[pos + 1] - 1, u)

@@ -9,7 +9,8 @@ scan. Every candidate is scored by ``_scored``, which hands each Q's
 per-group cells to its ``QCandidate``, so ``pef.build_stochastic_pef``
 builds the winner from them without coupling again. Each batch's couplings
 come from one ``greedy_cells`` call, and every group is coupled by its
-``dist.ranked`` probabilities, so a tie goes to the higher-ranked symbol
+ranked probabilities (``GroupedData.ranked``, derived once per
+``GroupedData``), so a tie goes to the higher-ranked symbol
 and the scan, the Dirichlet design, each GP-UCB round and ``objective_j``
 give a Q the same J bit for bit; a cell's row is its symbol's rank
 position. ``_j_values`` couples every group onto every Q it is given; the
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import entropy_bits, greedy_cells
-from .dist import Categorical, DistError, GroupedData, entropy, ranked
+from .dist import Categorical, DistError, GroupedData, entropy
 
 
 # The GP-UCB exploration weight; 2.5 matches the reference setup.
@@ -91,7 +92,7 @@ def _j_values(qs: list[Categorical], g: GroupedData, source: str) -> list[QCandi
     ``qs[c]``.
     """
     n_groups = len(g.dists)
-    probs = [ranked(d)[1] for d in g.dists]
+    probs = [p for _, p in g.ranked]
     cells = greedy_cells(probs * len(qs), [q.probs for q in qs for _ in range(n_groups)])
     per_q = [cells[c * n_groups : (c + 1) * n_groups] for c in range(len(qs))]
     return _scored(qs, per_q, g, source)
@@ -138,7 +139,7 @@ def scan_stationary(g: GroupedData, out_size: int) -> list[QCandidate]:
         raise DistError("out_size must be >= the largest group support")
     support = output_support(g, out_size)
     n_groups = len(g.dists)
-    probs = [ranked(d)[1] for d in g.dists]
+    probs = [p for _, p in g.ranked]
     pairs = [(i, c) for c in range(n_groups) for i in range(c)]
     coupled = greedy_cells([probs[i] for i, _ in pairs], [probs[c] for _, c in pairs])
     # cells[c][i]: group i onto candidate c.

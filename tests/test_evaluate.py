@@ -23,6 +23,7 @@ from pefkit import (
     plugin_mi,
     tv_distance,
 )
+from pefkit import _kernels
 from pefkit.evaluate import check_symbols_known, write_report_json
 
 
@@ -262,6 +263,26 @@ def test_from_pairs_matches_sorting(pairs):
     assert got.n == want.n
     np.testing.assert_array_equal(got.cells, want.cells)
     np.testing.assert_array_equal(got.counts, want.counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_pairs(3), _pairs(40), _pairs(2**62)), st.integers(1, 7))
+def test_from_pairs_does_not_depend_on_chunk_size(pairs, chunk):
+    """Both call forms, coded ``chunk`` pairs at a time, equal the single-chunk
+    count bit for bit; spreads of 3, 40 and 2**62 send the cells to the
+    ``bincount`` and to the sort, and the labels to the table and the sort."""
+    rows = np.array(pairs, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "CODE_CHUNK", len(rows))
+        want = JointCounts.from_pairs(rows)
+        mp.setattr(_kernels, "CODE_CHUNK", chunk)
+        listed = JointCounts.from_pairs(pairs)
+        columns = JointCounts.from_pairs(rows[:, 0], col_labels=rows[:, 1])
+    for got in (listed, columns):
+        assert got.n == want.n
+        for name in ("rows", "cols", "cells", "counts"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @st.composite

@@ -285,3 +285,54 @@ def test_dense_ids_take_no_sort_or_search(monkeypatch):
     # A wide span falls back to the sort.
     with pytest.raises(AssertionError, match="sorted or searched"):
         symbol_codes(np.array([0, 1000]))
+
+
+def _same(got, want):
+    """Arrays equal bit for bit, with the same dtype and shape."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(id_columns(), st.integers(1, 7))
+@example(np.array([INT64_MIN, INT64_MAX, INT64_MIN], dtype=np.int64), 1)
+@example(np.array([5, 3, 5, 4, 3, 9, 9, 5], dtype=np.int64), 3)
+def test_symbol_codes_and_counts_do_not_depend_on_chunk_size(values, chunk):
+    """Coded and counted ``chunk`` values at a time, every result equals the
+    single-chunk one, on the table path (a spread within the length) and on
+    the sort/search path (a wider one)."""
+    # Every other distinct value as the given ids, so found and absent values both occur.
+    ids = np.unique(values)[::2]
+
+    def results():
+        scratch = values.copy()
+        return (*symbol_codes(values), symbol_codes(values, ids)[1], *symbol_counts(values),
+                *symbol_counts(scratch, overwrite=True))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels, "CODE_CHUNK", max(1, values.size))
+        whole = results()
+        mp.setattr(_kernels, "CODE_CHUNK", chunk)
+        chunked = results()
+    for got, want in zip(chunked, whole, strict=True):
+        _same(got, want)
+    # The in-place count equals the copying one.
+    for got, want in zip(whole[5:], whole[3:5], strict=True):
+        _same(got, want)
+
+
+def test_table_rule_reads_the_whole_column(monkeypatch):
+    # 200 values over 8 ids fit a table; chunks of 3 values would not, but the
+    # rule is applied to the column, so no chunk sorts or searches.
+    def refuse(*args, **kwargs):
+        raise AssertionError("sorted or searched")
+
+    values = np.random.default_rng(3).integers(-4, 4, size=200)
+    scratch = values.copy()
+    monkeypatch.setattr(_kernels, "CODE_CHUNK", 3)
+    for name in ("unique", "searchsorted", "sort", "argsort"):
+        monkeypatch.setattr(np, name, refuse)
+    assert symbol_codes(values)[1].tolist() == (values + 4).tolist()
+    assert symbol_codes(values, np.arange(-4, 4))[1].tolist() == (values + 4).tolist()
+    assert symbol_counts(values)[0].tolist() == list(range(-4, 4))
+    assert symbol_counts(scratch, overwrite=True)[1].sum() == 200

@@ -1,11 +1,13 @@
 """Working memory of the sample path, per row, on a 200k-row Algorithm 1 input.
 
-``apply`` holds its output plus fixed-size chunk temporaries, and
-``evaluate_run`` counts (z, x) from the two columns it is given, so each
-stays within 32 bytes per row above its inputs: the output alone of
-``apply`` is 16. tracemalloc sees every numpy buffer, and the same calls
-on the same input allocate the same buffers, so the peaks are
-deterministic.
+``apply`` holds its output plus fixed-size chunk temporaries, so it stays
+within 32 bytes per row above its input: the output alone is 16.
+``grouped_from_samples`` and ``evaluate_run`` code and count the sample
+columns in fixed-size chunks: the first holds only per-label arrays and
+chunks, the second one 8-byte code per row besides, so each stays within
+16 bytes per row above its inputs. tracemalloc sees every numpy buffer,
+and the same calls on the same input allocate the same buffers, so the
+peaks are deterministic.
 """
 
 import tracemalloc
@@ -16,6 +18,7 @@ import pytest
 from pefkit import SynthConfig, apply, evaluate_run, generate, grouped_from_samples, run_algorithm1
 
 BYTES_PER_ROW = 32
+CODED_BYTES_PER_ROW = 16
 
 
 @pytest.fixture(scope="module")
@@ -54,4 +57,11 @@ def test_apply_holds_its_output_and_fixed_temporaries(alg1_run):
 def test_evaluate_run_holds_no_stacked_copy(alg1_run):
     samples, f, g, erased = alg1_run
     _, peak = traced_peak(lambda: evaluate_run(g, f, erased, samples))
-    assert peak / len(samples) <= BYTES_PER_ROW
+    assert peak / len(samples) <= CODED_BYTES_PER_ROW
+
+
+def test_grouped_from_samples_holds_no_full_length_codes(alg1_run):
+    samples, _, g, _ = alg1_run
+    got, peak = traced_peak(lambda: grouped_from_samples(samples))
+    assert got.priors.tobytes() == g.priors.tobytes()
+    assert peak / len(samples) <= CODED_BYTES_PER_ROW

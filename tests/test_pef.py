@@ -151,6 +151,50 @@ class TestEstimation:
         for d, w in zip(g.dists, want.dists):
             assert d.support.tolist() == w.support.tolist() and d.probs.tolist() == w.probs.tolist()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(-3, 40), st.integers(0, 3)), min_size=1, max_size=60),
+        st.sampled_from([1, 2**40]),
+        st.integers(1, 7),
+    )
+    # Symbol 2 is filed under concept 0 in the first chunk; row 4, in the
+    # third chunk, holds it under concept 1.
+    @example(pairs=[(0, 0), (1, 1), (2, 0), (3, 1), (2, 1)], scale=1, chunk=2)
+    def test_grouped_from_samples_does_not_depend_on_chunk_size(self, pairs, scale, chunk):
+        rows = np.array(pairs, dtype=np.int64) * np.array([scale, 1])
+
+        def estimate():
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    return grouped_from_samples(rows)
+            except DistError as exc:
+                return exc
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "CODE_CHUNK", len(rows))
+            want = estimate()
+            mp.setattr(_kernels, "CODE_CHUNK", chunk)
+            got = estimate()
+        if isinstance(want, DistError):
+            assert type(got) is type(want) and str(got) == str(want)
+            return
+        assert got.concepts.tobytes() == want.concepts.tobytes()
+        assert got.priors.tobytes() == want.priors.tobytes()
+        for d, w in zip(got.dists, want.dists, strict=True):
+            assert d.support.tobytes() == w.support.tobytes()
+            assert d.probs.tobytes() == w.probs.tobytes()
+
+    def test_clash_in_a_later_chunk_names_its_row(self, monkeypatch):
+        # The first chunk files symbol 1 under concept 1; row 6, alone in the
+        # third chunk, holds it under concept 0.
+        rows = np.array([(0, 0), (1, 1), (2, 0), (3, 1), (4, 0), (5, 1), (1, 0)])
+        monkeypatch.setattr(_kernels, "CODE_CHUNK", 3)
+        message = "symbol 1 appears under concepts 1 and 0 (disjoint-support assumption violated)"
+        with pytest.raises(DataConstraintError) as err:
+            grouped_from_samples(rows)
+        assert str(err.value) == message
+
     def test_default_tol_value(self):
         # 2 * sqrt(ln(200) / 2000) at n_min=1000, delta=0.01
         assert default_tol(1000) == pytest.approx(

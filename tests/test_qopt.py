@@ -23,7 +23,9 @@ from pefkit import (
     scan_stationary,
     select_q,
 )
+from pefkit import dist as dist_module
 from pefkit import qopt, synth
+from pefkit.pef import build_stochastic_pef
 from pefkit._kernels import LOCKSTEP_MIN, greedy_cells
 from pefkit.dist import ranked
 from pefkit.qopt import _gp_posterior, _sq_dists
@@ -227,6 +229,23 @@ class TestBayesOpt:
         g = random_grouped(rng, n_groups=2, support_per_group=3)
         bo = bayes_opt_q(g, 3, BoConfig(budget=12, n_acq_candidates=1, seed=0))
         assert bo.j_value >= max(c.j_value for c in scan_stationary(g, 3)) - 1e-9
+
+    def test_search_and_build_rank_each_group_once(self, rng, monkeypatch):
+        # The Dirichlet design, every GP-UCB round, the scan and the build all
+        # read g.ranked, so the whole search ranks each group once.
+        calls = []
+        original = dist_module.ranked
+        monkeypatch.setattr(dist_module, "ranked", lambda d: calls.append(d) or original(d))
+        g = random_grouped(rng, n_groups=3, support_per_group=4)
+        q = select_q(g, 4, BoConfig(budget=20, n_acq_candidates=16, seed=0))
+        build_stochastic_pef(g, q)
+        assert calls == list(g.dists)
+        for (symbols, probs), d in zip(g.ranked, g.dists, strict=True):
+            want_symbols, want_probs = original(d)
+            assert symbols.tobytes() == want_symbols.tobytes()
+            assert probs.tobytes() == want_probs.tobytes()
+            assert not symbols.flags.writeable and not probs.flags.writeable
+        assert g.ranked is g.ranked
 
     def test_golden_two_by_fifty(self):
         # Q pinned from the per-row proposal loops and the broadcast kernel
